@@ -2,10 +2,9 @@
 ground-truth permutations, and evaluate rankers under both conventional and
 click-model simulation metrics with exact permutation oracles."""
 
-from .arranger import (DecoderState, arrange_greedy, arrange_sample, permutation_log_prob,
-                       step_scores)
+from .arranger import arrange_greedy, arrange_sample, permutation_log_prob, step_scores
 from .autodiff import Tape, Tensor, grad_check
-from .baseline import rank_by_sort, score
+from .baseline import rank_by_sort, score_all
 from .clickmodels import (ClickModelSpec, MetricScore, examination_prob, load_click_spec,
                           ndcg_reduction_check, oracle_permutation, r_cm, r_ndcg,
                           relevance_prob, simulate_clicks)
@@ -14,7 +13,8 @@ from .data import (DatasetSplit, Instance, UserLog, generate_synthetic, read_dat
 from .evaluation import (accuracy_at_position, evaluate, export_attention,
                          export_attention_weights)
 from .loss import LossReport, listwise_loss, pointwise_summation_loss
-from .model import ModelDims, init_params, instance_loss, rank_instance, read_instance
+from .model import (ModelDims, batch_loss, init_params, instance_loss, rank_instance,
+                    rank_instances, read_instance)
 from .params import ParamStore, load_checkpoint, save_checkpoint
 from .permutation import Permutation
 from .reader import (CandidateSet, ReaderOutput, UserContext, encode_candidates,

@@ -10,12 +10,16 @@ and the next-item distribution is a softmax over the not-yet-arranged items
 representation h_d is fed into the decoder cell together with a one-hot
 position indicator to produce the next context vector.
 
-Greedy decoding breaks exact ties by smallest item id, never by storage
-position, so results are invariant to candidate storage order.
+One decode loop serves every use: greedy, sampled and teacher-forced. It
+runs a single reader output, or a group of equal-shape instances along a
+leading batch axis, where step i advances every instance at once. Orders
+are rows of candidate indices; candidates are stored by ascending item id,
+so greedy decoding breaks exact ties by smallest item id, never by storage
+position, and results are invariant to candidate storage order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -23,42 +27,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .params import ParamStore
 from .permutation import Permutation
-from .reader import ReaderOutput
-
-
-@dataclass
-class DecoderState:
-    """Mutable per-instance decode state: next position, arranged set, cell state."""
-
-    step: int                 # 1-based position being filled next
-    arranged: list[int]       # item ids already placed
-    mask: np.ndarray          # True where the item is still unarranged
-    h: Tensor                 # context vector p_i (decoder hidden state)
-    c: Tensor
-    prev_repr: Tensor         # representation fed at the next cell update
-    logits: dict[int, float] | None = field(default=None)
-
-    @property
-    def remaining_ids(self) -> list[int]:
-        return [i for i, keep in zip(self._ids, self.mask) if keep]
-
-    _ids: tuple[int, ...] = field(default=())
-
-
-def new_decoder_state(rout: ReaderOutput, params: ParamStore) -> DecoderState:
-    """Context for scoring position 1: cell over the start vector, state from u."""
-    n = len(rout.ids)
-    state = DecoderState(
-        step=1,
-        arranged=[],
-        mask=np.ones(n, dtype=bool),
-        h=rout.user_vec,
-        c=Tensor(np.zeros(rout.user_vec.values.shape[0])),
-        prev_repr=params["dec.start"],
-        _ids=rout.ids,
-    )
-    _cell_update(state, params)
-    return state
+from .reader import ReaderOutput, _cell_step
 
 
 def _max_positions(params: ParamStore) -> int:
@@ -66,50 +35,72 @@ def _max_positions(params: ParamStore) -> int:
     return params["dec.W"].values.shape[1] - 2 * hidden
 
 
-def _cell_update(state: DecoderState, params: ParamStore) -> None:
-    """Advance the context vector: input is the last-placed item (or the start
-    vector) concatenated with the one-hot of the position being scored next."""
-    from .reader import _cell_step
+def _decode(rout: ReaderOutput, params: ParamStore,
+            choose: Callable[[Tensor, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Fill positions 1..n; returns the placement order as candidate indices (..., n).
 
-    n_pos = _max_positions(params)
-    onehot = np.zeros(n_pos)
-    onehot[min(state.step, n_pos) - 1] = 1.0
-    inp = ad.concat([state.prev_repr, Tensor(onehot)])
-    state.h, state.c = _cell_step(params, "dec", inp, state.h, state.c)
-
-
-def _advance(state: DecoderState, rout: ReaderOutput, params: ParamStore, chosen_idx: int) -> None:
-    """Place an item: its representation becomes the next cell input, so the
-    very next position's scores already condition on it."""
-    state.prev_repr = ad.row(rout.reprs, chosen_idx)
-    state.mask = state.mask.copy()
-    state.mask[chosen_idx] = False
-    state.arranged.append(rout.ids[chosen_idx])
-    state.step += 1
-    if state.mask.any():
-        _cell_update(state, params)
-
-
-def _step_logits(state: DecoderState, rout: ReaderOutput, params: ParamStore,
-                 w2h: Tensor) -> Tensor:
-    """Scores for every candidate at the current step (mask applied downstream)."""
-    ctx = ad.add(ad.matvec(params["ptr.W3"], state.h), params["ptr.b2"])
-    return ad.pointer_logits(w2h, ctx, params["ptr.P"], rout.user_vec)
-
-
-def _w2h(rout: ReaderOutput, params: ParamStore) -> Tensor:
-    # position-independent half of the score; computed once per decode
-    return ad.matmul(rout.reprs, params["ptr.W2"])
+    At every step ``choose(logits, mask)`` gets the scores of all candidates
+    and the mask of the unarranged ones, and names the index each instance
+    places next. The placed item's representation, with the one-hot of the
+    next position, advances the context, so the next scores condition on it.
+    """
+    reprs = rout.reprs
+    lead, n = reprs.values.shape[:-2], reprs.values.shape[-2]
+    if n == 0:
+        raise ValueError("cannot arrange an empty candidate set")
+    positions = np.eye(_max_positions(params))  # one-hot rows; the last one repeats
+    w2h = ad.matmul(reprs, params["ptr.W2"])  # position-independent half of the score
+    h, c = rout.user_vec, Tensor(np.zeros(rout.user_vec.values.shape))
+    placed: Tensor = params["dec.start"]
+    mask = np.ones(lead + (n,), dtype=bool)
+    order = np.empty(lead + (n,), dtype=np.intp)
+    for i in range(n):
+        onehot = Tensor(positions[min(i, len(positions) - 1)])
+        h, c = _cell_step(params, "dec", [placed, onehot], h, c)
+        ctx = ad.add(ad.matvec(params["ptr.W3"], h), params["ptr.b2"])
+        logits = ad.pointer_logits(w2h, ctx, params["ptr.P"], rout.user_vec)
+        chosen = choose(logits, mask)
+        order[..., i] = chosen
+        placed = ad.row(reprs, chosen)
+        mask = mask.copy()  # the tape keeps the previous step's mask
+        mask[ad._per_instance(chosen)] = False
+    return order
 
 
-def step_scores(state: DecoderState, rout: ReaderOutput, params: ParamStore) -> dict[int, float]:
-    """Placement scores s^i_d for the items not yet arranged."""
-    if not state.mask.any():
-        raise ValueError("no unarranged item left")
-    logits = _step_logits(state, rout, params, _w2h(rout, params))
-    state.logits = {i: float(logits.values[k])
-                    for k, i in enumerate(rout.ids) if state.mask[k]}
-    return state.logits
+def _as_permutation(ids, order) -> Permutation:
+    return Permutation([ids[k] for k in order])
+
+
+def target_indices(ids, pi: Permutation) -> list[int]:
+    """Candidate index of each item of ``pi``, in order; ``pi`` must be a bijection of ``ids``."""
+    pi.validate_against(ids)
+    index_of = {item: k for k, item in enumerate(ids)}
+    return [index_of[item] for item in pi]
+
+
+def greedy_orders(rout: ReaderOutput, params: ParamStore) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy placement order (..., n) and the per-step pointing distribution (..., n, n)."""
+    probs = []
+
+    def choose(logits, mask):
+        p = ad.softmax_masked(logits, mask).values
+        probs.append(p)
+        return np.argmax(p, axis=-1)  # exact ties: first index = smallest id
+
+    order = _decode(rout, params, choose)
+    return order, np.stack(probs, axis=-2)
+
+
+def step_scores(rout: ReaderOutput, params: ParamStore) -> dict[int, float]:
+    """Placement scores s^1_d of every candidate for position 1."""
+    seen = []
+
+    def choose(logits, mask):
+        seen.append(logits.values)
+        return np.argmax(np.where(mask, logits.values, -np.inf), axis=-1)
+
+    _decode(rout, params, choose)
+    return {i: float(s) for i, s in zip(rout.ids, seen[0])}
 
 
 def arrange_greedy(rout: ReaderOutput, params: ParamStore) -> Permutation:
@@ -123,39 +114,58 @@ def greedy_step_probs(rout: ReaderOutput, params: ParamStore) -> tuple[Permutati
     Row i holds P(position i+1 takes item j | choices so far); entries of
     already-arranged items are exactly 0.
     """
-    n = len(rout.ids)
-    if n == 0:
-        raise ValueError("cannot arrange an empty candidate set")
-    state = new_decoder_state(rout, params)
-    w2h = _w2h(rout, params)
-    probs = np.zeros((n, n))
-    for i in range(n):
-        logits = _step_logits(state, rout, params, w2h)
-        p = ad.softmax_masked(logits, state.mask)
-        probs[i] = p.values
-        chosen = int(np.argmax(p.values))  # exact ties: first index = smallest id
-        _advance(state, rout, params, chosen)
-    return Permutation(state.arranged), probs
+    order, probs = greedy_orders(rout, params)
+    return _as_permutation(rout.ids, order), probs
 
 
 def arrange_sample(rout: ReaderOutput, params: ParamStore, seed: int) -> tuple[Permutation, float]:
     """Sample a permutation position by position; returns its log probability."""
-    n = len(rout.ids)
-    if n == 0:
-        raise ValueError("cannot arrange an empty candidate set")
     rng = np.random.default_rng(seed)
-    state = new_decoder_state(rout, params)
-    w2h = _w2h(rout, params)
     log_prob = 0.0
-    for _ in range(n):
-        logits = _step_logits(state, rout, params, w2h)
-        p = ad.softmax_masked(logits, state.mask)
-        support = np.flatnonzero(state.mask)
-        weights = p.values[support]
+
+    def choose(logits, mask):
+        nonlocal log_prob
+        p = ad.softmax_masked(logits, mask).values
+        support = np.flatnonzero(mask)
+        weights = p[support]
         chosen = int(support[rng.choice(len(support), p=weights / weights.sum())])
-        log_prob += float(ad.masked_log_prob(logits, state.mask, chosen).values)
-        _advance(state, rout, params, chosen)
-    return Permutation(state.arranged), log_prob
+        log_prob += float(ad.masked_log_prob(logits, mask, chosen).values)
+        return chosen
+
+    order = _decode(rout, params, choose)
+    return _as_permutation(rout.ids, order), log_prob
+
+
+def forced_log_probs(rout: ReaderOutput, params: ParamStore, targets: np.ndarray,
+                     summation: bool = False) -> list[Tensor]:
+    """Differentiable per-position log-probabilities of ``targets`` (..., n indices).
+
+    The decoder is teacher-forced along the targets: term i is the log
+    masked-softmax probability of the target given the target prefix. With
+    ``summation`` term i scores the target over all items and the decoder
+    follows its own greedy picks instead (the diagnostic foil of
+    ``loss.pointwise_summation_loss``).
+    """
+    terms = []
+
+    def choose(logits, mask):
+        target = targets[..., len(terms)]
+        if not summation:
+            terms.append(ad.masked_log_prob(logits, mask, target))
+            return target
+        terms.append(ad.masked_log_prob(logits, np.ones_like(mask), target))
+        return np.argmax(np.where(mask, logits.values, -np.inf), axis=-1)
+
+    _decode(rout, params, choose)
+    return terms
+
+
+def sum_terms(terms: list[Tensor]) -> Tensor:
+    """Position terms added in position order."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = ad.add(total, t)
+    return total
 
 
 def permutation_log_prob(rout: ReaderOutput, params: ParamStore, pi: Permutation,
@@ -166,18 +176,8 @@ def permutation_log_prob(rout: ReaderOutput, params: ParamStore, pi: Permutation
     pi's item given the already-placed prefix. With ``want_terms`` returns
     (total, [per-position scalar Tensors]).
     """
-    pi.validate_against(rout.ids)
-    index_of = {item: k for k, item in enumerate(rout.ids)}
-    state = new_decoder_state(rout, params)
-    w2h = _w2h(rout, params)
-    terms = []
-    for item in pi:
-        logits = _step_logits(state, rout, params, w2h)
-        terms.append(ad.masked_log_prob(logits, state.mask, index_of[item]))
-        _advance(state, rout, params, index_of[item])
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
+    terms = forced_log_probs(rout, params, np.array(target_indices(rout.ids, pi)))
+    total = sum_terms(terms)
     if want_terms:
         return total, terms
     return total

@@ -4,8 +4,15 @@ The ranker only needs a handful of primitives (matrix products, a few
 elementwise maps, reductions, concatenation and a masked softmax), so the
 engine is a flat tape: every primitive appends one backward closure, and
 ``Tape.backward`` replays the closures in exact reverse execution order.
-There is no broadcasting beyond scalar-with-tensor; matrix-plus-row is its
-own primitive (``add_rows``) so every backward rule stays auditable.
+
+Primitives take one instance, or a batch of equal-shape instances on leading
+axes (batch axis first); shape checks are strict on the trailing dimensions.
+An operand without the leading axes, such as a parameter, is shared by the
+batch and its gradient sums over them; that is the only broadcasting. An
+instance's forward values never depend on its batch: products use numpy's
+stacked matmul, the same BLAS call per instance as an unbatched product (one
+2-D product over all rows switches kernel for a single row), and masked
+softmaxes reduce over each row's kept entries only.
 """
 from __future__ import annotations
 
@@ -43,12 +50,6 @@ class Tensor:
     @property
     def shape(self) -> tuple:
         return self.values.shape
-
-    def item(self) -> float:
-        return float(self.values)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -118,9 +119,39 @@ def _tracing(*tensors: Tensor) -> bool:
 # ---------------------------------------------------------------- primitives
 
 
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``g`` over the leading axes that an operand of ``shape`` was shared along."""
+    extra = g.ndim - len(shape)
+    return g.sum(axis=tuple(range(extra))) if extra else g
+
+
+def _lead_agree(*leads: tuple) -> bool:
+    """Leading (batch) shapes agree; an empty one belongs to a shared operand."""
+    return len(set(leads) - {()}) <= 1
+
+
+def _per_instance(index) -> tuple:
+    """Index tuple that picks entry ``index[b]`` of instance b along the next axis."""
+    index = np.asarray(index)
+    if index.ndim == 0:
+        return (index,)
+    return np.indices(index.shape, sparse=True) + (index,)
+
+
+def _shared(sa: tuple, sb: tuple) -> bool:
+    """One shape is a trailing part of the other (a scalar, or a bias shared by a batch)."""
+    short, long = sorted((sa, sb), key=len)
+    return long[len(long) - len(short):] == short
+
+
+def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m[..., r, c] @ v[..., c] -> [..., r], one BLAS matrix-vector call per instance."""
+    return m @ v if v.ndim == 1 else (m @ v[..., None])[..., 0]
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product a[m,k] @ b[k,n]."""
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.values.shape[1] != b.values.shape[0]:
+    """Matrix product a[..., m, k] @ b[k, n] -> [..., m, n]; b is shared by the batch."""
+    if a.values.ndim < 2 or b.values.ndim != 2 or a.values.shape[-1] != b.values.shape[0]:
         raise ShapeError(f"matmul shapes do not agree: {a.values.shape} vs {b.values.shape}")
     out = Tensor(a.values @ b.values)
     if _tracing(a, b):
@@ -130,67 +161,70 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if a.requires_grad:
                 a._accum(g @ bv.T)
             if b.requires_grad:
-                b._accum(av.T @ g)
+                b._accum(av.reshape(-1, bv.shape[0]).T @ g.reshape(-1, bv.shape[1]))
 
         _record(out, pull)
     return out
 
 
 def matvec(m: Tensor, v: Tensor) -> Tensor:
-    """Matrix-vector product m[r,c] @ v[c] -> [r]."""
-    if m.values.ndim != 2 or v.values.ndim != 1 or m.values.shape[1] != v.values.shape[0]:
-        raise ShapeError(f"matvec shapes do not agree: {m.values.shape} vs {v.values.shape}")
-    out = Tensor(m.values @ v.values)
+    """Matrix-vector product m[..., r, c] @ v[..., c] -> [..., r]."""
+    mv, vv = m.values, v.values
+    if (mv.ndim < 2 or vv.ndim < 1 or mv.shape[-1] != vv.shape[-1]
+            or not _lead_agree(mv.shape[:-2], vv.shape[:-1])):
+        raise ShapeError(f"matvec shapes do not agree: {mv.shape} vs {vv.shape}")
+    out = Tensor(_mv(mv, vv))
     if _tracing(m, v):
-        mv, vv = m.values, v.values
 
         def pull(g, m=m, v=v, mv=mv, vv=vv):
             if m.requires_grad:
-                m._accum(np.outer(g, vv))
+                m._accum(_unbroadcast(g[..., :, None] * vv[..., None, :], mv.shape))
             if v.requires_grad:
-                v._accum(mv.T @ g)
+                v._accum(_unbroadcast((g[..., None, :] @ mv)[..., 0, :], vv.shape))
 
         _record(out, pull)
     return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; one operand may be a scalar (shape ()) tensor."""
-    if a.values.shape != b.values.shape and a.values.shape != () and b.values.shape != ():
+    """Elementwise sum; an operand whose shape ends the other's (a scalar, a bias) is shared."""
+    if not _shared(a.values.shape, b.values.shape):
         raise ShapeError(f"add shapes do not agree: {a.values.shape} vs {b.values.shape}")
     out = Tensor(a.values + b.values)
     if _tracing(a, b):
 
         def pull(g, a=a, b=b):
             if a.requires_grad:
-                a._accum(g if a.values.shape == g.shape else np.sum(g))
+                a._accum(_unbroadcast(g, a.values.shape))
             if b.requires_grad:
-                b._accum(g if b.values.shape == g.shape else np.sum(g))
+                b._accum(_unbroadcast(g, b.values.shape))
 
         _record(out, pull)
     return out
 
 
 def add_rows(m: Tensor, v: Tensor) -> Tensor:
-    """Add vector v[k] to every row of m[n,k]."""
-    if m.values.ndim != 2 or v.values.ndim != 1 or m.values.shape[1] != v.values.shape[0]:
-        raise ShapeError(f"add_rows shapes do not agree: {m.values.shape} vs {v.values.shape}")
-    out = Tensor(m.values + v.values)
+    """Add v[..., k] to every row of m[..., n, k]."""
+    mv, vv = m.values, v.values
+    if (mv.ndim < 2 or vv.ndim < 1 or mv.shape[-1] != vv.shape[-1]
+            or not _lead_agree(mv.shape[:-2], vv.shape[:-1])):
+        raise ShapeError(f"add_rows shapes do not agree: {mv.shape} vs {vv.shape}")
+    out = Tensor(mv + vv[..., None, :])
     if _tracing(m, v):
 
         def pull(g, m=m, v=v):
             if m.requires_grad:
-                m._accum(g)
+                m._accum(_unbroadcast(g, m.values.shape))
             if v.requires_grad:
-                v._accum(g.sum(axis=0))
+                v._accum(_unbroadcast(g.sum(axis=-2), v.values.shape))
 
         _record(out, pull)
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; one operand may be a scalar (shape ()) tensor."""
-    if a.values.shape != b.values.shape and a.values.shape != () and b.values.shape != ():
+    """Elementwise product; an operand whose shape ends the other's is shared."""
+    if not _shared(a.values.shape, b.values.shape):
         raise ShapeError(f"mul shapes do not agree: {a.values.shape} vs {b.values.shape}")
     out = Tensor(a.values * b.values)
     if _tracing(a, b):
@@ -198,29 +232,27 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
         def pull(g, a=a, b=b, av=av, bv=bv):
             if a.requires_grad:
-                ga = g * bv
-                a._accum(ga if a.values.shape == ga.shape else np.sum(ga))
+                a._accum(_unbroadcast(g * bv, av.shape))
             if b.requires_grad:
-                gb = g * av
-                b._accum(gb if b.values.shape == gb.shape else np.sum(gb))
+                b._accum(_unbroadcast(g * av, bv.shape))
 
         _record(out, pull)
     return out
 
 
 def scale_rows(m: Tensor, v: Tensor) -> Tensor:
-    """Scale row i of m[n,k] by v[i]."""
-    if m.values.ndim != 2 or v.values.ndim != 1 or m.values.shape[0] != v.values.shape[0]:
+    """Scale row i of m[..., n, k] by v[..., i]."""
+    if m.values.ndim < 2 or v.values.shape != m.values.shape[:-1]:
         raise ShapeError(f"scale_rows shapes do not agree: {m.values.shape} vs {v.values.shape}")
-    out = Tensor(m.values * v.values[:, None])
+    out = Tensor(m.values * v.values[..., None])
     if _tracing(m, v):
         mv, vv = m.values, v.values
 
         def pull(g, m=m, v=v, mv=mv, vv=vv):
             if m.requires_grad:
-                m._accum(g * vv[:, None])
+                m._accum(g * vv[..., None])
             if v.requires_grad:
-                v._accum((g * mv).sum(axis=1))
+                v._accum((g * mv).sum(axis=-1))
 
         _record(out, pull)
     return out
@@ -233,18 +265,6 @@ def scale(x: Tensor, c: float) -> Tensor:
 
         def pull(g, x=x, c=c):
             x._accum(g * c)
-
-        _record(out, pull)
-    return out
-
-
-def shift(x: Tensor, c: float) -> Tensor:
-    """Add a python constant (no gradient for c)."""
-    out = Tensor(x.values + c)
-    if _tracing(x):
-
-        def pull(g, x=x):
-            x._accum(g)
 
         _record(out, pull)
     return out
@@ -320,19 +340,23 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors."""
-    for p in parts:
-        if p.values.ndim != 1:
-            raise ShapeError(f"concat expects 1-D parts, got shape {p.values.shape}")
-    out = Tensor(np.concatenate([p.values for p in parts]))
+    """Concatenate along the last axis; parts without the leading (batch) axes are shared."""
+    vals = [p.values for p in parts]
+    leads = {v.shape[:-1] for v in vals}
+    if len(leads) > 1:  # a shared part joins every instance of the batch
+        if len(leads - {()}) > 1:
+            raise ShapeError(f"concat parts do not agree: {[v.shape for v in vals]}")
+        lead = max(leads, key=len)
+        vals = [np.broadcast_to(v, lead + v.shape[-1:]) for v in vals]
+    out = Tensor(np.concatenate(vals, axis=-1))
     if _ACTIVE is not None and any(p.requires_grad for p in parts):
-        sizes = [p.values.shape[0] for p in parts]
+        sizes = [p.values.shape[-1] for p in parts]
 
         def pull(g, parts=tuple(parts), sizes=sizes):
             off = 0
             for p, s in zip(parts, sizes):
                 if p.requires_grad:
-                    p._accum(g[off : off + s])
+                    p._accum(_unbroadcast(g[..., off : off + s], p.values.shape))
                 off += s
 
         _record(out, pull)
@@ -352,63 +376,60 @@ def sum_all(x: Tensor) -> Tensor:
     return out
 
 
-def row(m: Tensor, index: int) -> Tensor:
-    """Select row ``index`` of a 2-D tensor -> 1-D."""
-    if m.values.ndim != 2:
-        raise ShapeError(f"row expects a 2-D tensor, got shape {m.values.shape}")
-    out = Tensor(m.values[index])
+def row(m: Tensor, index) -> Tensor:
+    """Select row ``index`` of m[..., n, k] -> [..., k]; a batch takes one index per instance."""
+    if m.values.ndim < 2 or np.shape(index) != m.values.shape[:-2]:
+        raise ShapeError(f"row expects a [..., n, k] tensor and one index per instance, "
+                         f"got shape {m.values.shape} and index shape {np.shape(index)}")
+    sel = _per_instance(index)
+    out = Tensor(m.values[sel])
     if _tracing(m):
         shp = m.values.shape
 
-        def pull(g, m=m, index=index, shp=shp):
+        def pull(g, m=m, sel=sel, shp=shp):
             buf = np.zeros(shp)
-            buf[index] = g
+            buf[sel] = g
             m._accum(buf)
 
         _record(out, pull)
     return out
 
 
-def pick(x: Tensor, index: int) -> Tensor:
-    """Select element ``index`` of a 1-D tensor -> scalar."""
-    if x.values.ndim != 1:
-        raise ShapeError(f"pick expects a 1-D tensor, got shape {x.values.shape}")
-    out = Tensor(x.values[index])
-    if _tracing(x):
-        n = x.values.shape[0]
-
-        def pull(g, x=x, index=index, n=n):
-            buf = np.zeros(n)
-            buf[index] = float(g)
-            x._accum(buf)
-
-        _record(out, pull)
-    return out
+def _kept(values: np.ndarray, mask: np.ndarray, what: str) -> np.ndarray:
+    """The unmasked entries of every row, [..., kept]; rows must keep equally many."""
+    if values.ndim < 1 or mask.shape != values.shape:
+        raise ShapeError(f"{what} shapes do not agree: {values.shape} vs {mask.shape}")
+    kept = values[mask]
+    if not kept.size:
+        raise EmptySupportError(f"{what} needs at least one unmasked entry")
+    if mask.ndim == 1:
+        return kept
+    counts = np.count_nonzero(mask, axis=-1)
+    if counts.min() != counts.max():
+        raise ShapeError(f"{what} needs the same number of unmasked entries in every row")
+    return kept.reshape(values.shape[:-1] + (-1,))
 
 
 def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
     """Softmax over the entries where ``mask`` is True; exact 0 elsewhere.
 
     Stabilized by max-subtraction over the unmasked support. Gradients flow
-    only through unmasked entries.
+    only through unmasked entries. Each row of a batch is normalised on its
+    own; all rows keep the same number of entries, as they do in a decode.
     """
-    if logits.values.ndim != 1 or mask.shape != logits.values.shape:
-        raise ShapeError(f"softmax_masked shapes do not agree: {logits.values.shape} vs {mask.shape}")
-    if not mask.any():
-        raise EmptySupportError("softmax_masked needs at least one unmasked entry")
-    z = logits.values[mask]
-    e = np.exp(z - z.max())
-    p = e / e.sum()
+    z = _kept(logits.values, mask, "softmax_masked")
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
     out_vals = np.zeros_like(logits.values)
-    out_vals[mask] = p
+    out_vals[mask] = p.reshape(-1)
     out = Tensor(out_vals)
     if _tracing(logits):
 
         def pull(g, logits=logits, mask=mask, p=p):
-            ga = g[mask]
-            gz = p * (ga - ga @ p)
+            ga = g[mask].reshape(p.shape)
+            gz = p * (ga - (ga * p).sum(axis=-1, keepdims=True))
             buf = np.zeros_like(logits.values)
-            buf[mask] = gz
+            buf[mask] = gz.reshape(-1)
             logits._accum(buf)
 
         _record(out, pull)
@@ -418,34 +439,41 @@ def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
 def pointer_logits(m: Tensor, ctx: Tensor, proj: Tensor, u: Tensor) -> Tensor:
     """Per-row pointer scores u . (proj^T tanh(m_row + ctx)), fused.
 
-    m is (n, a); ctx (a,) is added to every row; proj is (a, e); u is (e,).
-    Computed as tanh(m + ctx) @ (proj @ u), which is algebraically identical
-    but avoids materializing the (n, e) projection. One tape entry.
+    m is (..., n, a); ctx (..., a) is added to every row; proj is (a, e) and
+    shared; u is (..., e). Computed as tanh(m + ctx) @ (proj @ u), which is
+    algebraically identical but avoids materializing the (n, e) projection.
+    One tape entry; backward recomputes the tanh from m and ctx instead of
+    keeping an (n, a) array per decode step alive on the tape.
     """
-    if (m.values.ndim != 2 or ctx.values.shape != (m.values.shape[1],)
-            or proj.values.shape[0] != m.values.shape[1]
-            or u.values.shape != (proj.values.shape[1],)):
+    mv, cv, pv, uv = m.values, ctx.values, proj.values, u.values
+    if (mv.ndim < 2 or cv.shape[-1:] != mv.shape[-1:] or pv.ndim != 2
+            or pv.shape[0] != mv.shape[-1] or uv.shape[-1:] != pv.shape[1:]
+            or not _lead_agree(mv.shape[:-2], cv.shape[:-1], uv.shape[:-1])):
         raise ShapeError(
-            f"pointer_logits shapes do not agree: m {m.values.shape}, ctx {ctx.values.shape}, "
-            f"proj {proj.values.shape}, u {u.values.shape}")
-    t = np.tanh(m.values + ctx.values)
-    w = proj.values @ u.values
-    out = Tensor(t @ w)
+            f"pointer_logits shapes do not agree: m {mv.shape}, ctx {cv.shape}, "
+            f"proj {pv.shape}, u {uv.shape}")
+    w = _mv(pv, uv)
+    t = mv + cv[..., None, :]
+    np.tanh(t, out=t)  # in place: a second (n, a) temporary per step costs page faults
+    out = Tensor(_mv(t, w))
     if _tracing(m, ctx, proj, u):
 
-        def pull(g, m=m, ctx=ctx, proj=proj, u=u, t=t, w=w):
+        def pull(g, m=m, ctx=ctx, proj=proj, u=u, w=w):
+            mv, cv, pv, uv = m.values, ctx.values, proj.values, u.values
+            t = np.tanh(mv + cv[..., None, :])
             if m.requires_grad or ctx.requires_grad:
-                gpre = (g[:, None] * w[None, :]) * (1.0 - t * t)
+                gpre = (g[..., None] * w[..., None, :]) * (1.0 - t * t)
                 if m.requires_grad:
-                    m._accum(gpre)
+                    m._accum(_unbroadcast(gpre, mv.shape))
                 if ctx.requires_grad:
-                    ctx._accum(gpre.sum(axis=0))
+                    ctx._accum(_unbroadcast(gpre.sum(axis=-2), cv.shape))
             if proj.requires_grad or u.requires_grad:
-                tg = t.T @ g
+                tg = (t * g[..., None]).sum(axis=-2)  # t^T g per instance
                 if proj.requires_grad:
-                    proj._accum(np.outer(tg, u.values))
+                    ub = np.broadcast_to(uv, tg.shape[:-1] + uv.shape[-1:])
+                    proj._accum(tg.reshape(-1, pv.shape[0]).T @ ub.reshape(-1, pv.shape[1]))
                 if u.requires_grad:
-                    u._accum(proj.values.T @ tg)
+                    u._accum(_unbroadcast(tg @ pv, uv.shape))
 
         _record(out, pull)
     return out
@@ -459,45 +487,48 @@ def gated_cell(w: Tensor, b: Tensor, z: Tensor, c: Tensor) -> tuple[Tensor, Tens
 
         c' = sigmoid(f)*c + sigmoid(i)*tanh(g),  h' = sigmoid(o)*tanh(c')
 
-    Returns (h', c'). Fusing the cell keeps the tape an order of magnitude
-    shorter than composing it from elementwise primitives; the hand-derived
-    backward is covered by the finite-difference property tests.
+    Returns (h', c'). w and b are shared; z is (..., in) and c (..., hidden).
+    Fusing the cell keeps the tape an order of magnitude shorter than
+    composing it from elementwise primitives; the hand-derived backward is
+    covered by the finite-difference property tests.
     """
-    hdim = c.values.shape[0]
-    if w.values.shape[0] != 4 * hdim or w.values.shape[1] != z.values.shape[0]:
-        raise ShapeError(f"gated_cell shapes do not agree: {w.values.shape} vs "
-                         f"input {z.values.shape}, state {c.values.shape}")
-    pre = w.values @ z.values + b.values
-    gi = 0.5 * (np.tanh(0.5 * pre[:hdim]) + 1.0)
-    gf = 0.5 * (np.tanh(0.5 * pre[hdim:2 * hdim]) + 1.0)
-    go = 0.5 * (np.tanh(0.5 * pre[2 * hdim:3 * hdim]) + 1.0)
-    gg = np.tanh(pre[3 * hdim:])
-    c_new = gf * c.values + gi * gg
-    tc = np.tanh(c_new)
-    h_out = Tensor(go * tc)
+    wv, zv, cv = w.values, z.values, c.values
+    hdim = cv.shape[-1]
+    if (wv.shape != (4 * hdim, zv.shape[-1]) or b.values.shape != (4 * hdim,)
+            or not _lead_agree(zv.shape[:-1], cv.shape[:-1])):
+        raise ShapeError(f"gated_cell shapes do not agree: {wv.shape} vs "
+                         f"input {zv.shape}, state {cv.shape}")
+    pre = _mv(wv, zv) + b.values
+    gates = 0.5 * (np.tanh(0.5 * pre[..., :3 * hdim]) + 1.0)  # sigmoid of i, f, o
+    gi, gf, go = gates[..., :hdim], gates[..., hdim:2 * hdim], gates[..., 2 * hdim:]
+    gg = np.tanh(pre[..., 3 * hdim:])
+    c_new = gf * cv + gi * gg
+    h_out = Tensor(go * np.tanh(c_new))
     c_out = Tensor(c_new)
     if _tracing(w, b, z, c):
-        cv, zv, wv = c.values, z.values, w.values
 
-        def pull(grads, w=w, b=b, z=z, c=c, gi=gi, gf=gf, go=go, gg=gg, tc=tc,
+        def pull(grads, w=w, b=b, z=z, c=c, gi=gi, gf=gf, go=go, gg=gg, c_new=c_new,
                  cv=cv, zv=zv, wv=wv, hdim=hdim):
             gh, gcn = grads
+            tc = np.tanh(c_new)  # recomputed: one array less per step on the tape
             gc_new = gcn if gcn is not None else 0.0
             if gh is not None:
                 gc_new = gc_new + gh * go * (1.0 - tc * tc)
-            gpre = np.empty(4 * hdim)
-            gpre[:hdim] = gc_new * gg * gi * (1.0 - gi)
-            gpre[hdim:2 * hdim] = gc_new * cv * gf * (1.0 - gf)
-            gpre[2 * hdim:3 * hdim] = ((gh * tc) if gh is not None else 0.0) * go * (1.0 - go)
-            gpre[3 * hdim:] = gc_new * gi * (1.0 - gg * gg)
+            gpre = np.empty(tc.shape[:-1] + (4 * hdim,))
+            gpre[..., :hdim] = gc_new * gg * gi * (1.0 - gi)
+            gpre[..., hdim:2 * hdim] = gc_new * cv * gf * (1.0 - gf)
+            gpre[..., 2 * hdim:3 * hdim] = ((gh * tc) if gh is not None else 0.0) * go * (1.0 - go)
+            gpre[..., 3 * hdim:] = gc_new * gi * (1.0 - gg * gg)
+            flat = gpre.reshape(-1, 4 * hdim)
             if w.requires_grad:
-                w._accum(np.outer(gpre, zv))
+                zb = np.broadcast_to(zv, gpre.shape[:-1] + zv.shape[-1:])
+                w._accum(flat.T @ zb.reshape(-1, zv.shape[-1]))
             if b.requires_grad:
-                b._accum(gpre)
+                b._accum(flat.sum(axis=0))
             if z.requires_grad:
-                z._accum(wv.T @ gpre)
+                z._accum(_unbroadcast(gpre @ wv, zv.shape))
             if c.requires_grad:
-                c._accum(gc_new * gf)
+                c._accum(_unbroadcast(gc_new * gf, cv.shape))
 
         h_out.requires_grad = True
         c_out.requires_grad = True
@@ -505,30 +536,30 @@ def gated_cell(w: Tensor, b: Tensor, z: Tensor, c: Tensor) -> tuple[Tensor, Tens
     return h_out, c_out
 
 
-def masked_log_prob(logits: Tensor, mask: np.ndarray, index: int) -> Tensor:
+def masked_log_prob(logits: Tensor, mask: np.ndarray, index) -> Tensor:
     """log softmax_masked(logits, mask)[index], fused for numerical safety.
 
-    Equals ``log(pick(softmax_masked(logits, mask), index))`` but cannot
-    underflow to log(0) for very spread-out logits.
+    Equals ``log(softmax_masked(logits, mask)[index])`` but cannot
+    underflow to log(0) for very spread-out logits. A batch of logits
+    [..., n] takes one index per instance and returns [...].
     """
-    if logits.values.ndim != 1 or mask.shape != logits.values.shape:
-        raise ShapeError(f"masked_log_prob shapes do not agree: {logits.values.shape} vs {mask.shape}")
-    if not mask.any():
-        raise EmptySupportError("masked_log_prob needs at least one unmasked entry")
-    if not mask[index]:
+    z = _kept(logits.values, mask, "masked_log_prob")
+    if np.shape(index) != logits.values.shape[:-1]:
+        raise ShapeError(f"masked_log_prob needs one index per instance, got shape {np.shape(index)}")
+    sel = _per_instance(index)
+    if not np.all(mask[sel]):
         raise ValueError(f"index {index} is masked out")
-    z = logits.values[mask]
-    m = z.max()
-    e = np.exp(z - m)
-    lse = m + np.log(e.sum())
-    out = Tensor(logits.values[index] - lse)
+    m = z.max(axis=-1)
+    e = np.exp(z - m[..., None])
+    s = e.sum(axis=-1)
+    out = Tensor(logits.values[sel] - (m + np.log(s)))
     if _tracing(logits):
-        p = e / e.sum()
+        p = e / s[..., None]
 
-        def pull(g, logits=logits, mask=mask, index=index, p=p):
+        def pull(g, logits=logits, mask=mask, sel=sel, p=p):
             buf = np.zeros_like(logits.values)
-            buf[mask] = -float(g) * p
-            buf[index] += float(g)
+            buf[mask] = (-g[..., None] * p).reshape(-1)
+            buf[sel] += g
             logits._accum(buf)
 
         _record(out, pull)

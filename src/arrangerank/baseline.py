@@ -15,19 +15,11 @@ from .autodiff import Tensor
 from .loss import LossReport
 from .params import ParamStore
 from .permutation import Permutation
-from .reader import CandidateSet
+from .reader import CandidateSet, Group
 
 
-def score(features, user_vec: Tensor, params: ParamStore) -> Tensor:
-    """Scalar score of one item in the context of the user vector."""
-    x = Tensor(np.asarray(features, dtype=np.float64)[None, :])
-    u_part = ad.add(ad.matvec(params["pw.W1u"], user_vec), params["pw.b1"])
-    hid = ad.tanh(ad.add_rows(ad.matmul(x, params["pw.W1x"]), u_part))
-    return ad.pick(ad.add(ad.matvec(hid, params["pw.w2"]), params["pw.b2"]), 0)
-
-
-def score_all(cands: CandidateSet, user_vec: Tensor, params: ParamStore) -> Tensor:
-    """Scores for a whole candidate set at once (rows follow cands.ids)."""
+def score_all(cands: CandidateSet | Group, user_vec: Tensor, params: ParamStore) -> Tensor:
+    """Scores for a whole candidate set (or group of sets) at once; rows follow the ids."""
     x = Tensor(cands.features)
     u_part = ad.add(ad.matvec(params["pw.W1u"], user_vec), params["pw.b1"])
     hid = ad.tanh(ad.add_rows(ad.matmul(x, params["pw.W1x"]), u_part))
@@ -41,11 +33,16 @@ def rank_by_sort(scores: dict[int, float]) -> Permutation:
 
 def pointwise_loss(inst, user_vec: Tensor, params: ParamStore, r_max: int) -> LossReport:
     """Mean squared error of scores against grade / r_max."""
-    scores = score_all(inst.cands, user_vec, params)
     targets = np.array([inst.labels[i] / r_max for i in inst.cands.ids])
+    return grade_loss(inst.cands, user_vec, params, targets)
+
+
+def grade_loss(cands: CandidateSet | Group, user_vec: Tensor, params: ParamStore,
+               targets: np.ndarray) -> LossReport:
+    """Per-instance mean squared error of the scores against ``targets`` (..., n)."""
+    scores = score_all(cands, user_vec, params)
     diff = ad.add(scores, Tensor(-targets))
     sq = ad.mul(diff, diff)
-    total = ad.scale(ad.sum_all(sq), 1.0 / len(inst.cands.ids))
-    return LossReport(total=float(total.values),
-                      per_position=(sq.values / len(inst.cands.ids)).tolist(),
-                      tensor=total)
+    n = targets.shape[-1]
+    return LossReport(losses=sq.values.sum(axis=-1) * (1.0 / n), terms=sq.values / n,
+                      tensor=ad.scale(ad.sum_all(sq), 1.0 / n))

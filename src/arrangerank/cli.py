@@ -243,7 +243,7 @@ def _cmd_bench(args) -> int:
         fh.write(f"# fitted exponent {exponent:.3f}\n")
     _write_manifest(out, "bench", {"seed": args.seed}, [], [csv_path])
     for n, t in zip(sizes, times):
-        print(f"L={n:3d}  decode {t * 1e3:8.2f} ms")
+        print(f"L={n:3d}  decode {t * 1e3:8.3f} ms per instance")
     print(f"fitted runtime growth exponent: {exponent:.3f}")
     return 0
 
@@ -316,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="decode-time scaling vs candidate count")
     b.add_argument("--sizes", default="5,10,20,40")
-    b.add_argument("--repeats", type=int, default=5)
-    b.add_argument("--width", type=int, default=4096)
+    b.add_argument("--repeats", type=int, default=15)
+    b.add_argument("--width", type=int, default=1024)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", required=True)
     b.set_defaults(fn=_cmd_bench)

@@ -1,7 +1,8 @@
 """Evaluation harness: ranking metrics at cutoffs, per-position accuracy, exports.
 
 For every instance the model under evaluation produces one permutation
-(greedy decode for arranger kinds, score-sort for the baseline); the harness
+(greedy decode for arranger kinds, score-sort for the baseline; instances
+sharing history length and slate size are ranked as one batch); the harness
 reports the mean over instances of:
 
 * N@K   gain-discount ranking quality against the ideal order
@@ -22,7 +23,7 @@ import numpy as np
 from .arranger import greedy_step_probs
 from .clickmodels import ClickModelSpec, oracle_position_groups, r_cm, r_ndcg
 from .data import Instance
-from .model import rank_instance, read_instance
+from .model import rank_instances, read_instance
 from .permutation import Permutation
 
 
@@ -77,13 +78,15 @@ def evaluate(params, model_kind: str, instances: list[Instance],
     threshold = math.ceil(r_max / 2)
     columns = [f"{name}@{k}" for name in ["N", "M", *click_specs] for k in ks]
     sums = {c: 0.0 for c in columns}
-    for inst in instances:
-        pi = rank_instance(model_kind, params, inst)
+    for inst, pi in zip(instances, rank_instances(model_kind, params, instances)):
         for k in ks:
             sums[f"N@{k}"] += r_ndcg(pi, inst.labels, k)
             sums[f"M@{k}"] += map_at_k(pi, inst.labels, k, threshold)
-            for name, spec in click_specs.items():
-                sums[f"{name}@{k}"] += r_cm(pi, inst.labels, spec, k).value
+        for name, spec in click_specs.items():
+            # one DP down to the deepest cutoff; a cutoff's value is a prefix sum
+            contribs = r_cm(pi, inst.labels, spec, max(ks)).per_position_contributions
+            for k in ks:
+                sums[f"{name}@{k}"] += float(np.sum(contribs[:k]))
     means = {c: sums[c] / len(instances) for c in columns}
     return MetricTable(columns=columns, means=means, n_instances=len(instances))
 
@@ -101,8 +104,7 @@ def accuracy_at_position(params, model_kind: str, instances: list[Instance],
     max_n = max(len(inst.cands.ids) for inst in instances)
     hits = np.zeros(max_n)
     counts = np.zeros(max_n)
-    for inst in instances:
-        pi = rank_instance(model_kind, params, inst)
+    for inst, pi in zip(instances, rank_instances(model_kind, params, instances)):
         groups = oracle_position_groups(inst.labels, metric)
         for i, item in enumerate(pi):
             counts[i] += 1

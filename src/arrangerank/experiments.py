@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arranger import arrange_greedy
+from .arranger import greedy_orders
 from .clickmodels import ClickModelSpec, metric_fingerprint, oracle_permutation
 from .data import DatasetSplit, Instance, generate_synthetic, oracle_seed, temporal_split
 from .evaluation import evaluate
-from .model import ModelDims, init_params, read_instance
+from .model import ModelDims, init_params, read_group
 from .reader import CandidateSet, UserContext
 from .training import TrainConfig, train
 
@@ -122,17 +122,21 @@ def supervision_variant_experiment(n_users: int = 800, context_strength: float =
     return result
 
 
-def decode_scaling(sizes: tuple[int, ...] = (5, 10, 20, 40), repeats: int = 7,
-                   width: int = 4096, embed: int = 8, seed: int = 0
-                   ) -> tuple[list[float], float]:
-    """Greedy-decode wall time per candidate count and the fitted growth exponent.
+DECODE_GROUP = 32  # instances decode_scaling decodes together per candidate count
 
-    Uses a wide pointer layer and a small context dimension so the per-step
-    score computation (work proportional to the candidate count) dominates
-    fixed per-step overhead; total decode work then grows as roughly the
-    square of the list length. All sizes get a warm-up pass first and each
-    timing is the median over ``repeats`` runs, interleaved across sizes to
-    spread clock drift evenly.
+
+def decode_scaling(sizes: tuple[int, ...] = (5, 10, 20, 40), repeats: int = 15,
+                   width: int = 1024, embed: int = 8, seed: int = 0
+                   ) -> tuple[list[float], float]:
+    """Greedy-decode wall time per instance and candidate count, and the fitted growth exponent.
+
+    Each candidate count decodes a group of ``DECODE_GROUP`` instances in one
+    batched pass (as evaluation does) through a wide pointer layer: the group shares
+    the per-step interpreter overhead, so the per-step score computation (work
+    proportional to the candidate count) dominates and total decode work grows
+    as roughly the square of the list length. All sizes get a warm-up pass
+    first and each timing is the median over ``repeats`` runs, interleaved
+    across sizes to spread clock drift evenly.
     """
     rng = np.random.default_rng(seed)
     fdim = 16
@@ -141,22 +145,22 @@ def decode_scaling(sizes: tuple[int, ...] = (5, 10, 20, 40), repeats: int = 7,
     params = init_params("starank", dims, seed)
     routs = []
     for n in sizes:
-        inst = Instance(
-            query_id=f"bench:{n}",
+        group = [Instance(
+            query_id=f"bench:{n}:{k}",
             ctx=UserContext(rng.normal(size=fdim), [rng.normal(size=fdim) for _ in range(5)]),
             cands=CandidateSet((i, rng.normal(size=fdim)) for i in range(n)),
             labels={i: 0 for i in range(n)},
-        )
-        rout = read_instance("starank", params, inst)
-        arrange_greedy(rout, params)  # warm-up, caches and kernels
-        arrange_greedy(rout, params)
+        ) for k in range(DECODE_GROUP)]
+        rout = read_group("starank", params, group)
+        greedy_orders(rout, params)  # warm-up, caches and kernels
+        greedy_orders(rout, params)
         routs.append(rout)
     samples = [[] for _ in sizes]
     for _ in range(max(3, repeats)):
         for k, rout in enumerate(routs):
             t0 = time.perf_counter()
-            arrange_greedy(rout, params)
-            samples[k].append(time.perf_counter() - t0)
+            greedy_orders(rout, params)
+            samples[k].append((time.perf_counter() - t0) / DECODE_GROUP)
     times = [float(np.median(s)) for s in samples]
     exponent = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
     return times, exponent

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .arranger import _advance, _step_logits, _w2h, new_decoder_state, permutation_log_prob
+from .arranger import forced_log_probs, sum_terms, target_indices
 from .params import ParamStore
 from .permutation import Permutation
 from .reader import ReaderOutput
@@ -22,27 +22,52 @@ from .reader import ReaderOutput
 
 @dataclass
 class LossReport:
-    """Scalar loss plus its per-position breakdown; ``tensor`` carries gradients."""
+    """Loss of one instance, or of each instance of a group (leading batch axis).
 
-    total: float
-    per_position: list[float]
+    ``losses`` holds the per-instance losses and ``terms`` their breakdown
+    (last axis). ``tensor`` is the scalar sum of ``losses`` and carries the
+    gradients.
+    """
+
+    losses: np.ndarray
+    terms: np.ndarray
     tensor: Tensor
 
     def __post_init__(self):
-        # guard against -0.0-scale float noise in the reported breakdown
-        self.per_position = [max(0.0, t) for t in self.per_position]
-        self.total = max(0.0, self.total)
+        # rounding may leave a zero loss at -1e-16; anything lower is a sign error
+        worst = min(np.min(self.losses), np.min(self.terms, initial=0.0))
+        if worst < -1e-12:
+            raise FloatingPointError(f"loss {worst:.3e} is negative beyond rounding")
+        self.losses = np.maximum(self.losses, 0.0)
+        self.terms = np.maximum(self.terms, 0.0)
+
+    @property
+    def total(self) -> float:
+        """The loss (summed over the instances of a group)."""
+        return float(np.sum(self.losses))
+
+    @property
+    def per_position(self) -> list[float]:
+        """Per-position terms of one instance."""
+        return self.terms.reshape(-1).tolist()
+
+
+def sequence_loss(rout: ReaderOutput, params: ParamStore, targets: np.ndarray,
+                  variant: str = "listwise") -> LossReport:
+    """-log P(targets) per instance, targets given as candidate indices (..., n).
+
+    ``variant="summation"`` is the diagnostic per-position summation loss.
+    """
+    log_p = forced_log_probs(rout, params, targets, summation=variant == "summation")
+    losses = ad.scale(sum_terms(log_p), -1.0)
+    return LossReport(losses=losses.values,
+                      terms=-np.stack([t.values for t in log_p], axis=-1),
+                      tensor=ad.sum_all(losses))
 
 
 def listwise_loss(rout: ReaderOutput, params: ParamStore, pi_star: Permutation) -> LossReport:
     """Differentiable -log P(pi_star) with per-position terms."""
-    log_p, terms = permutation_log_prob(rout, params, pi_star, want_terms=True)
-    total = ad.scale(log_p, -1.0)
-    return LossReport(
-        total=float(total.values),
-        per_position=[-float(t.values) for t in terms],
-        tensor=total,
-    )
+    return sequence_loss(rout, params, np.array(target_indices(rout.ids, pi_star)))
 
 
 def pointwise_summation_loss(rout: ReaderOutput, params: ParamStore,
@@ -53,23 +78,5 @@ def pointwise_summation_loss(rout: ReaderOutput, params: ParamStore,
     ignores which items the target prefix removed from contention. Kept only
     to demonstrate how much that contextual bookkeeping matters.
     """
-    pi_star.validate_against(rout.ids)
-    index_of = {item: k for k, item in enumerate(rout.ids)}
-    n = len(rout.ids)
-    state = new_decoder_state(rout, params)
-    w2h = _w2h(rout, params)
-    full = np.ones(n, dtype=bool)
-    terms = []
-    for item in pi_star:
-        logits = _step_logits(state, rout, params, w2h)
-        terms.append(ad.scale(ad.masked_log_prob(logits, full, index_of[item]), -1.0))
-        greedy = int(np.argmax(np.where(state.mask, logits.values, -np.inf)))
-        _advance(state, rout, params, greedy)
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return LossReport(
-        total=float(total.values),
-        per_position=[float(t.values) for t in terms],
-        tensor=total,
-    )
+    return sequence_loss(rout, params, np.array(target_indices(rout.ids, pi_star)),
+                         "summation")

@@ -1,4 +1,4 @@
-"""Model kinds: parameter initialization and per-instance forward dispatch.
+"""Model kinds: parameter initialization and forward dispatch.
 
 Four trainable rankers share this interface:
 
@@ -10,6 +10,9 @@ Four trainable rankers share this interface:
 Two parameter-free kinds exist for evaluation harness baselines:
 ``oracle_replay`` (emits the stored oracle) and ``uniform_random`` (seeded
 shuffle; pass the seed as ``params``).
+
+Batches are groups of instances sharing (history length, slate size), so
+they stack without padding; a single instance runs the same code unbatched.
 """
 from __future__ import annotations
 
@@ -19,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baseline
-from .arranger import arrange_greedy
-from .loss import LossReport, listwise_loss, pointwise_summation_loss
+from .arranger import greedy_orders, target_indices
+from .loss import LossReport, sequence_loss
 from .data import Instance
 from .params import ParamStore
 from .permutation import Permutation
-from .reader import (DropoutPlan, ReaderOutput, encode_candidates, encode_candidates_mlp,
+from .reader import (DropoutPlan, Group, ReaderOutput, encode_candidates, encode_candidates_mlp,
                      encode_history, encode_history_mlp)
 
 KINDS = ("starank", "starank_pi_mlp", "starank_ps_mlp", "pointwise_baseline")
@@ -116,35 +119,74 @@ def init_params(kind: str, dims: ModelDims, seed: int) -> ParamStore:
     return params
 
 
-def read_instance(kind: str, params: ParamStore, inst: Instance,
-                  drop: DropoutPlan | None = None) -> ReaderOutput:
+def shape_groups(instances, largest: int | None = None) -> list[list[int]]:
+    """Positions of the instances grouped by (history length, slate size), first seen
+    first; a group longer than ``largest`` splits into near-equal consecutive runs."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for pos, inst in enumerate(instances):
+        groups.setdefault((inst.ctx.history.shape[0], len(inst.cands)), []).append(pos)
+    runs = []
+    for g in groups.values():
+        parts = -(-len(g) // largest) if largest else 1
+        runs += [g[k * len(g) // parts:(k + 1) * len(g) // parts] for k in range(parts)]
+    return runs
+
+
+def _inputs(instances: list[Instance]):
+    """Encoder inputs of equal-shape instances: more than one stacked as a Group, a single
+    one as is (a single request then pays for no stacking)."""
+    if len(instances) == 1:
+        return instances[0].ctx, instances[0].cands
+    group = Group(instances)
+    return group, group
+
+
+def read_group(kind: str, params: ParamStore, instances: list[Instance],
+               drop: DropoutPlan | None = None) -> ReaderOutput:
+    """Reader output of instances sharing one (history length, slate size)."""
     kind = normalize_kind(kind)
+    ctx, cands = _inputs(instances)
     if kind == "starank_ps_mlp":
-        user_vec = encode_history_mlp(inst.ctx, params, drop)
+        user_vec = encode_history_mlp(ctx, params, drop)
     else:
-        user_vec = encode_history(inst.ctx, params, drop)
+        user_vec = encode_history(ctx, params, drop)
     if kind == "starank_pi_mlp":
-        return encode_candidates_mlp(inst.cands, user_vec, params, drop)
+        return encode_candidates_mlp(cands, user_vec, params, drop)
     if kind == "pointwise_baseline":
         raise ValueError("the pointwise baseline has no candidate-set encoder")
-    return encode_candidates(inst.cands, user_vec, params, drop)
+    return encode_candidates(cands, user_vec, params, drop)
+
+
+def read_instance(kind: str, params: ParamStore, inst: Instance,
+                  drop: DropoutPlan | None = None) -> ReaderOutput:
+    return read_group(kind, params, [inst], drop)
 
 
 def instance_loss(kind: str, params: ParamStore, inst: Instance,
                   r_max: int = 4, drop: DropoutPlan | None = None,
                   loss_variant: str = "listwise") -> LossReport:
+    return batch_loss(kind, params, [inst], r_max, drop, loss_variant)
+
+
+def batch_loss(kind: str, params: ParamStore, instances: list[Instance],
+               r_max: int = 4, drop: DropoutPlan | None = None,
+               loss_variant: str = "listwise") -> LossReport:
+    """Losses of instances sharing one (history length, slate size), in one array pass."""
     kind = normalize_kind(kind)
+    ctx, cands = _inputs(instances)
+    shape = cands.features.shape[:-1]
     if kind == "pointwise_baseline":
-        user_vec = encode_history(inst.ctx, params, drop)
-        return baseline.pointwise_loss(inst, user_vec, params, r_max)
-    if inst.oracle is None:
-        raise ValueError(f"instance {inst.query_id} has no oracle permutation")
-    rout = read_instance(kind, params, inst, drop)
-    if loss_variant == "summation":
-        return pointwise_summation_loss(rout, params, inst.oracle)
-    if loss_variant != "listwise":
+        grades = [[inst.labels[i] for i in inst.cands.ids] for inst in instances]
+        return baseline.grade_loss(cands, encode_history(ctx, params, drop), params,
+                                   np.reshape(grades, shape) / r_max)
+    for inst in instances:
+        if inst.oracle is None:
+            raise ValueError(f"instance {inst.query_id} has no oracle permutation")
+    if loss_variant not in ("listwise", "summation"):
         raise ValueError(f"unknown loss variant {loss_variant!r}")
-    return listwise_loss(rout, params, inst.oracle)
+    targets = [target_indices(inst.cands.ids, inst.oracle) for inst in instances]
+    return sequence_loss(read_group(kind, params, instances, drop), params,
+                         np.reshape(targets, shape), loss_variant)
 
 
 def _stable_int(text: str) -> int:
@@ -162,9 +204,27 @@ def rank_instance(kind: str, params, inst: Instance) -> Permutation:
         order = list(inst.cands.ids)
         rng.shuffle(order)
         return Permutation(order)
+    return rank_instances(kind, params, [inst])[0]
+
+
+def rank_instances(kind: str, params, instances: list[Instance]) -> list[Permutation]:
+    """``rank_instance`` for every instance; trainable kinds rank each
+    (history length, slate size) group in one array pass."""
+    if kind in ("oracle_replay", "uniform_random"):
+        return [rank_instance(kind, params, inst) for inst in instances]
     kind = normalize_kind(kind)
-    if kind == "pointwise_baseline":
-        user_vec = encode_history(inst.ctx, params)
-        scores = baseline.score_all(inst.cands, user_vec, params)
-        return baseline.rank_by_sort(dict(zip(inst.cands.ids, scores.values.tolist())))
-    return arrange_greedy(read_instance(kind, params, inst), params)
+    ranked: list[Permutation] = [None] * len(instances)
+    for positions in shape_groups(instances):
+        group = [instances[p] for p in positions]
+        if kind == "pointwise_baseline":
+            ctx, cands = _inputs(group)
+            scores = baseline.score_all(cands, encode_history(ctx, params), params).values
+            rows = [baseline.rank_by_sort(dict(zip(inst.cands.ids, s.tolist())))
+                    for inst, s in zip(group, np.reshape(scores, (len(group), -1)))]
+        else:
+            order, _ = greedy_orders(read_group(kind, params, group), params)
+            rows = [Permutation([inst.cands.ids[k] for k in row])
+                    for inst, row in zip(group, np.reshape(order, (len(group), -1)))]
+        for p, pi in zip(positions, rows):
+            ranked[p] = pi
+    return ranked

@@ -60,9 +60,6 @@ class ParamStore:
         for t in self._table.values():
             t.grad = None
 
-    def n_values(self) -> int:
-        return sum(t.values.size for t in self._table.values())
-
     def copy(self) -> "ParamStore":
         dup = ParamStore()
         for name, t in self._table.items():

@@ -9,6 +9,9 @@ against the user vector, so results never depend on storage order.
 MLP variants of both encoders are provided as ablation foils: a
 mean-pooled history encoder (order-insensitive on purpose) and a plain
 per-item MLP candidate encoder with uniform attention.
+
+Every encoder reads one instance, or a ``Group`` of equal-shape instances
+along a leading batch axis with the same per-instance results.
 """
 from __future__ import annotations
 
@@ -75,14 +78,31 @@ class CandidateSet:
         return self.ids.index(item_id)
 
 
+class Group:
+    """Instances sharing one (history length, slate size), stacked on a leading batch axis.
+
+    Stands in for the ``UserContext`` and the ``CandidateSet`` of a single
+    instance, so the encoders read a whole group in one array pass.
+    """
+
+    def __init__(self, instances):
+        self.profile = np.stack([inst.ctx.profile for inst in instances])
+        self.history = np.stack([inst.ctx.history for inst in instances])
+        self.features = np.stack([inst.cands.features for inst in instances])
+        self.ids = tuple(inst.cands.ids for inst in instances)
+
+    def __len__(self) -> int:
+        return self.features.shape[-2]
+
+
 @dataclass
 class ReaderOutput:
-    """Encoded instance: user vector, per-candidate representations, attention."""
+    """Encoded instance (or ``Group``): user vector, per-candidate representations, attention."""
 
-    ids: tuple[int, ...]
-    user_vec: Tensor          # (embed,)
-    reprs: Tensor             # (n, embed), rows follow ``ids``
-    betas: Tensor             # (n,) attention weights
+    ids: tuple                # item ids in row order; a group has one tuple per instance
+    user_vec: Tensor          # (..., embed)
+    reprs: Tensor             # (..., n, embed), rows follow ``ids``
+    betas: Tensor             # (..., n) attention weights
 
     @property
     def cand_reprs(self) -> dict[int, np.ndarray]:
@@ -93,13 +113,13 @@ class ReaderOutput:
         return {i: float(self.betas.values[k]) for k, i in enumerate(self.ids)}
 
 
-def _cell_step(params: ParamStore, prefix: str, inp: Tensor, h: Tensor, c: Tensor):
-    """One gated (LSTM-style) cell update on concat(inp, h)."""
-    z = ad.concat([inp, h])
+def _cell_step(params: ParamStore, prefix: str, inputs: list[Tensor], h: Tensor, c: Tensor):
+    """One gated (LSTM-style) cell update on concat(*inputs, h)."""
+    z = ad.concat([*inputs, h])
     return ad.gated_cell(params[f"{prefix}.W"], params[f"{prefix}.b"], z, c)
 
 
-def encode_history(ctx: UserContext, params: ParamStore,
+def encode_history(ctx: UserContext | Group, params: ParamStore,
                    drop: DropoutPlan | None = None) -> Tensor:
     """Order-sensitive user vector: recurrent pass over the browse history.
 
@@ -107,42 +127,41 @@ def encode_history(ctx: UserContext, params: ParamStore,
     empty history yields exactly that projection.
     """
     w0 = params["hist.U0"]
-    if ctx.profile.shape[0] != w0.values.shape[1]:
+    if ctx.profile.shape[-1] != w0.values.shape[1]:
         raise ad.ShapeError(
-            f"profile dim {ctx.profile.shape[0]} does not match configured {w0.values.shape[1]}")
+            f"profile dim {ctx.profile.shape[-1]} does not match configured {w0.values.shape[1]}")
     h = ad.add(ad.matvec(w0, Tensor(ctx.profile)), params["hist.u0_b"])
-    if len(ctx.history):
-        expect = params["hist.W"].values.shape[1] - h.values.shape[0]
-        if ctx.history.shape[1] != expect:
+    steps = ctx.history.shape[-2]
+    if steps:
+        expect = params["hist.W"].values.shape[1] - h.values.shape[-1]
+        if ctx.history.shape[-1] != expect:
             raise ad.ShapeError(
-                f"history feature dim {ctx.history.shape[1]} does not match configured {expect}")
-        c = Tensor(np.zeros(h.values.shape[0]))
-        for t in range(ctx.history.shape[0]):
-            h, c = _cell_step(params, "hist", Tensor(ctx.history[t]), h, c)
+                f"history feature dim {ctx.history.shape[-1]} does not match configured {expect}")
+        c = Tensor(np.zeros(h.values.shape))
+        for t in range(steps):
+            h, c = _cell_step(params, "hist", [Tensor(ctx.history[..., t, :])], h, c)
     if drop is not None:
         h = ad.dropout(h, drop.rate, drop.rng)
     return h
 
 
-def encode_history_mlp(ctx: UserContext, params: ParamStore,
+def encode_history_mlp(ctx: UserContext | Group, params: ParamStore,
                        drop: DropoutPlan | None = None) -> Tensor:
     """Ablation variant: mean-pooled history through an MLP (order-insensitive).
 
     Each feature column is sorted before summation, so the pooled vector is
     bitwise identical for any ordering of the same history items.
     """
-    if len(ctx.history):
-        pooled = np.sort(ctx.history, axis=0).sum(axis=0) / ctx.history.shape[0]
-    else:
-        pooled = np.zeros(ctx.history.shape[1])
-    inp = Tensor(np.concatenate([pooled, ctx.profile]))
+    hist = ctx.history
+    pooled = np.sort(hist, axis=-2).sum(axis=-2) / max(hist.shape[-2], 1)
+    inp = Tensor(np.concatenate([pooled, ctx.profile], axis=-1))
     hid = ad.tanh(ad.add(ad.matvec(params["psmlp.W1"], inp), params["psmlp.b1"]))
     if drop is not None:
         hid = ad.dropout(hid, drop.rate, drop.rng)
     return ad.add(ad.matvec(params["psmlp.W2"], hid), params["psmlp.b2"])
 
 
-def encode_candidates(cands: CandidateSet, user_vec: Tensor, params: ParamStore,
+def encode_candidates(cands: CandidateSet | Group, user_vec: Tensor, params: ParamStore,
                       drop: DropoutPlan | None = None,
                       beta_mode: str = "softmax") -> ReaderOutput:
     """Attention encoding of the candidate set against the user vector.
@@ -150,24 +169,24 @@ def encode_candidates(cands: CandidateSet, user_vec: Tensor, params: ParamStore,
     Per item: z_d = tanh(W1 x_d + b1), embedding h'_d = V z_d, attention
     logit = h'_d . u, beta = softmax over the set, h_d = beta_d h'_d.
     ``beta_mode="ratio"`` uses the raw dot-product ratio instead of softmax
-    and refuses denominators <= 1e-9.
+    and refuses denominators <= 1e-9; it reads one instance at a time.
     """
     n = len(cands)
     if n == 0:
         raise EmptyInputError("candidate set is empty")
-    if user_vec.values.shape[0] != params["attn.V"].values.shape[1]:
+    if user_vec.values.shape[-1] != params["attn.V"].values.shape[1]:
         raise ad.ShapeError(
-            f"user vector dim {user_vec.values.shape[0]} does not match "
+            f"user vector dim {user_vec.values.shape[-1]} does not match "
             f"attention output dim {params['attn.V'].values.shape[1]}")
     x = Tensor(cands.features)
-    z = ad.tanh(ad.add_rows(ad.matmul(x, params["attn.W1"]), params["attn.b1"]))
+    z = ad.tanh(ad.add(ad.matmul(x, params["attn.W1"]), params["attn.b1"]))
     if drop is not None:
         z = ad.dropout(z, drop.rate, drop.rng)
-    h_pre = ad.matmul(z, params["attn.V"])          # (n, embed)
-    logits = ad.matvec(h_pre, user_vec)             # (n,)
+    h_pre = ad.matmul(z, params["attn.V"])          # (..., n, embed)
+    logits = ad.matvec(h_pre, user_vec)             # (..., n)
     if beta_mode == "softmax":
-        betas = ad.softmax_masked(logits, np.ones(n, dtype=bool))
-    elif beta_mode == "ratio":
+        betas = ad.softmax_masked(logits, np.ones(logits.values.shape, dtype=bool))
+    elif beta_mode == "ratio" and logits.values.ndim == 1:
         denom = ad.sum_all(logits)
         if float(denom.values) <= 1e-9:
             raise ad.DomainError(
@@ -175,12 +194,12 @@ def encode_candidates(cands: CandidateSet, user_vec: Tensor, params: ParamStore,
                 "use the softmax mode")
         betas = ad.mul(logits, ad.exp(ad.scale(ad.log(denom), -1.0)))
     else:
-        raise ValueError(f"unknown beta_mode {beta_mode!r}")
+        raise ValueError(f"unknown beta_mode {beta_mode!r} for input shape {logits.values.shape}")
     reprs = ad.scale_rows(h_pre, betas)
     return ReaderOutput(ids=cands.ids, user_vec=user_vec, reprs=reprs, betas=betas)
 
 
-def encode_candidates_mlp(cands: CandidateSet, user_vec: Tensor, params: ParamStore,
+def encode_candidates_mlp(cands: CandidateSet | Group, user_vec: Tensor, params: ParamStore,
                           drop: DropoutPlan | None = None) -> ReaderOutput:
     """Ablation variant: per-item MLP over concat(x_d, u); uniform attention."""
     n = len(cands)
@@ -191,6 +210,6 @@ def encode_candidates_mlp(cands: CandidateSet, user_vec: Tensor, params: ParamSt
     hid = ad.tanh(ad.add_rows(ad.matmul(x, params["pimlp.W1x"]), u_part))
     if drop is not None:
         hid = ad.dropout(hid, drop.rate, drop.rng)
-    reprs = ad.add_rows(ad.matmul(hid, params["pimlp.W2"]), params["pimlp.b2"])
-    betas = Tensor(np.full(n, 1.0 / n))
+    reprs = ad.add(ad.matmul(hid, params["pimlp.W2"]), params["pimlp.b2"])
+    betas = Tensor(np.full(x.values.shape[:-1], 1.0 / n))
     return ReaderOutput(ids=cands.ids, user_vec=user_vec, reprs=reprs, betas=betas)

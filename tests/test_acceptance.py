@@ -9,8 +9,7 @@ import time
 
 import numpy as np
 
-from arrangerank.arranger import (arrange_greedy, new_decoder_state, permutation_log_prob,
-                                  step_scores)
+from arrangerank.arranger import arrange_greedy, permutation_log_prob, step_scores
 from arrangerank.autodiff import grad_check
 from arrangerank.clickmodels import (ClickModelSpec, examination_prob, metric_fingerprint,
                                      ndcg_reduction_check, oracle_permutation, r_cm,
@@ -77,8 +76,7 @@ def test_criterion_02_internal_consistency_static_scores():
         params["ptr.W3"].values[:] = 0.0
         inst = make_instance(seed=case, n=n)
         rout = read_instance("starank", params, inst)
-        state = new_decoder_state(rout, params)
-        s_by_id = step_scores(state, rout, params)
+        s_by_id = step_scores(rout, params)
         scores = np.array([s_by_id[i] for i in rout.ids])
         # static-mode check: scores do not move as the decode advances
         if case < 10:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arrangerank.arranger import (arrange_greedy, arrange_sample, greedy_step_probs,
-                                  new_decoder_state, permutation_log_prob, step_scores)
+                                  permutation_log_prob, step_scores)
 from arrangerank.autodiff import Tensor
 from arrangerank.model import init_params, read_instance
 from arrangerank.permutation import BijectionError, Permutation
@@ -34,8 +34,7 @@ def test_step_scores_equal_for_identical_reprs():
     reprs = Tensor(np.tile(rng.normal(size=6), (4, 1)))
     rout = ReaderOutput(ids=(0, 1, 2, 3), user_vec=u, reprs=reprs,
                         betas=Tensor(np.full(4, 0.25)))
-    state = new_decoder_state(rout, params)
-    scores = step_scores(state, rout, params)
+    scores = step_scores(rout, params)
     vals = list(scores.values())
     assert len(scores) == 4
     assert all(v == vals[0] for v in vals)
@@ -44,16 +43,14 @@ def test_step_scores_equal_for_identical_reprs():
 def test_step_scores_zero_projection_gives_uniform_distribution():
     params = _uniform_params()
     rout, _ = _rout(params=params)
-    state = new_decoder_state(rout, params)
-    scores = step_scores(state, rout, params)
+    scores = step_scores(rout, params)
     assert all(v == 0.0 for v in scores.values())
 
 
 def test_step_scores_deterministic_and_remaining_only():
     rout, params = _rout(seed=2)
-    state = new_decoder_state(rout, params)
-    s1 = step_scores(state, rout, params)
-    s2 = step_scores(state, rout, params)
+    s1 = step_scores(rout, params)
+    s2 = step_scores(rout, params)
     assert s1 == s2
     assert set(s1) == set(rout.ids)
 
@@ -187,8 +184,7 @@ def test_internal_consistency_static_scores_small():
         n = 4
         inst = make_instance(seed=case, n=n)
         rout = read_instance("starank", params, inst)
-        state = new_decoder_state(rout, params)
-        s = step_scores(state, rout, params)
+        s = step_scores(rout, params)
         probs = {}
         for order in itertools.permutations(rout.ids):
             probs[order] = np.exp(float(permutation_log_prob(rout, params,
@@ -207,8 +203,7 @@ def test_position_dependent_consistency_deviation_reported():
         params = spread_params("starank", tiny_dims(), 40 + case, 3.0)
         inst = make_instance(seed=case, n=4)
         rout = read_instance("starank", params, inst)
-        state = new_decoder_state(rout, params)
-        s = step_scores(state, rout, params)
+        s = step_scores(rout, params)
         a, b = rout.ids[0], rout.ids[1]
         marg = 0.0
         for order in itertools.permutations(rout.ids):

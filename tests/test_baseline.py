@@ -1,9 +1,11 @@
 import numpy as np
 
+from arrangerank import autodiff as ad
 from arrangerank.autodiff import Tensor, grad_check
-from arrangerank.baseline import pointwise_loss, rank_by_sort, score, score_all
+from arrangerank.baseline import pointwise_loss, rank_by_sort, score_all
 from arrangerank.model import init_params, rank_instance
 from arrangerank.permutation import Permutation
+from arrangerank.reader import CandidateSet
 
 from conftest import make_instance, tiny_dims
 
@@ -15,7 +17,8 @@ def test_zero_weights_constant_score():
     params["pw.b2"].values = np.asarray(0.75)
     rng = np.random.default_rng(0)
     u = Tensor(rng.normal(size=6))
-    vals = [float(score(rng.normal(size=4), u, params).values) for _ in range(5)]
+    cands = CandidateSet((i, rng.normal(size=4)) for i in range(5))
+    vals = [float(v) for v in score_all(cands, u, params).values]
     assert vals == [0.75] * 5
 
 
@@ -24,7 +27,8 @@ def test_identical_items_identical_scores():
     rng = np.random.default_rng(1)
     u = Tensor(rng.normal(size=6))
     x = rng.normal(size=4)
-    assert float(score(x, u, params).values) == float(score(x, u, params).values)
+    one = CandidateSet([(0, x)])
+    assert float(score_all(one, u, params).values[0]) == float(score_all(one, u, params).values[0])
     inst = make_instance(seed=2, n=3)
     inst.cands.features[1] = inst.cands.features[0]
     s = score_all(inst.cands, u, params).values
@@ -38,7 +42,7 @@ def test_score_gradient_check():
     uvals = rng.normal(size=5)
 
     def f(ps):
-        return score(x, Tensor(uvals), ps)
+        return ad.sum_all(score_all(CandidateSet([(0, x)]), Tensor(uvals), ps))
 
     assert grad_check(f, params, eps=1e-5) < 1e-4
 
