@@ -50,6 +50,7 @@ def _decode(rout: ReaderOutput, params: ParamStore,
         raise ValueError("cannot arrange an empty candidate set")
     positions = np.eye(_max_positions(params))  # one-hot rows; the last one repeats
     w2h = ad.matmul(reprs, params["ptr.W2"])  # position-independent half of the score
+    w = ad.matvec(params["ptr.P"], rout.user_vec)  # P u, fixed for the whole decode
     h, c = rout.user_vec, Tensor(np.zeros(rout.user_vec.values.shape))
     placed: Tensor = params["dec.start"]
     mask = np.ones(lead + (n,), dtype=bool)
@@ -58,7 +59,7 @@ def _decode(rout: ReaderOutput, params: ParamStore,
         onehot = Tensor(positions[min(i, len(positions) - 1)])
         h, c = _cell_step(params, "dec", [placed, onehot], h, c)
         ctx = ad.add(ad.matvec(params["ptr.W3"], h), params["ptr.b2"])
-        logits = ad.pointer_logits(w2h, ctx, params["ptr.P"], rout.user_vec)
+        logits = ad.pointer_logits(w2h, ctx, w)
         chosen = choose(logits, mask)
         order[..., i] = chosen
         placed = ad.row(reprs, chosen)

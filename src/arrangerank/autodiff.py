@@ -25,10 +25,6 @@ class ShapeError(ValueError):
     """Operand shapes do not fit the operation."""
 
 
-class DomainError(ValueError):
-    """Input outside the mathematical domain of the operation (e.g. log of 0)."""
-
-
 class EmptySupportError(ValueError):
     """Masked softmax called with no unmasked entry."""
 
@@ -282,63 +278,6 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    # expit via tanh keeps values exactly in (0, 1) for finite inputs
-    out_vals = 0.5 * (np.tanh(0.5 * x.values) + 1.0)
-    out = Tensor(out_vals)
-    if _tracing(x):
-
-        def pull(g, x=x, out_vals=out_vals):
-            x._accum(g * out_vals * (1.0 - out_vals))
-
-        _record(out, pull)
-    return out
-
-
-def exp(x: Tensor) -> Tensor:
-    out_vals = np.exp(x.values)
-    out = Tensor(out_vals)
-    if _tracing(x):
-
-        def pull(g, x=x, out_vals=out_vals):
-            x._accum(g * out_vals)
-
-        _record(out, pull)
-    return out
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.values <= 0.0):
-        raise DomainError("log requires strictly positive inputs")
-    out = Tensor(np.log(x.values))
-    if _tracing(x):
-        xv = x.values
-
-        def pull(g, x=x, xv=xv):
-            x._accum(g / xv)
-
-        _record(out, pull)
-    return out
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two 1-D tensors -> scalar."""
-    if a.values.ndim != 1 or b.values.ndim != 1 or a.values.shape != b.values.shape:
-        raise ShapeError(f"dot shapes do not agree: {a.values.shape} vs {b.values.shape}")
-    out = Tensor(a.values @ b.values)
-    if _tracing(a, b):
-        av, bv = a.values, b.values
-
-        def pull(g, a=a, b=b, av=av, bv=bv):
-            if a.requires_grad:
-                a._accum(g * bv)
-            if b.requires_grad:
-                b._accum(g * av)
-
-        _record(out, pull)
-    return out
-
-
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate along the last axis; parts without the leading (batch) axes are shared."""
     vals = [p.values for p in parts]
@@ -436,44 +375,35 @@ def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
     return out
 
 
-def pointer_logits(m: Tensor, ctx: Tensor, proj: Tensor, u: Tensor) -> Tensor:
-    """Per-row pointer scores u . (proj^T tanh(m_row + ctx)), fused.
+def pointer_logits(m: Tensor, ctx: Tensor, w: Tensor) -> Tensor:
+    """Per-row pointer scores tanh(m_row + ctx) . w, fused.
 
-    m is (..., n, a); ctx (..., a) is added to every row; proj is (a, e) and
-    shared; u is (..., e). Computed as tanh(m + ctx) @ (proj @ u), which is
-    algebraically identical but avoids materializing the (n, e) projection.
-    One tape entry; backward recomputes the tanh from m and ctx instead of
-    keeping an (n, a) array per decode step alive on the tape.
+    m is (..., n, a); ctx (..., a) is added to every row; w is (..., a). The
+    decoder passes w = P u, fixed for a whole decode. One tape entry;
+    backward recomputes the tanh from m and ctx instead of keeping an (n, a)
+    array per decode step alive on the tape.
     """
-    mv, cv, pv, uv = m.values, ctx.values, proj.values, u.values
-    if (mv.ndim < 2 or cv.shape[-1:] != mv.shape[-1:] or pv.ndim != 2
-            or pv.shape[0] != mv.shape[-1] or uv.shape[-1:] != pv.shape[1:]
-            or not _lead_agree(mv.shape[:-2], cv.shape[:-1], uv.shape[:-1])):
+    mv, cv, wv = m.values, ctx.values, w.values
+    if (mv.ndim < 2 or cv.shape[-1:] != mv.shape[-1:] or wv.shape[-1:] != mv.shape[-1:]
+            or not _lead_agree(mv.shape[:-2], cv.shape[:-1], wv.shape[:-1])):
         raise ShapeError(
-            f"pointer_logits shapes do not agree: m {mv.shape}, ctx {cv.shape}, "
-            f"proj {pv.shape}, u {uv.shape}")
-    w = _mv(pv, uv)
+            f"pointer_logits shapes do not agree: m {mv.shape}, ctx {cv.shape}, w {wv.shape}")
     t = mv + cv[..., None, :]
     np.tanh(t, out=t)  # in place: a second (n, a) temporary per step costs page faults
-    out = Tensor(_mv(t, w))
-    if _tracing(m, ctx, proj, u):
+    out = Tensor(_mv(t, wv))
+    if _tracing(m, ctx, w):
 
-        def pull(g, m=m, ctx=ctx, proj=proj, u=u, w=w):
-            mv, cv, pv, uv = m.values, ctx.values, proj.values, u.values
+        def pull(g, m=m, ctx=ctx, w=w):
+            mv, cv, wv = m.values, ctx.values, w.values
             t = np.tanh(mv + cv[..., None, :])
             if m.requires_grad or ctx.requires_grad:
-                gpre = (g[..., None] * w[..., None, :]) * (1.0 - t * t)
+                gpre = (g[..., None] * wv[..., None, :]) * (1.0 - t * t)
                 if m.requires_grad:
                     m._accum(_unbroadcast(gpre, mv.shape))
                 if ctx.requires_grad:
                     ctx._accum(_unbroadcast(gpre.sum(axis=-2), cv.shape))
-            if proj.requires_grad or u.requires_grad:
-                tg = (t * g[..., None]).sum(axis=-2)  # t^T g per instance
-                if proj.requires_grad:
-                    ub = np.broadcast_to(uv, tg.shape[:-1] + uv.shape[-1:])
-                    proj._accum(tg.reshape(-1, pv.shape[0]).T @ ub.reshape(-1, pv.shape[1]))
-                if u.requires_grad:
-                    u._accum(_unbroadcast(tg @ pv, uv.shape))
+            if w.requires_grad:
+                w._accum(_unbroadcast((t * g[..., None]).sum(axis=-2), wv.shape))
 
         _record(out, pull)
     return out

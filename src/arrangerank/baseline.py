@@ -31,12 +31,6 @@ def rank_by_sort(scores: dict[int, float]) -> Permutation:
     return Permutation(sorted(scores, key=lambda i: (-scores[i], i)))
 
 
-def pointwise_loss(inst, user_vec: Tensor, params: ParamStore, r_max: int) -> LossReport:
-    """Mean squared error of scores against grade / r_max."""
-    targets = np.array([inst.labels[i] / r_max for i in inst.cands.ids])
-    return grade_loss(inst.cands, user_vec, params, targets)
-
-
 def grade_loss(cands: CandidateSet | Group, user_vec: Tensor, params: ParamStore,
                targets: np.ndarray) -> LossReport:
     """Per-instance mean squared error of the scores against ``targets`` (..., n)."""

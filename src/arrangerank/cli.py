@@ -15,8 +15,8 @@ import time
 from pathlib import Path
 
 from .clickmodels import ClickModelSpec, load_click_spec
-from .data import (generate_synthetic, read_dataset, read_instances, temporal_split,
-                   write_dataset, write_instances)
+from .data import (generate_synthetic, read_dataset, read_instances, read_key_values,
+                   temporal_split, write_dataset, write_instances)
 from .evaluation import evaluate, export_attention, export_attention_weights
 from .training import (TrainConfig, dims_for, ensure_oracles, load_model, save_model,
                        train, write_training_log)
@@ -40,22 +40,6 @@ def _write_manifest(out_dir: Path, command: str, seeds: dict, inputs: list[Path]
 def _echo_config(out_dir: Path, values: dict) -> None:
     lines = [f"{k} = {values[k]}" for k in sorted(values)]
     (out_dir / "config.echo.txt").write_text("\n".join(lines) + "\n")
-
-
-def _read_config_file(path: str | None) -> dict:
-    """Flat ``key = value`` file; '#' starts a comment."""
-    if path is None:
-        return {}
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise SystemExit(f"{path}:{lineno}: expected 'key = value'")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        values[key] = raw
-    return values
 
 
 def _coerce(raw: str, like) -> object:
@@ -164,7 +148,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_train(args) -> int:
     out = _out_dir(args.out)
-    cfg = _build_config(_read_config_file(args.config), args)
+    cfg = _build_config(read_key_values(args.config) if args.config else {}, args)
     metric = _metric_arg(args.metric, args.tau, cfg.r_max)
     from .data import DatasetSplit
 

@@ -14,13 +14,15 @@ conditioning on earlier clicks is marginalized exactly by dynamic
 programming over the last-click position, never by Monte Carlo, so the
 metric is deterministic.
 
-The oracle permutation maximizes a chosen metric over all arrangements.
-Below the enumeration cap this is exhaustive; for metrics whose optimum is
-provably any relevance-descending arrangement (strictly decreasing position
-weights, or the default browsing form), an exact sorting route produces the
-identical result -- including the seeded uniform choice among tied maximizers,
-which both routes draw as the same index into the lexicographically ordered
-tie list.
+The oracle permutation maximizes a chosen metric over all arrangements,
+drawing one seeded index into the lexicographically ordered list of tied
+maximizers. When the maximizers are consecutive blocks of ids free to take
+any order within their spans (every arrangement ties, or every maximizer is
+value-descending: strictly decreasing position weights, or the default
+browsing form), a sorting route decodes that index directly, for any
+candidate count. Otherwise a single enumeration pass, capped at
+``ENUMERATION_CAP`` candidates, keeps the maximizing rows; the same rows
+give the oracle's pick and the per-position tie sets.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import read_key_values
 from .permutation import Permutation
 
 PBM = "pbm"
@@ -214,16 +217,7 @@ def load_click_spec(path) -> ClickModelSpec:
     ``examination_table`` (comma-separated columns; for the browsing model,
     semicolon-separated rows indexed by last-click position).
     """
-    fields: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            fields[key] = raw
+    fields = read_key_values(path)
     unknown = set(fields) - {"kind", "tau", "r_max", "relevance_map", "examination_table"}
     if unknown:
         raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
@@ -284,25 +278,31 @@ def _position_weights(metric, n: int) -> np.ndarray | None:
     return None
 
 
-def _descending_optimal(metric, n: int) -> bool:
-    """True when every maximizer is exactly a value-descending arrangement."""
-    w = _position_weights(metric, n)
-    if w is not None:
-        return bool(np.all(np.diff(w) < 0.0))
-    # default-parametric browsing model: examination shrinks with the gap
-    # since the last click, so descending relevance is optimal (verified
-    # against enumeration in the test suite)
-    return metric.examination_table is None and metric.tau > 0.0
+def _tie_blocks(metric, ids: list[int], values: np.ndarray) -> list[list[int]] | None:
+    """The maximizers as consecutive blocks of ids, each free to take any order in its span.
 
-
-def _all_tie(metric, values: np.ndarray, n: int) -> bool:
+    ``[ids]`` when every arrangement ties; the equal-value groups, highest
+    value first, when every maximizer is value-descending; None when only
+    enumeration can tell.
+    """
     if np.all(values == values[0]):
-        return True
-    w = _position_weights(metric, n)
+        return [list(ids)]
+    w = _position_weights(metric, len(ids))
     if w is not None:
-        return bool(np.all(w == w[0]))
-    # default browsing model with tau == 0 examines everything: order-free
-    return metric.examination_table is None and metric.tau == 0.0
+        if np.all(w == w[0]):
+            return [list(ids)]
+        descending = bool(np.all(np.diff(w) < 0.0))
+    elif metric.examination_table is None and metric.tau == 0.0:
+        return [list(ids)]  # the default browsing model examines everything: order-free
+    else:
+        # default browsing model: examination shrinks with the gap since the
+        # last click, so descending relevance is optimal (property-tested
+        # against enumeration)
+        descending = metric.examination_table is None and metric.tau > 0.0
+    if not descending:
+        return None
+    return [[i for i, val in zip(ids, values) if val == v]
+            for v in sorted(set(values.tolist()), reverse=True)]
 
 
 def _unrank(ids: list[int], rank: int) -> list[int]:
@@ -316,125 +316,87 @@ def _unrank(ids: list[int], rank: int) -> list[int]:
     return out
 
 
-def _sorted_oracle(ids: list[int], values: np.ndarray, rng: np.random.Generator) -> Permutation:
-    """Seeded uniform choice among value-descending arrangements.
+def _sorted_oracle(blocks: list[list[int]], rng: np.random.Generator) -> Permutation:
+    """Seeded uniform choice among the arrangements ``blocks`` describe.
 
-    Ties group items of equal value; the choice index is decoded most
-    significant group first, matching the lexicographic order in which the
-    enumeration route would list the same maximizers.
+    The choice index is decoded most significant block first, matching the
+    lexicographic order in which enumeration would list the same maximizers.
     """
-    groups: list[list[int]] = []
-    for v in sorted(set(values.tolist()), reverse=True):
-        groups.append([i for i, val in zip(ids, values) if val == v])
-    n_ties = math.prod(math.factorial(len(g)) for g in groups)
+    n_ties = math.prod(math.factorial(len(b)) for b in blocks)
     u = int(rng.integers(n_ties))
     order: list[int] = []
-    for g in groups:
-        n_ties //= math.factorial(len(g))
+    for b in blocks:
+        n_ties //= math.factorial(len(b))
         digit, u = divmod(u, n_ties)
-        order.extend(_unrank(g, digit))
+        order.extend(_unrank(b, digit))
     return Permutation(order)
 
 
-def _metric_value(metric, order: tuple[int, ...], labels: dict[int, int]) -> float:
-    if metric == "ndcg":
-        return r_ndcg(Permutation(order), labels)
-    return r_cm(Permutation(order), labels, metric).value
+def _maximizers(ids: list[int], values: np.ndarray, metric) -> np.ndarray:
+    """Index rows of every maximizing arrangement, int8, in lexicographic order.
 
-
-def _enumerated_scores(ids: list[int], values: np.ndarray, metric,
-                       chunk: int = 40320):
-    """Yield (index array, score array) over all permutations in lex order."""
+    One pass over all permutations in chunks of 8! rows; a chunk whose best
+    score beats the running maximum discards the rows kept so far.
+    """
     n = len(ids)
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"{n} candidates exceed the enumeration cap {ENUMERATION_CAP} and the metric has "
+            "no sorting route; rank label-descending (greedy) instead")
     pos_w = _position_weights(metric, n)
-    it = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        idx = np.array(block, dtype=np.intp)
+    if pos_w is None:
+        gams = [np.array([examination_prob(metric, i, j) for j in range(i)])
+                for i in range(1, n + 1)]
+    best, rows = -np.inf, []
+    perms = itertools.permutations(range(n))
+    while block := list(itertools.islice(perms, 40320)):
+        idx = np.array(block, dtype=np.int8)
+        rel = values[idx]  # (m, n)
         if pos_w is not None:
-            yield idx, values[idx] @ pos_w
+            scores = rel @ pos_w
         else:
-            rel = values[idx]  # (m, n)
+            # browsing-model DP over the last-click position, one row per arrangement
             m = idx.shape[0]
             scores = np.zeros(m)
             q = np.zeros((m, n + 1))
             q[:, 0] = 1.0
-            for i in range(1, n + 1):
-                gam = np.array([examination_prob(metric, i, j) for j in range(i)])
+            for i, gam in enumerate(gams, start=1):
                 click = (q[:, :i] @ gam) * rel[:, i - 1]
                 scores += click
                 q[:, :i] *= 1.0 - gam[None, :] * rel[:, i - 1][:, None]
                 q[:, i] = click
-            yield idx, scores
+        top = float(scores.max())
+        if top > best:
+            best, rows = top, []
+        if top == best:
+            rows.append(idx[scores == top])
+    return np.concatenate(rows)
 
 
-def oracle_permutation(labels: dict[int, int], metric, seed: int,
-                       cap: int = ENUMERATION_CAP) -> Permutation:
+def oracle_permutation(labels: dict[int, int], metric, seed: int) -> Permutation:
     """Arrangement maximizing the metric; seeded uniform choice among ties.
 
-    ``metric`` is "ndcg" or a ClickModelSpec. Metrics whose maximizers are
-    exactly the value-descending arrangements take an exact sorting route
-    (any candidate count); anything else is exhaustively enumerated, which
-    requires ``len(labels) <= cap``.
+    ``metric`` is "ndcg" or a ClickModelSpec. Metrics whose maximizers
+    ``_tie_blocks`` can describe take an exact sorting route (any candidate
+    count); anything else is exhaustively enumerated, which requires
+    ``len(labels) <= ENUMERATION_CAP``.
     """
     ids, values = _item_values(labels, metric)
-    n = len(ids)
-    if n == 0:
+    if not ids:
         raise ValueError("cannot build an oracle for an empty candidate set")
     rng = np.random.default_rng(seed)
-    if _all_tie(metric, values, n):
-        u = int(rng.integers(math.factorial(n)))
-        return Permutation(_unrank(ids, u))
-    if _descending_optimal(metric, n):
-        return _sorted_oracle(ids, values, rng)
-    if n > cap:
-        raise EnumerationCapError(
-            f"{n} candidates exceed the enumeration cap {cap} and the metric has no "
-            "sorting route; rank label-descending (greedy) instead or raise the cap")
-    best = -np.inf
-    tie_count = 0
-    for _, scores in _enumerated_scores(ids, values, metric):
-        m = float(scores.max())
-        if m > best:
-            best, tie_count = m, int(np.sum(scores == m))
-        elif m == best:
-            tie_count += int(np.sum(scores == m))
-    u = int(rng.integers(tie_count))
-    seen = 0
-    for idx, scores in _enumerated_scores(ids, values, metric):
-        hits = np.flatnonzero(scores == best)
-        if seen + hits.shape[0] > u:
-            chosen = idx[hits[u - seen]]
-            return Permutation([ids[j] for j in chosen])
-        seen += hits.shape[0]
-    raise AssertionError("tie bookkeeping failed")  # pragma: no cover
+    blocks = _tie_blocks(metric, ids, values)
+    if blocks is not None:
+        return _sorted_oracle(blocks, rng)
+    rows = _maximizers(ids, values, metric)
+    return Permutation([ids[j] for j in rows[rng.integers(len(rows))]])
 
 
-def oracle_position_groups(labels: dict[int, int], metric, cap: int = ENUMERATION_CAP
-                           ) -> list[set[int]]:
+def oracle_position_groups(labels: dict[int, int], metric) -> list[set[int]]:
     """For each position, the ids some maximizer places there (the tie sets)."""
     ids, values = _item_values(labels, metric)
-    n = len(ids)
-    if _all_tie(metric, values, n):
-        return [set(ids) for _ in range(n)]
-    if _descending_optimal(metric, n):
-        by_pos = []
-        for v in sorted(values.tolist(), reverse=True):
-            by_pos.append({i for i, val in zip(ids, values) if val == v})
-        return by_pos
-    if n > cap:
-        raise EnumerationCapError(f"{n} candidates exceed the enumeration cap {cap}")
-    best = -np.inf
-    groups = [set() for _ in range(n)]
-    for idx, scores in _enumerated_scores(ids, values, metric):
-        m = float(scores.max())
-        if m > best:
-            best = m
-            groups = [set() for _ in range(n)]
-        if m == best:
-            for row in idx[scores == best]:
-                for pos, j in enumerate(row):
-                    groups[pos].add(ids[j])
-    return groups
+    blocks = _tie_blocks(metric, ids, values)
+    if blocks is not None:
+        return [set(b) for b in blocks for _ in b]
+    rows = _maximizers(ids, values, metric)
+    return [{ids[j] for j in np.unique(col)} for col in rows.T]

@@ -29,7 +29,7 @@ from .reader import CandidateSet, UserContext
 
 
 class ParseError(ValueError):
-    """Malformed dataset file; message names the offending line."""
+    """Malformed input file; message names the offending line."""
 
 
 @dataclass
@@ -270,6 +270,21 @@ def read_instances(path) -> list[Instance]:
                 inst.oracle.validate_against(inst.labels.keys())
             out.append(inst)
     return out
+
+
+def read_key_values(path) -> dict[str, str]:
+    """Flat ``key = value`` file; '#' starts a comment, a repeated key keeps its last value."""
+    values = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            values[key] = raw
+    return values
 
 
 def oracle_seed(master_seed: int, metric_key: str, query_id: str) -> int:

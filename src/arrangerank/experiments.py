@@ -30,13 +30,12 @@ from .reader import CandidateSet, UserContext
 from .training import TrainConfig, train
 
 
-def small_config(seed: int, epochs: int, embedding_dim: int = 16,
-                 optimizer: str = "adam", lr: float = 5e-3) -> TrainConfig:
+def small_config(seed: int, epochs: int) -> TrainConfig:
     """Desk-scale hyperparameters: small embeddings, constant lr, no dropout."""
     return TrainConfig(
-        lr_initial=lr, lr_final=lr, epochs=epochs, batch_size=100,
+        lr_initial=5e-3, lr_final=5e-3, epochs=epochs, batch_size=100,
         l2_weight=4e-5, dropout_rate=0.0, seed=seed,
-        embedding_dim=embedding_dim, optimizer=optimizer)
+        embedding_dim=16, optimizer="adam")
 
 
 @dataclass

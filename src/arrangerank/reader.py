@@ -74,9 +74,6 @@ class CandidateSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def index_of(self, item_id: int) -> int:
-        return self.ids.index(item_id)
-
 
 class Group:
     """Instances sharing one (history length, slate size), stacked on a leading batch axis.
@@ -103,10 +100,6 @@ class ReaderOutput:
     user_vec: Tensor          # (..., embed)
     reprs: Tensor             # (..., n, embed), rows follow ``ids``
     betas: Tensor             # (..., n) attention weights
-
-    @property
-    def cand_reprs(self) -> dict[int, np.ndarray]:
-        return {i: self.reprs.values[k] for k, i in enumerate(self.ids)}
 
     @property
     def attn_weights(self) -> dict[int, float]:
@@ -162,14 +155,11 @@ def encode_history_mlp(ctx: UserContext | Group, params: ParamStore,
 
 
 def encode_candidates(cands: CandidateSet | Group, user_vec: Tensor, params: ParamStore,
-                      drop: DropoutPlan | None = None,
-                      beta_mode: str = "softmax") -> ReaderOutput:
+                      drop: DropoutPlan | None = None) -> ReaderOutput:
     """Attention encoding of the candidate set against the user vector.
 
     Per item: z_d = tanh(W1 x_d + b1), embedding h'_d = V z_d, attention
     logit = h'_d . u, beta = softmax over the set, h_d = beta_d h'_d.
-    ``beta_mode="ratio"`` uses the raw dot-product ratio instead of softmax
-    and refuses denominators <= 1e-9; it reads one instance at a time.
     """
     n = len(cands)
     if n == 0:
@@ -184,17 +174,7 @@ def encode_candidates(cands: CandidateSet | Group, user_vec: Tensor, params: Par
         z = ad.dropout(z, drop.rate, drop.rng)
     h_pre = ad.matmul(z, params["attn.V"])          # (..., n, embed)
     logits = ad.matvec(h_pre, user_vec)             # (..., n)
-    if beta_mode == "softmax":
-        betas = ad.softmax_masked(logits, np.ones(logits.values.shape, dtype=bool))
-    elif beta_mode == "ratio" and logits.values.ndim == 1:
-        denom = ad.sum_all(logits)
-        if float(denom.values) <= 1e-9:
-            raise ad.DomainError(
-                f"ratio attention denominator {float(denom.values):.3e} <= 1e-9; "
-                "use the softmax mode")
-        betas = ad.mul(logits, ad.exp(ad.scale(ad.log(denom), -1.0)))
-    else:
-        raise ValueError(f"unknown beta_mode {beta_mode!r} for input shape {logits.values.shape}")
+    betas = ad.softmax_masked(logits, np.ones(logits.values.shape, dtype=bool))
     reprs = ad.scale_rows(h_pre, betas)
     return ReaderOutput(ids=cands.ids, user_vec=user_vec, reprs=reprs, betas=betas)
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from arrangerank import autodiff as ad
-from arrangerank.autodiff import (DomainError, EmptySupportError, GraphError, ShapeError,
-                                  Tape, Tensor, grad_check)
+from arrangerank.autodiff import (EmptySupportError, GraphError, ShapeError, Tape, Tensor,
+                                  grad_check)
 from arrangerank.params import ParamStore
 
 
@@ -37,13 +37,6 @@ def test_matmul_gradient_of_total_is_row_sums_of_b():
 
 def test_tanh_at_zero_and_log_exp_inverse():
     assert ad.tanh(Tensor(0.0)).values == 0.0
-    x = Tensor(1.5)
-    assert abs(ad.log(ad.exp(x)).values - 1.5) < 1e-12
-
-
-def test_log_domain_error():
-    with pytest.raises(DomainError):
-        ad.log(Tensor([1.0, 0.0]))
 
 
 def test_softmax_masked_symmetry_and_closed_form():
@@ -104,7 +97,7 @@ def test_forward_determinism_bitwise():
     rng = np.random.default_rng(9)
     x = rng.uniform(-2, 2, 16)
     w = rng.uniform(-2, 2, (16, 16))
-    run = lambda: ad.tanh(ad.matvec(Tensor(w), ad.sigmoid(Tensor(x)))).values
+    run = lambda: ad.tanh(ad.matvec(Tensor(w), ad.tanh(Tensor(x)))).values
     assert np.array_equal(run(), run())
 
 
@@ -153,10 +146,6 @@ def test_primitive_gradients_against_finite_differences(case):
         "mul": lambda p: ad.sum_all(ad.mul(p["u"], p["c"])),
         "scale_rows": lambda p: ad.sum_all(ad.scale_rows(p["a"], p["u"])),
         "tanh": lambda p: ad.sum_all(ad.tanh(p["w"])),
-        "sigmoid": lambda p: ad.sum_all(ad.sigmoid(p["w"])),
-        "exp": lambda p: ad.sum_all(ad.exp(p["v"])),
-        "log": lambda p: ad.sum_all(ad.log(ad.exp(p["v"]))),
-        "dot": lambda p: ad.dot(p["u"], p["c"]),
         "concat": lambda p: ad.sum_all(ad.tanh(ad.concat([p["v"], p["u"]]))),
         "row": lambda p: ad.sum_all(ad.tanh(ad.row(p["a"], 1))),
         "softmax": lambda p: ad.sum_all(ad.mul(ad.softmax_masked(p["w"], mask),
@@ -174,11 +163,12 @@ def test_pointer_logits_gradients_and_equivalence(case):
 
     composed = ad.matvec(ad.matmul(ad.tanh(ad.add_rows(params["m"], params["ctx"])),
                                    params["proj"]), params["u"])
-    fused = ad.pointer_logits(params["m"], params["ctx"], params["proj"], params["u"])
+    fused = ad.pointer_logits(params["m"], params["ctx"], ad.matvec(params["proj"], params["u"]))
     assert np.allclose(composed.values, fused.values, atol=1e-14)
 
     def build(p):
-        return ad.sum_all(ad.exp(ad.pointer_logits(p["m"], p["ctx"], p["proj"], p["u"])))
+        return ad.sum_all(ad.tanh(ad.pointer_logits(p["m"], p["ctx"],
+                                                    ad.matvec(p["proj"], p["u"]))))
 
     _fd_check(build, params)
 
@@ -190,7 +180,7 @@ def test_gated_cell_gradients_against_finite_differences(case):
 
     def build(p):
         h, c = ad.gated_cell(p["w"], p["b"], p["z"], p["c"])
-        return ad.add(ad.sum_all(ad.tanh(h)), ad.sum_all(ad.exp(c)))
+        return ad.add(ad.sum_all(ad.tanh(h)), ad.sum_all(ad.tanh(c)))
 
     _fd_check(build, params)
 

@@ -2,7 +2,7 @@ import numpy as np
 
 from arrangerank import autodiff as ad
 from arrangerank.autodiff import Tensor, grad_check
-from arrangerank.baseline import pointwise_loss, rank_by_sort, score_all
+from arrangerank.baseline import grade_loss, rank_by_sort, score_all
 from arrangerank.model import init_params, rank_instance
 from arrangerank.permutation import Permutation
 from arrangerank.reader import CandidateSet
@@ -52,9 +52,10 @@ def test_pointwise_loss_gradient_check():
     inst = make_instance(seed=4, n=4)
     rng = np.random.default_rng(4)
     uvals = rng.normal(size=5)
+    targets = np.array([inst.labels[i] / 4 for i in inst.cands.ids])
 
     def f(ps):
-        return pointwise_loss(inst, Tensor(uvals), ps, r_max=4).tensor
+        return grade_loss(inst.cands, Tensor(uvals), ps, targets).tensor
 
     assert grad_check(f, params, eps=1e-5) < 1e-4
 

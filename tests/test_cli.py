@@ -97,6 +97,22 @@ def test_bad_config_key_fails(tmp_path):
              "--out", str(tmp_path / "r"))
 
 
+def test_malformed_config_lines_name_file_and_line(tmp_path, capsys):
+    data, split = tmp_path / "d", tmp_path / "s"
+    _run("gen-data", "--users", "5", "--history-len", "4", "--out", str(data))
+    _run("split", "--data", str(data / "dataset.txt"), "--out", str(split))
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("# header\nepochs = 1\nbatch_size 4\n")
+    assert _run("train", "--split-dir", str(split), "--config", str(cfg),
+                "--out", str(tmp_path / "r")) == 1
+    assert f"error: {cfg}:3: expected 'key = value'" in capsys.readouterr().err
+    click = tmp_path / "click.cfg"
+    click.write_text("kind = pbm\ntau: 2\n")
+    assert _run("oracle", "--split-dir", str(split), "--metric", "pbm",
+                "--click-config", str(click), "--out", str(tmp_path / "o")) == 1
+    assert f"error: {click}:2: expected 'key = value'" in capsys.readouterr().err
+
+
 def test_bench_reports_exponent(tmp_path, capsys):
     out = tmp_path / "bench"
     assert _run("bench", "--sizes", "4,8", "--repeats", "2", "--width", "64",

@@ -288,8 +288,7 @@ def test_oracle_sorting_route_equals_enumeration_route(monkeypatch):
         metric = ["ndcg", _pbm(), _ubm()][case % 3]
         fast = oracle_permutation(labels, metric, seed=case)
         with monkeypatch.context() as m:
-            m.setattr(cm, "_descending_optimal", lambda metric, n: False)
-            m.setattr(cm, "_all_tie", lambda metric, values, n: False)
+            m.setattr(cm, "_tie_blocks", lambda metric, ids, values: None)
             slow = cm.oracle_permutation(labels, metric, seed=case)
         assert fast.order == slow.order, (labels, metric, fast.order, slow.order)
 

@@ -86,7 +86,8 @@ def test_attention_storage_order_invariance_bitwise():
     base = encode_candidates(CandidateSet((i, feats[i]) for i in (3, 11, 7, 2)), u, params)
     shuf = encode_candidates(CandidateSet((i, feats[i]) for i in (7, 2, 3, 11)), u, params)
     for i in feats:
-        assert np.array_equal(base.cand_reprs[i], shuf.cand_reprs[i])
+        assert np.array_equal(base.reprs.values[base.ids.index(i)],
+                              shuf.reprs.values[shuf.ids.index(i)])
         assert base.attn_weights[i] == shuf.attn_weights[i]
 
 
@@ -123,21 +124,6 @@ def test_attention_closed_form_two_candidates():
     assert np.allclose(rout.betas.values, [2 / 3, 1 / 3], atol=1e-12)
 
 
-def test_attention_ratio_mode_and_denominator_error():
-    params = _params(seed=9)
-    rng = np.random.default_rng(9)
-    cands = CandidateSet((i, rng.normal(size=4)) for i in range(3))
-    u = Tensor(rng.normal(size=6))
-    try:
-        rout = encode_candidates(cands, u, params, beta_mode="ratio")
-        assert abs(rout.betas.values.sum() - 1.0) < 1e-9
-    except ValueError as e:
-        assert "1e-9" in str(e) or "denominator" in str(e)
-    params["attn.V"].values[:] = 0.0  # all logits 0 -> denominator 0
-    with pytest.raises(ValueError, match="denominator"):
-        encode_candidates(cands, u, params, beta_mode="ratio")
-
-
 def test_empty_candidate_set_error():
     params = _params()
     with pytest.raises(EmptyInputError):
@@ -150,13 +136,13 @@ def test_mlp_candidates_identical_items_and_order_independence():
     x = rng.normal(size=4)
     u = Tensor(rng.normal(size=6))
     rout = encode_candidates_mlp(CandidateSet([(0, x), (1, x), (2, x)]), u, params)
-    assert np.array_equal(rout.cand_reprs[0], rout.cand_reprs[1])
+    assert np.array_equal(rout.reprs.values[0], rout.reprs.values[1])
     assert np.allclose(rout.betas.values, 1 / 3)
     feats = {i: rng.normal(size=4) for i in range(4)}
     a = encode_candidates_mlp(CandidateSet((i, feats[i]) for i in (0, 1, 2, 3)), u, params)
     b = encode_candidates_mlp(CandidateSet((i, feats[i]) for i in (3, 1, 0, 2)), u, params)
     for i in feats:
-        assert np.array_equal(a.cand_reprs[i], b.cand_reprs[i])
+        assert np.array_equal(a.reprs.values[a.ids.index(i)], b.reprs.values[b.ids.index(i)])
 
 
 def test_mlp_candidates_zero_weights_bias_driven():

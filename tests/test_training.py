@@ -6,7 +6,7 @@ from arrangerank.clickmodels import ClickModelSpec
 from arrangerank.data import generate_synthetic, temporal_split
 from arrangerank.model import ModelDims, init_params, param_shapes
 from arrangerank.params import CheckpointError, load_checkpoint, save_checkpoint
-from arrangerank.training import (TrainConfig, dims_for, ensure_oracles, learning_rate,
+from arrangerank.training import (TrainConfig, _Sgd, dims_for, ensure_oracles, learning_rate,
                                   load_model, save_model, train, write_training_log)
 
 from conftest import separable_rank_split, tiny_dims
@@ -49,6 +49,35 @@ def test_training_deterministic_checkpoint_bytes(tmp_path):
         cfg = _small_cfg()
         params, log = train("starank", split, "ndcg", cfg)
         path = tmp_path / f"ckpt{run}.txt"
+        save_model(params, path, "starank", dims_for(cfg, split.train[0]), cfg)
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_sgd_step_is_decayed_gradient_step_and_clears_grads():
+    params = init_params("starank", tiny_dims(), 3)
+    rng = np.random.default_rng(3)
+    before = {name: p.values.copy() for name, p in params.items()}
+    grads = {}
+    for k, (name, p) in enumerate(params.items()):
+        if k % 3:  # a parameter without a gradient still decays
+            grads[name] = rng.normal(size=p.values.shape)
+            p.grad = grads[name].copy()
+    lr, l2 = 0.05, 1e-3
+    _Sgd(params).step(lr, l2)
+    for name, p in params.items():
+        g = grads.get(name, 0.0)
+        assert np.array_equal(p.values, before[name] - lr * (g + l2 * before[name])), name
+        assert p.grad is None
+
+
+def test_sgd_training_deterministic_checkpoint_bytes(tmp_path):
+    paths = []
+    for run in range(2):
+        split = _small_split()
+        cfg = _small_cfg(optimizer="sgd", lr_initial=1e-3, lr_final=1e-3)
+        params, _ = train("starank", split, "ndcg", cfg)
+        path = tmp_path / f"sgd{run}.txt"
         save_model(params, path, "starank", dims_for(cfg, split.train[0]), cfg)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
