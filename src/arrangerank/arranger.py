@@ -27,7 +27,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .params import ParamStore
 from .permutation import Permutation
-from .reader import ReaderOutput, _cell_step
+from .reader import ReaderOutput
 
 
 def _max_positions(params: ParamStore) -> int:
@@ -57,7 +57,7 @@ def _decode(rout: ReaderOutput, params: ParamStore,
     order = np.empty(lead + (n,), dtype=np.intp)
     for i in range(n):
         onehot = Tensor(positions[min(i, len(positions) - 1)])
-        h, c = _cell_step(params, "dec", [placed, onehot], h, c)
+        h, c = ad.gated_cell(params["dec.W"], params["dec.b"], [placed, onehot, h], c)
         ctx = ad.add(ad.matvec(params["ptr.W3"], h), params["ptr.b2"])
         logits = ad.pointer_logits(w2h, ctx, w)
         chosen = choose(logits, mask)
@@ -169,16 +169,10 @@ def sum_terms(terms: list[Tensor]) -> Tensor:
     return total
 
 
-def permutation_log_prob(rout: ReaderOutput, params: ParamStore, pi: Permutation,
-                         want_terms: bool = False):
+def permutation_log_prob(rout: ReaderOutput, params: ParamStore, pi: Permutation) -> Tensor:
     """Differentiable log P(pi) with the decoder teacher-forced along pi.
 
     Equals the sum over positions of the log masked-softmax probability of
-    pi's item given the already-placed prefix. With ``want_terms`` returns
-    (total, [per-position scalar Tensors]).
+    pi's item given the already-placed prefix.
     """
-    terms = forced_log_probs(rout, params, np.array(target_indices(rout.ids, pi)))
-    total = sum_terms(terms)
-    if want_terms:
-        return total, terms
-    return total
+    return sum_terms(forced_log_probs(rout, params, np.array(target_indices(rout.ids, pi))))

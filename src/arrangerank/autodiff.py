@@ -1,9 +1,9 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 The ranker only needs a handful of primitives (matrix products, a few
-elementwise maps, reductions, concatenation and a masked softmax), so the
-engine is a flat tape: every primitive appends one backward closure, and
-``Tape.backward`` replays the closures in exact reverse execution order.
+elementwise maps, reductions, a fused recurrent cell and a masked softmax),
+so the engine is a flat tape: every primitive appends one backward closure,
+and ``Tape.backward`` replays the closures in exact reverse execution order.
 
 Primitives take one instance, or a batch of equal-shape instances on leading
 axes (batch axis first); shape checks are strict on the trailing dimensions.
@@ -99,8 +99,6 @@ class Tape:
             elif result.grad is not None:
                 pull(result.grad)
                 result.grad = None  # intermediate buffers are single-use
-            else:
-                result.grad = None
 
 
 def _record(out: Tensor, pull: Callable[[np.ndarray], None]) -> None:
@@ -254,18 +252,6 @@ def scale_rows(m: Tensor, v: Tensor) -> Tensor:
     return out
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a python constant (no gradient for c)."""
-    out = Tensor(x.values * c)
-    if _tracing(x):
-
-        def pull(g, x=x, c=c):
-            x._accum(g * c)
-
-        _record(out, pull)
-    return out
-
-
 def tanh(x: Tensor) -> Tensor:
     out_vals = np.tanh(x.values)
     out = Tensor(out_vals)
@@ -273,30 +259,6 @@ def tanh(x: Tensor) -> Tensor:
 
         def pull(g, x=x, out_vals=out_vals):
             x._accum(g * (1.0 - out_vals * out_vals))
-
-        _record(out, pull)
-    return out
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the last axis; parts without the leading (batch) axes are shared."""
-    vals = [p.values for p in parts]
-    leads = {v.shape[:-1] for v in vals}
-    if len(leads) > 1:  # a shared part joins every instance of the batch
-        if len(leads - {()}) > 1:
-            raise ShapeError(f"concat parts do not agree: {[v.shape for v in vals]}")
-        lead = max(leads, key=len)
-        vals = [np.broadcast_to(v, lead + v.shape[-1:]) for v in vals]
-    out = Tensor(np.concatenate(vals, axis=-1))
-    if _ACTIVE is not None and any(p.requires_grad for p in parts):
-        sizes = [p.values.shape[-1] for p in parts]
-
-        def pull(g, parts=tuple(parts), sizes=sizes):
-            off = 0
-            for p, s in zip(parts, sizes):
-                if p.requires_grad:
-                    p._accum(_unbroadcast(g[..., off : off + s], p.values.shape))
-                off += s
 
         _record(out, pull)
     return out
@@ -409,23 +371,34 @@ def pointer_logits(m: Tensor, ctx: Tensor, w: Tensor) -> Tensor:
     return out
 
 
-def gated_cell(w: Tensor, b: Tensor, z: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM-style cell update, fused into a single tape entry.
+def gated_cell(w: Tensor, b: Tensor, parts: Sequence[Tensor], c: Tensor
+               ) -> tuple[Tensor, Tensor]:
+    """One LSTM-style cell update on the input z = [parts...], fused into a single tape entry.
 
     ``w @ z + b`` stacks the four gate pre-activations (input, forget,
     output, candidate – each ``len(c)`` rows, in that order)::
 
         c' = sigmoid(f)*c + sigmoid(i)*tanh(g),  h' = sigmoid(o)*tanh(c')
 
-    Returns (h', c'). w and b are shared; z is (..., in) and c (..., hidden).
-    Fusing the cell keeps the tape an order of magnitude shorter than
-    composing it from elementwise primitives; the hand-derived backward is
-    covered by the finite-difference property tests.
+    Returns (h', c'). w and b are shared; each part is (..., width) and c
+    (..., hidden). The cell joins its parts along the last axis; a part
+    without the leading (batch) axes joins every instance of the batch and
+    its gradient sums over them. Fusing the cell keeps the tape an order of
+    magnitude shorter than composing it from elementwise primitives; the
+    hand-derived backward is covered by the finite-difference property tests.
     """
-    wv, zv, cv = w.values, z.values, c.values
+    vals = [p.values for p in parts]
+    wv, cv = w.values, c.values
+    leads = {v.shape[:-1] for v in vals}
+    if not _lead_agree(*leads, cv.shape[:-1]):
+        raise ShapeError(f"gated_cell batch shapes do not agree: input parts "
+                         f"{[v.shape for v in vals]}, state {cv.shape}")
+    if len(leads) > 1:  # broadcast only when a shared part meets batched ones
+        lead = max(leads, key=len)
+        vals = [np.broadcast_to(v, lead + v.shape[-1:]) for v in vals]
+    zv = np.concatenate(vals, axis=-1)
     hdim = cv.shape[-1]
-    if (wv.shape != (4 * hdim, zv.shape[-1]) or b.values.shape != (4 * hdim,)
-            or not _lead_agree(zv.shape[:-1], cv.shape[:-1])):
+    if wv.shape != (4 * hdim, zv.shape[-1]) or b.values.shape != (4 * hdim,):
         raise ShapeError(f"gated_cell shapes do not agree: {wv.shape} vs "
                          f"input {zv.shape}, state {cv.shape}")
     pre = _mv(wv, zv) + b.values
@@ -435,10 +408,10 @@ def gated_cell(w: Tensor, b: Tensor, z: Tensor, c: Tensor) -> tuple[Tensor, Tens
     c_new = gf * cv + gi * gg
     h_out = Tensor(go * np.tanh(c_new))
     c_out = Tensor(c_new)
-    if _tracing(w, b, z, c):
+    if _tracing(w, b, c, *parts):
 
-        def pull(grads, w=w, b=b, z=z, c=c, gi=gi, gf=gf, go=go, gg=gg, c_new=c_new,
-                 cv=cv, zv=zv, wv=wv, hdim=hdim):
+        def pull(grads, w=w, b=b, parts=tuple(parts), c=c, gi=gi, gf=gf, go=go, gg=gg,
+                 c_new=c_new, cv=cv, zv=zv, wv=wv, hdim=hdim):
             gh, gcn = grads
             tc = np.tanh(c_new)  # recomputed: one array less per step on the tape
             gc_new = gcn if gcn is not None else 0.0
@@ -455,10 +428,15 @@ def gated_cell(w: Tensor, b: Tensor, z: Tensor, c: Tensor) -> tuple[Tensor, Tens
                 w._accum(flat.T @ zb.reshape(-1, zv.shape[-1]))
             if b.requires_grad:
                 b._accum(flat.sum(axis=0))
-            if z.requires_grad:
-                z._accum(_unbroadcast(gpre @ wv, zv.shape))
             if c.requires_grad:
                 c._accum(_unbroadcast(gc_new * gf, cv.shape))
+            if any(p.requires_grad for p in parts):
+                gz, off = gpre @ wv, 0
+                for p in parts:
+                    width = p.values.shape[-1]
+                    if p.requires_grad:
+                        p._accum(_unbroadcast(gz[..., off:off + width], p.values.shape))
+                    off += width
 
         h_out.requires_grad = True
         c_out.requires_grad = True

@@ -39,4 +39,4 @@ def grade_loss(cands: CandidateSet | Group, user_vec: Tensor, params: ParamStore
     sq = ad.mul(diff, diff)
     n = targets.shape[-1]
     return LossReport(losses=sq.values.sum(axis=-1) * (1.0 / n), terms=sq.values / n,
-                      tensor=ad.scale(ad.sum_all(sq), 1.0 / n))
+                      tensor=ad.mul(ad.sum_all(sq), Tensor(1.0 / n)))

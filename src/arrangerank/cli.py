@@ -42,12 +42,6 @@ def _echo_config(out_dir: Path, values: dict) -> None:
     (out_dir / "config.echo.txt").write_text("\n".join(lines) + "\n")
 
 
-def _coerce(raw: str, like) -> object:
-    if isinstance(like, bool):
-        return raw.lower() in ("1", "true", "yes")
-    return type(like)(raw)
-
-
 def _build_config(file_values: dict, args) -> TrainConfig:
     cfg = TrainConfig()
     fields = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
@@ -55,16 +49,12 @@ def _build_config(file_values: dict, args) -> TrainConfig:
     for key, raw in file_values.items():
         if key not in fields:
             raise SystemExit(f"unknown config key {key!r}")
-        merged[key] = _coerce(raw, fields[key])
+        merged[key] = type(fields[key])(raw)
     for key in fields:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
     return TrainConfig(**merged)
-
-
-def _click_spec(kind: str, tau: float, r_max: int) -> ClickModelSpec:
-    return ClickModelSpec(kind=kind, tau=tau, r_max=r_max)
 
 
 def _metric_arg(name: str, tau: float, r_max: int, click_config: str | None = None):
@@ -75,7 +65,7 @@ def _metric_arg(name: str, tau: float, r_max: int, click_config: str | None = No
         if spec.kind != name:
             raise SystemExit(f"--metric {name} conflicts with {click_config} (kind {spec.kind})")
         return spec
-    return _click_spec(name, tau, r_max)
+    return ClickModelSpec(kind=name, tau=tau, r_max=r_max)
 
 
 def _out_dir(path: str) -> Path:
@@ -173,8 +163,8 @@ def _cmd_evaluate(args) -> int:
     params, kind, _dims = load_model(args.checkpoint)
     instances = read_instances(args.instances)
     ks = tuple(int(k) for k in args.k.split(","))
-    specs = {"P": _click_spec("pbm", args.tau, args.r_max),
-             "U": _click_spec("ubm", args.tau, args.r_max)}
+    specs = {"P": ClickModelSpec(kind="pbm", tau=args.tau, r_max=args.r_max),
+             "U": ClickModelSpec(kind="ubm", tau=args.tau, r_max=args.r_max)}
     if args.click_config:
         custom = load_click_spec(args.click_config)
         specs["P" if custom.kind == "pbm" else "U"] = custom
@@ -312,9 +302,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

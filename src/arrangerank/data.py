@@ -20,6 +20,7 @@ are dropped and counted.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,15 +188,37 @@ def _fmt_item(it: LogItem) -> str:
     return f"{it.item_id}:{it.grade}:{_fmt_floats(it.features)}"
 
 
+def _parse_floats(text: str, where: str, what: str) -> np.ndarray:
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError as e:
+        raise ParseError(f"{where}: {e}") from None
+    if not all(map(math.isfinite, values)):  # a fifth of np.isfinite's cost on short rows
+        raise ParseError(f"{where}: non-finite {what} value in {text[:40]!r}")
+    return np.array(values)
+
+
 def _parse_item(tok: str, where: str) -> LogItem:
     parts = tok.split(":")
     if len(parts) != 3:
         raise ParseError(f"{where}: malformed item record {tok[:40]!r}")
     try:
-        item_id, grade, feats = int(parts[0]), int(parts[1]), parts[2]
-        return LogItem(item_id, np.array([float(x) for x in feats.split(",")]), grade)
+        item_id, grade = int(parts[0]), int(parts[1])
     except ValueError as e:
         raise ParseError(f"{where}: {e}") from None
+    if grade < 0:
+        raise ParseError(f"{where}: negative grade {grade} for item {item_id}")
+    return LogItem(item_id, _parse_floats(parts[2], where, "feature"), grade)
+
+
+def _parse_items(field: str, where: str) -> list[LogItem]:
+    return [_parse_item(tok, where) for tok in field.split(";") if tok]
+
+
+def _check_feature_dims(items: list[LogItem], where: str) -> None:
+    dims = sorted({it.features.shape[0] for it in items})
+    if len(dims) > 1:
+        raise ParseError(f"{where}: feature vectors of different lengths {dims}")
 
 
 def write_dataset(logs: list[UserLog], path) -> None:
@@ -218,10 +241,11 @@ def read_dataset(path) -> list[UserLog]:
                 raise ParseError(f"{where}: expected 3 '|' fields, got {len(fields)}")
             try:
                 uid = int(fields[0])
-                profile = np.array([float(x) for x in fields[1].split(",")])
             except ValueError as e:
                 raise ParseError(f"{where}: {e}") from None
-            items = [_parse_item(tok, where) for tok in fields[2].split(";") if tok]
+            profile = _parse_floats(fields[1], where, "profile")
+            items = _parse_items(fields[2], where)
+            _check_feature_dims(items, where)
             logs.append(UserLog(uid, profile, items))
     return logs
 
@@ -249,25 +273,28 @@ def read_instances(path) -> list[Instance]:
             fields = line.split("|")
             if len(fields) != 5:
                 raise ParseError(f"{where}: expected 5 '|' fields, got {len(fields)}")
-            qid = fields[0]
-            try:
-                profile = np.array([float(x) for x in fields[1].split(",")])
-            except ValueError as e:
-                raise ParseError(f"{where}: {e}") from None
-            hist_items = [_parse_item(tok, where) for tok in fields[2].split(";") if tok]
-            cand_items = [_parse_item(tok, where) for tok in fields[3].split(";") if tok]
+            profile = _parse_floats(fields[1], where, "profile")
+            hist_items = _parse_items(fields[2], where)
+            cand_items = _parse_items(fields[3], where)
             if not cand_items:
                 raise ParseError(f"{where}: instance has no candidate items")
-            fdim = cand_items[0].features.shape[0]
+            _check_feature_dims(hist_items + cand_items, where)
+            labels = {it.item_id: it.grade for it in cand_items}
+            if len(labels) != len(cand_items):
+                raise ParseError(f"{where}: duplicate candidate item ids")
             inst = Instance(
-                query_id=qid,
-                ctx=UserContext(profile, [it.features for it in hist_items], feature_dim=fdim),
+                query_id=fields[0],
+                ctx=UserContext(profile, [it.features for it in hist_items],
+                                feature_dim=cand_items[0].features.shape[0]),
                 cands=CandidateSet((it.item_id, it.features) for it in cand_items),
-                labels={it.item_id: it.grade for it in cand_items},
+                labels=labels,
             )
             if fields[4]:
-                inst.oracle = Permutation([int(x) for x in fields[4].split(",")])
-                inst.oracle.validate_against(inst.labels.keys())
+                try:
+                    inst.oracle = Permutation([int(x) for x in fields[4].split(",")])
+                    inst.oracle.validate_against(labels)
+                except ValueError as e:
+                    raise ParseError(f"{where}: oracle: {e}") from None
             out.append(inst)
     return out
 

@@ -59,7 +59,7 @@ def sequence_loss(rout: ReaderOutput, params: ParamStore, targets: np.ndarray,
     ``variant="summation"`` is the diagnostic per-position summation loss.
     """
     log_p = forced_log_probs(rout, params, targets, summation=variant == "summation")
-    losses = ad.scale(sum_terms(log_p), -1.0)
+    losses = ad.mul(sum_terms(log_p), Tensor(-1.0))
     return LossReport(losses=losses.values,
                       terms=-np.stack([t.values for t in log_p], axis=-1),
                       tensor=ad.sum_all(losses))

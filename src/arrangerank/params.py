@@ -44,12 +44,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._table[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._table
-
-    def __len__(self) -> int:
-        return len(self._table)
-
     def names(self) -> list[str]:
         return list(self._table)
 
@@ -59,12 +53,6 @@ class ParamStore:
     def zero_grads(self) -> None:
         for t in self._table.values():
             t.grad = None
-
-    def copy(self) -> "ParamStore":
-        dup = ParamStore()
-        for name, t in self._table.items():
-            dup.create(name, t.values.copy())
-        return dup
 
 
 def save_checkpoint(params: ParamStore, path, meta: dict | None = None) -> None:

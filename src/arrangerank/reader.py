@@ -106,12 +106,6 @@ class ReaderOutput:
         return {i: float(self.betas.values[k]) for k, i in enumerate(self.ids)}
 
 
-def _cell_step(params: ParamStore, prefix: str, inputs: list[Tensor], h: Tensor, c: Tensor):
-    """One gated (LSTM-style) cell update on concat(*inputs, h)."""
-    z = ad.concat([*inputs, h])
-    return ad.gated_cell(params[f"{prefix}.W"], params[f"{prefix}.b"], z, c)
-
-
 def encode_history(ctx: UserContext | Group, params: ParamStore,
                    drop: DropoutPlan | None = None) -> Tensor:
     """Order-sensitive user vector: recurrent pass over the browse history.
@@ -130,9 +124,9 @@ def encode_history(ctx: UserContext | Group, params: ParamStore,
         if ctx.history.shape[-1] != expect:
             raise ad.ShapeError(
                 f"history feature dim {ctx.history.shape[-1]} does not match configured {expect}")
-        c = Tensor(np.zeros(h.values.shape))
+        w, b, c = params["hist.W"], params["hist.b"], Tensor(np.zeros(h.values.shape))
         for t in range(steps):
-            h, c = _cell_step(params, "hist", [Tensor(ctx.history[..., t, :])], h, c)
+            h, c = ad.gated_cell(w, b, [Tensor(ctx.history[..., t, :]), h], c)
     if drop is not None:
         h = ad.dropout(h, drop.rate, drop.rng)
     return h

@@ -129,6 +129,16 @@ class _Adam:
         self.params.zero_grads()
 
 
+def _check_finite(params: ParamStore, losses: np.ndarray, epoch: int, query_id: str) -> None:
+    """Fail before the optimizer step if a group's loss or a gradient is not finite."""
+    bad = [] if np.isfinite(losses).all() else ["loss"]
+    bad += [name for name, p in params.items()
+            if p.grad is not None and not np.isfinite(p.grad).all()]
+    if bad:
+        raise FloatingPointError(f"epoch {epoch}, group of query {query_id!r}: "
+                                 f"non-finite {', '.join(bad)}")
+
+
 def train(model_kind: str, split: DatasetSplit, metric_for_oracle, cfg: TrainConfig
           ) -> tuple[ParamStore, list[dict]]:
     """Train a model kind on the split's training instances.
@@ -163,6 +173,7 @@ def train(model_kind: str, split: DatasetSplit, metric_for_oracle, cfg: TrainCon
                                      drop, cfg.loss_variant)
                 tape.backward(rep.tensor)
                 losses[[done + j for j in positions]] = rep.losses
+                _check_finite(params, rep.losses, epoch, batch[positions[0]].query_id)
             opt.step(lr, cfg.l2_weight)
             done += len(batch)
         log.append({

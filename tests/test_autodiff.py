@@ -146,7 +146,6 @@ def test_primitive_gradients_against_finite_differences(case):
         "mul": lambda p: ad.sum_all(ad.mul(p["u"], p["c"])),
         "scale_rows": lambda p: ad.sum_all(ad.scale_rows(p["a"], p["u"])),
         "tanh": lambda p: ad.sum_all(ad.tanh(p["w"])),
-        "concat": lambda p: ad.sum_all(ad.tanh(ad.concat([p["v"], p["u"]]))),
         "row": lambda p: ad.sum_all(ad.tanh(ad.row(p["a"], 1))),
         "softmax": lambda p: ad.sum_all(ad.mul(ad.softmax_masked(p["w"], mask),
                                                Tensor(np.eye(12)[idx]))),
@@ -176,10 +175,10 @@ def test_pointer_logits_gradients_and_equivalence(case):
 @pytest.mark.parametrize("case", range(8))
 def test_gated_cell_gradients_against_finite_differences(case):
     rng = np.random.default_rng(300 + case)
-    params = _store(rng, w=(12, 8), b=(12,), z=(8,), c=(3,))
+    params = _store(rng, w=(12, 8), b=(12,), z1=(5,), z2=(3,), c=(3,))
 
     def build(p):
-        h, c = ad.gated_cell(p["w"], p["b"], p["z"], p["c"])
+        h, c = ad.gated_cell(p["w"], p["b"], [p["z1"], p["z2"]], p["c"])
         return ad.add(ad.sum_all(ad.tanh(h)), ad.sum_all(ad.tanh(c)))
 
     _fd_check(build, params)
@@ -191,11 +190,71 @@ def test_gated_cell_chain_gradients():
     params = _store(rng, w=(12, 8), b=(12,), z1=(5,), z2=(5,), c=(3,))
 
     def build(p):
-        h, c = ad.gated_cell(p["w"], p["b"], ad.concat([p["z1"], p["c"]]), p["c"])
-        h, c = ad.gated_cell(p["w"], p["b"], ad.concat([p["z2"], h]), c)
+        h, c = ad.gated_cell(p["w"], p["b"], [p["z1"], p["c"]], p["c"])
+        h, c = ad.gated_cell(p["w"], p["b"], [p["z2"], h], c)
         return ad.sum_all(h)
 
     _fd_check(build, params)
+
+
+def _cell_run(w, b, parts, c):
+    """Forward values and every leaf gradient of one cell call under a tanh readout."""
+    leaves = [Tensor(t, requires_grad=True) for t in (w, b, c, *parts)]
+    with Tape() as t:
+        h, c_new = ad.gated_cell(leaves[0], leaves[1], leaves[3:], leaves[2])
+        out = ad.add(ad.sum_all(ad.tanh(h)), ad.sum_all(ad.tanh(c_new)))
+    t.backward(out)
+    return h.values, c_new.values, [leaf.grad for leaf in leaves]
+
+
+def test_gated_cell_parts_equal_their_concatenation_bitwise():
+    rng = np.random.default_rng(61)
+    w, b = rng.uniform(-2, 2, (12, 8)), rng.uniform(-2, 2, 12)
+    a, y, c = rng.uniform(-2, 2, 5), rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)
+    h2, c2, (gw2, gb2, gc2, ga, gy) = _cell_run(w, b, [a, y], c)
+    h1, c1, (gw1, gb1, gc1, gay) = _cell_run(w, b, [np.concatenate([a, y])], c)
+    for two, one in ((h2, h1), (c2, c1), (gw2, gw1), (gb2, gb1), (gc2, gc1),
+                     (np.concatenate([ga, gy]), gay)):
+        assert two.tobytes() == one.tobytes()
+
+
+def test_gated_cell_batch_with_a_shared_part():
+    rng = np.random.default_rng(62)
+    params = _store(rng, w=(16, 8), b=(16,), x=(3, 5), s=(3,), c=(3, 4))
+
+    def build(p):
+        h, c = ad.gated_cell(p["w"], p["b"], [p["x"], p["s"]], p["c"])
+        return ad.add(ad.sum_all(ad.tanh(h)), ad.sum_all(ad.tanh(c)))
+
+    _fd_check(build, params)
+    h, c = ad.gated_cell(params["w"], params["b"], [params["x"], params["s"]], params["c"])
+    for i in range(3):
+        hi, ci = ad.gated_cell(params["w"], params["b"],
+                               [Tensor(params["x"].values[i]), params["s"]],
+                               Tensor(params["c"].values[i]))
+        assert np.array_equal(h.values[i], hi.values) and np.array_equal(c.values[i], ci.values)
+
+
+def test_gated_cell_broadcasts_only_a_shared_part(monkeypatch):
+    calls = []
+    real = np.broadcast_to
+    monkeypatch.setattr(np, "broadcast_to", lambda *a, **k: calls.append(1) or real(*a, **k))
+    w, b = Tensor(np.ones((8, 5))), Tensor(np.zeros(8))
+    ad.gated_cell(w, b, [Tensor(np.ones(3)), Tensor(np.ones(2))], Tensor(np.ones(2)))
+    ad.gated_cell(w, b, [Tensor(np.ones((4, 3))), Tensor(np.ones((4, 2)))], Tensor(np.ones((4, 2))))
+    assert not calls  # a single request, or parts that already share the batch
+    ad.gated_cell(w, b, [Tensor(np.ones((4, 3))), Tensor(np.ones(2))], Tensor(np.ones((4, 2))))
+    assert calls
+
+
+def test_gated_cell_batch_shape_errors():
+    w, b = Tensor(np.zeros((8, 5))), Tensor(np.zeros(8))
+    with pytest.raises(ShapeError, match="input parts"):
+        ad.gated_cell(w, b, [Tensor(np.zeros((3, 3))), Tensor(np.zeros((4, 2)))],
+                      Tensor(np.zeros((3, 2))))
+    with pytest.raises(ShapeError, match="state"):
+        ad.gated_cell(w, b, [Tensor(np.zeros((3, 3))), Tensor(np.zeros((3, 2)))],
+                      Tensor(np.zeros((4, 2))))
 
 
 def test_grad_check_contract_examples():

@@ -113,6 +113,21 @@ def test_malformed_config_lines_name_file_and_line(tmp_path, capsys):
     assert f"error: {click}:2: expected 'key = value'" in capsys.readouterr().err
 
 
+def test_evaluate_bad_instance_line_exits_naming_it(tmp_path, capsys):
+    from arrangerank.model import ModelDims, init_params
+    from arrangerank.training import save_model
+
+    dims = ModelDims(feature_dim=2, profile_dim=2, embed=4, attn_width=4, mlp_hidden=4)
+    ckpt = tmp_path / "ckpt.txt"
+    save_model(init_params("starank", dims, 0), ckpt, "starank", dims)
+    inst = tmp_path / "test.txt"
+    inst.write_text("q0|0.5,0.5||10:2:0.1,0.2;11:1:0.3,0.4|\n"
+                    "q1|0.5,0.5||10:2:0.1,nan;11:1:0.3,0.4|\n")
+    assert _run("evaluate", "--checkpoint", str(ckpt), "--instances", str(inst),
+                "--out", str(tmp_path / "ev")) == 1
+    assert f"error: {inst}:2: " in capsys.readouterr().err
+
+
 def test_bench_reports_exponent(tmp_path, capsys):
     out = tmp_path / "bench"
     assert _run("bench", "--sizes", "4,8", "--repeats", "2", "--width", "64",

@@ -170,6 +170,44 @@ def test_instances_round_trip_with_oracle(tmp_path):
         assert np.array_equal(a.cands.features, b.cands.features)
 
 
+_GOOD_INSTANCE = "q0|0.5,0.5|0:0:0.1,0.2|10:2:0.1,0.2;11:1:0.3,0.4|11,10"
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param("q1|nan,0.5|0:0:0.1,0.2|10:2:0.1,0.2;11:1:0.3,0.4|", id="nan-profile-value"),
+    pytest.param("q1|0.5,0.5|0:0:0.1,inf|10:2:0.1,0.2;11:1:0.3,0.4|", id="inf-history-feature"),
+    pytest.param("q1|0.5,0.5||10:2:0.1,0.2;11:1:-inf,0.4|", id="inf-candidate-feature"),
+    pytest.param("q1|0.5,0.5||10:-1:0.1,0.2;11:1:0.3,0.4|", id="negative-grade"),
+    pytest.param("q1|0.5,0.5||10:2:0.1,0.2;11:1:0.3|", id="ragged-candidates"),
+    pytest.param("q1|0.5,0.5|0:0:0.1,0.2,0.3|10:2:0.1,0.2;11:1:0.3,0.4|", id="history-vs-candidates"),
+    pytest.param("q1|0.5,0.5||10:2:0.1,0.2;10:1:0.3,0.4|", id="duplicate-candidate-id"),
+    pytest.param("q1|0.5,0.5||10:2:0.1,0.2;11:1:0.3,0.4|10", id="oracle-misses-an-id"),
+    pytest.param("q1|0.5,0.5||10:2:0.1,0.2;11:1:0.3,0.4|10,12", id="oracle-names-a-stranger"),
+    pytest.param("q1|0.5,0.5||10:2:0.1,0.2;11:1:0.3,0.4|10,10", id="oracle-repeats-an-id"),
+])
+def test_instances_reject_bad_line_naming_it(tmp_path, bad):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{_GOOD_INSTANCE}\n{bad}\n")
+    with pytest.raises(ParseError, match=r"bad\.txt:2: "):
+        read_instances(path)
+    path.write_text(f"{_GOOD_INSTANCE}\n")
+    assert len(read_instances(path)) == 1
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param("2|0.5,nan|10:2:0.1,0.2", id="nan-profile-value"),
+    pytest.param("2|0.5,0.5|10:2:0.1,inf", id="inf-feature"),
+    pytest.param("2|0.5,0.5|10:-3:0.1,0.2", id="negative-grade"),
+    pytest.param("2|0.5,0.5|10:2:0.1,0.2;11:1:0.3", id="ragged-features"),
+])
+def test_dataset_rejects_bad_line_naming_it(tmp_path, bad):
+    path = tmp_path / "bad.txt"
+    # grade 9 is above the default r_max; only a metric knows its r_max, so the reader keeps it
+    path.write_text(f"1|0.5,0.5|10:2:0.1,0.2;11:9:0.3,0.4\n{bad}\n")
+    with pytest.raises(ParseError, match=r"bad\.txt:2: "):
+        read_dataset(path)
+
+
 def test_oracle_seed_stability():
     assert oracle_seed(1, "ndcg", "u:train") == oracle_seed(1, "ndcg", "u:train")
     assert oracle_seed(1, "ndcg", "u:train") != oracle_seed(2, "ndcg", "u:train")

@@ -3,13 +3,13 @@ import pytest
 
 from arrangerank.autodiff import ShapeError
 from arrangerank.clickmodels import ClickModelSpec
-from arrangerank.data import generate_synthetic, temporal_split
+from arrangerank.data import DatasetSplit, generate_synthetic, temporal_split
 from arrangerank.model import ModelDims, init_params, param_shapes
 from arrangerank.params import CheckpointError, load_checkpoint, save_checkpoint
 from arrangerank.training import (TrainConfig, _Sgd, dims_for, ensure_oracles, learning_rate,
                                   load_model, save_model, train, write_training_log)
 
-from conftest import separable_rank_split, tiny_dims
+from conftest import make_instance, separable_rank_split, tiny_dims
 
 
 def test_config_validation():
@@ -114,6 +114,14 @@ def test_dropout_training_runs_and_is_seeded():
         _, log = train("starank", split, "ndcg", _small_cfg(dropout_rate=0.5, epochs=2))
         finals.append(log[-1]["mean_loss"])
     assert finals[0] == finals[1]
+
+
+def test_non_finite_gradient_stops_training_naming_epoch_and_query():
+    inst = make_instance(seed=3, n=4, hist_len=2)
+    inst.cands.features[1, 0] = np.inf  # the loss stays finite, the gradient does not
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(FloatingPointError, match=r"epoch 0, group of query 'test:3'"):
+            train("starank", DatasetSplit(train=[inst]), "ndcg", _small_cfg(epochs=1))
 
 
 def test_default_config_loss_halves_on_separable_data():
