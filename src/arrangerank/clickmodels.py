@@ -26,6 +26,7 @@ give the oracle's pick and the per-position tie sets.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -259,23 +260,25 @@ def metric_fingerprint(metric) -> str:
 
 def _item_values(labels: dict[int, int], metric) -> tuple[list[int], np.ndarray]:
     """Ascending ids and the per-item value the metric attaches to each."""
+    if not labels:
+        raise ValueError("cannot build an oracle for an empty candidate set")
     ids = sorted(int(i) for i in labels)
     if metric == "ndcg":
-        vals = np.array([2.0 ** labels[i] - 1.0 for i in ids])
-    elif isinstance(metric, ClickModelSpec):
-        vals = np.array([relevance_prob(metric, labels[i]) for i in ids])
-    else:
+        return ids, np.array([2.0 ** labels[i] - 1.0 for i in ids])
+    if not isinstance(metric, ClickModelSpec):
         raise ValueError(f"metric must be 'ndcg' or a ClickModelSpec, got {metric!r}")
-    return ids, vals
+    return ids, np.array([relevance_prob(metric, labels[i]) for i in ids])
 
 
-def _position_weights(metric, n: int) -> np.ndarray | None:
+def _position_weights(metric, n: int) -> list[float] | None:
     """Per-position examination weights when the metric has them (pbm/ndcg)."""
     if metric == "ndcg":
-        return 1.0 / np.log2(np.arange(2, n + 2))
-    if metric.kind == PBM:
-        return np.array([examination_prob(metric, i) for i in range(1, n + 1)])
-    return None
+        return (1.0 / np.log2(np.arange(2, n + 2))).tolist()
+    if metric.kind != PBM:
+        return None
+    if metric.examination_table is None:
+        return [(1.0 / i) ** metric.tau for i in range(1, n + 1)]
+    return [examination_prob(metric, i) for i in range(1, n + 1)]
 
 
 def _tie_blocks(metric, ids: list[int], values: np.ndarray) -> list[list[int]] | None:
@@ -285,34 +288,30 @@ def _tie_blocks(metric, ids: list[int], values: np.ndarray) -> list[list[int]] |
     value first, when every maximizer is value-descending; None when only
     enumeration can tell.
     """
-    if np.all(values == values[0]):
-        return [list(ids)]
+    by_value = sorted(zip(values.tolist(), ids), key=lambda p: p[0], reverse=True)  # stable
+    blocks = [[i for _, i in grp] for _, grp in itertools.groupby(by_value, key=lambda p: p[0])]
+    if len(blocks) == 1:
+        return blocks
     w = _position_weights(metric, len(ids))
     if w is not None:
-        if np.all(w == w[0]):
+        if all(x == w[0] for x in w):
             return [list(ids)]
-        descending = bool(np.all(np.diff(w) < 0.0))
+        descending = all(b < a for a, b in zip(w, w[1:]))
     elif metric.examination_table is None and metric.tau == 0.0:
         return [list(ids)]  # the default browsing model examines everything: order-free
     else:
-        # default browsing model: examination shrinks with the gap since the
-        # last click, so descending relevance is optimal (property-tested
-        # against enumeration)
+        # default browsing model: examination shrinks with the gap since the last click,
+        # so descending relevance is optimal (property-tested against enumeration)
         descending = metric.examination_table is None and metric.tau > 0.0
-    if not descending:
-        return None
-    return [[i for i, val in zip(ids, values) if val == v]
-            for v in sorted(set(values.tolist()), reverse=True)]
+    return blocks if descending else None
 
 
 def _unrank(ids: list[int], rank: int) -> list[int]:
     """rank-th permutation of ``ids`` in lexicographic order (Lehmer decode)."""
-    pool = list(ids)
-    out = []
+    pool, out = list(ids), []
     for k in range(len(ids), 0, -1):
-        f = math.factorial(k - 1)
-        out.append(pool.pop(rank // f))
-        rank %= f
+        digit, rank = divmod(rank, math.factorial(k - 1))
+        out.append(pool.pop(digit))
     return out
 
 
@@ -332,6 +331,27 @@ def _sorted_oracle(blocks: list[list[int]], rng: np.random.Generator) -> Permuta
     return Permutation(order)
 
 
+@functools.cache
+def _perm_table(n: int) -> np.ndarray:
+    """Every permutation of range(n) as an int8 row, in lexicographic order; read-only."""
+    rest = np.tile(_perm_table(n - 1) if n > 1 else np.zeros((1, 0), dtype=np.int8), (n, 1))
+    first = np.arange(n, dtype=np.int8).repeat(len(rest) // n)[:, None]
+    table = np.hstack([first, rest + (rest >= first)])  # rest skips ``first``, order kept
+    table.flags.writeable = False
+    return table
+
+
+def _perm_chunks(n: int):
+    """``itertools.permutations(range(n))`` as int8 blocks: beyond 8 items, one block per
+    fixed prefix, followed by the 8-item table mapped onto the other indices."""
+    if n <= 8:
+        return [_perm_table(n)]
+    tail = _perm_table(8)
+    return (np.hstack([np.tile(np.array(p, dtype=np.int8), (len(tail), 1)),
+                       np.array([j for j in range(n) if j not in p], dtype=np.int8)[tail]])
+            for p in itertools.permutations(range(n), n - 8))
+
+
 def _maximizers(ids: list[int], values: np.ndarray, metric) -> np.ndarray:
     """Index rows of every maximizing arrangement, int8, in lexicographic order.
 
@@ -348,17 +368,14 @@ def _maximizers(ids: list[int], values: np.ndarray, metric) -> np.ndarray:
         gams = [np.array([examination_prob(metric, i, j) for j in range(i)])
                 for i in range(1, n + 1)]
     best, rows = -np.inf, []
-    perms = itertools.permutations(range(n))
-    while block := list(itertools.islice(perms, 40320)):
-        idx = np.array(block, dtype=np.int8)
+    for idx in _perm_chunks(n):
         rel = values[idx]  # (m, n)
         if pos_w is not None:
             scores = rel @ pos_w
         else:
             # browsing-model DP over the last-click position, one row per arrangement
-            m = idx.shape[0]
-            scores = np.zeros(m)
-            q = np.zeros((m, n + 1))
+            scores = np.zeros(len(idx))
+            q = np.zeros((len(idx), n + 1))
             q[:, 0] = 1.0
             for i, gam in enumerate(gams, start=1):
                 click = (q[:, :i] @ gam) * rel[:, i - 1]
@@ -382,8 +399,6 @@ def oracle_permutation(labels: dict[int, int], metric, seed: int) -> Permutation
     ``len(labels) <= ENUMERATION_CAP``.
     """
     ids, values = _item_values(labels, metric)
-    if not ids:
-        raise ValueError("cannot build an oracle for an empty candidate set")
     rng = np.random.default_rng(seed)
     blocks = _tie_blocks(metric, ids, values)
     if blocks is not None:

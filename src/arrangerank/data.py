@@ -74,6 +74,10 @@ class DatasetSplit:
 
 def _instance(log: UserLog, name: str, hist: list[LogItem], cands: list[LogItem],
               feature_dim: int) -> Instance:
+    ids = [it.item_id for it in cands]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"user {log.user_id}: the {name} candidate window repeats an item id: "
+                         f"{ids}")
     return Instance(
         query_id=f"{log.user_id}:{name}",
         ctx=UserContext(log.profile, [it.features for it in hist], feature_dim=feature_dim),

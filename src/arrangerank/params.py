@@ -14,6 +14,7 @@ save/load round trip is bitwise exact.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterator
 
 import numpy as np
@@ -67,6 +68,13 @@ def save_checkpoint(params: ParamStore, path, meta: dict | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite_hex(tok: str) -> bool:
+    try:
+        return math.isfinite(float.fromhex(tok))
+    except ValueError:
+        return False
+
+
 def load_checkpoint(path, expect_shapes: dict[str, tuple] | None = None) -> tuple[ParamStore, dict]:
     """Read a checkpoint; optionally validate parameter shapes against a config.
 
@@ -82,18 +90,32 @@ def load_checkpoint(path, expect_shapes: dict[str, tuple] | None = None) -> tupl
         raise CheckpointError(f"{path}: unsupported version {version!r}, expected {FORMAT_VERSION}")
     if len(lines) < 3 or not lines[1].startswith("meta ") or lines[-1] != "end":
         raise CheckpointError(f"{path}: malformed checkpoint body")
-    meta = json.loads(lines[1][5:])
+    try:
+        meta = json.loads(lines[1][5:])
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"{path}:2: malformed meta line: {e}") from None
     params = ParamStore()
-    for line in lines[2:-1]:
+    for lineno, line in enumerate(lines[2:-1], start=3):
         fields = line.split(" ")
         if fields[0] != "param" or len(fields) < 3:
-            raise CheckpointError(f"{path}: malformed parameter line: {line[:60]!r}")
+            raise CheckpointError(f"{path}:{lineno}: malformed parameter line: {line[:60]!r}")
         name, dims = fields[1], fields[2]
-        shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
-        vals = np.array([float.fromhex(tok) for tok in fields[3:]], dtype=np.float64)
+        try:
+            shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
+        except ValueError:
+            raise CheckpointError(
+                f"{path}:{lineno}: parameter {name}: bad shape {dims!r}") from None
+        try:
+            vals = np.array([float.fromhex(tok) for tok in fields[3:]], dtype=np.float64)
+        except ValueError:
+            vals = np.array([np.nan])
+        if not np.isfinite(vals).all():
+            bad = next(tok for tok in fields[3:] if not _finite_hex(tok))
+            raise CheckpointError(f"{path}:{lineno}: parameter {name}: value {bad!r} is not a "
+                                  "finite hex float")
         expected = int(np.prod(shape)) if shape else 1
         if vals.size != expected:
-            raise CheckpointError(f"{path}: value count does not match shape for {name}")
+            raise CheckpointError(f"{path}:{lineno}: value count does not match shape for {name}")
         params.create(name, vals.reshape(shape))
     if expect_shapes is not None:
         got = {name: t.values.shape for name, t in params.items()}

@@ -30,6 +30,21 @@ def test_split_writes_three_files_and_report(tmp_path):
     assert "kept 5 users" in (out / "split_report.txt").read_text()
 
 
+def test_split_repeated_candidate_id_names_user_and_window(tmp_path, capsys):
+    data = tmp_path / "data"
+    _run("gen-data", "--users", "3", "--history-len", "4", "--out", str(data))
+    lines = (data / "dataset.txt").read_text().splitlines()
+    user, profile, items = lines[1].split("|")
+    items = items.split(";")
+    # the last item joins the test window (the last 10) under its neighbour's id
+    items[-1] = items[-2].split(":")[0] + items[-1][items[-1].index(":"):]
+    lines[1] = "|".join([user, profile, ";".join(items)])
+    (data / "dataset.txt").write_text("\n".join(lines) + "\n")
+    assert _run("split", "--data", str(data / "dataset.txt"), "--out", str(tmp_path / "s")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: user {user}: the test candidate window repeats an item id")
+
+
 def test_full_recipe_and_artifacts(tmp_path):
     data, split, oracle = tmp_path / "d", tmp_path / "s", tmp_path / "o"
     run, ev, ins = tmp_path / "run", tmp_path / "eval", tmp_path / "inspect"

@@ -1,7 +1,11 @@
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrangerank.clickmodels import (ClickModelSpec, EnumerationCapError, OrderingError,
                                      examination_prob, metric_fingerprint,
@@ -329,6 +333,75 @@ def test_oracle_position_groups():
     spec = _pbm(examination_table=[0.2, 1.0, 0.1])
     groups = oracle_position_groups({0: 4, 1: 1, 2: 0}, spec)
     assert groups[1] == {0}
+
+
+def test_oracle_empty_label_set_raises_value_error():
+    for metric in ("ndcg", _pbm(), _ubm()):
+        with pytest.raises(ValueError, match="empty candidate set"):
+            oracle_permutation({}, metric, seed=0)
+        with pytest.raises(ValueError, match="empty candidate set"):
+            oracle_position_groups({}, metric)
+
+
+def test_perm_table_is_itertools_order_and_read_only():
+    import arrangerank.clickmodels as cm
+
+    for n in range(1, 9):
+        table = cm._perm_table(n)
+        assert table.dtype == np.int8 and table.shape == (math.factorial(n), n)
+        assert table.tolist() == [list(p) for p in itertools.permutations(range(n))]
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_maximizers_nine_items_match_itertools_reference():
+    # reference: 8!-row chunks straight from itertools, keeping every row
+    # that ties the running maximum
+    import arrangerank.clickmodels as cm
+
+    labels = {i: g for i, g in enumerate([4, 4, 2, 2, 2, 1, 0, 3, 3])}
+    spec = _pbm(examination_table=[0.5, 1.0, 1.0, 0.25, 0.5, 0.75, 0.75, 0.25, 0.5],
+                relevance_map={0: 0.0, 1: 0.25, 2: 0.5, 3: 0.75, 4: 1.0})
+    ids, values = cm._item_values(labels, spec)
+    weights = np.array(spec.examination_table)
+    perms = itertools.permutations(range(9))
+    best, kept = -np.inf, []
+    while block := list(itertools.islice(perms, 40320)):
+        idx = np.array(block, dtype=np.int8)
+        scores = values[idx] @ weights
+        top = float(scores.max())
+        if top > best:
+            best, kept = top, []
+        if top == best:
+            kept.append(idx[scores == top])
+    want = np.concatenate(kept)
+    got = cm._maximizers(ids, values, spec)
+    assert got.dtype == np.int8 and len(want) > 1
+    assert np.array_equal(got, want)
+
+
+_sorting_metric_st = st.one_of(
+    st.just("ndcg"),
+    st.floats(0.05, 5.0).map(lambda tau: _pbm(tau=tau)),
+    st.tuples(st.sampled_from(["pbm", "ubm"]), st.floats(0.05, 5.0),
+              st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=5, max_size=5))
+    .map(lambda c: ClickModelSpec(kind=c[0], tau=c[1],
+                                  relevance_map=dict(enumerate(sorted(c[2]))))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.integers(0, 50), st.integers(0, 4), min_size=1, max_size=6),
+       _sorting_metric_st, st.integers(0, 2 ** 32))
+def test_sorting_route_equals_enumeration_route_property(labels, metric, seed):
+    # tied relevance probabilities (a monotone map with repeats) merge grades
+    # into one block; the pick and the tie sets must still match enumeration
+    import arrangerank.clickmodels as cm
+
+    fast = (oracle_permutation(labels, metric, seed), oracle_position_groups(labels, metric))
+    with mock.patch.object(cm, "_tie_blocks", lambda metric, ids, values: None):
+        slow = (oracle_permutation(labels, metric, seed), oracle_position_groups(labels, metric))
+    assert fast == slow
 
 
 def test_metric_fingerprint_distinguishes_configs():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,28 @@ def test_checkpoint_version_mismatch(tmp_path):
         load_checkpoint(path)
     path.write_text("something else\n")
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_bad_value_shape_or_meta_names_the_line(tmp_path):
+    params = init_params("starank", tiny_dims(), 5)
+    path = tmp_path / "p.txt"
+    save_checkpoint(params, path)
+    lines = path.read_text().splitlines()
+    fields = lines[3].split(" ")  # line 4 of the file: the second parameter
+    for token in ("inf", "-inf", "nan", "0x1.8p+zz"):
+        edited = lines[:3] + [" ".join(fields[:4] + [token] + fields[5:])] + lines[4:]
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"p.txt:4: parameter {fields[1]}: value '{token}'")):
+            load_checkpoint(path)
+    edited = lines[:3] + [" ".join(fields[:2] + [fields[2] + "x"] + fields[3:])] + lines[4:]
+    path.write_text("\n".join(edited) + "\n")
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"p.txt:4: parameter {fields[1]}: bad shape")):
+        load_checkpoint(path)
+    path.write_text("\n".join([lines[0], "meta {bad"] + lines[2:]) + "\n")
+    with pytest.raises(CheckpointError, match=re.escape("p.txt:2: malformed meta line")):
         load_checkpoint(path)
 
 
