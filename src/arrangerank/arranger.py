@@ -10,12 +10,15 @@ and the next-item distribution is a softmax over the not-yet-arranged items
 representation h_d is fed into the decoder cell together with a one-hot
 position indicator to produce the next context vector.
 
-One decode loop serves every use: greedy, sampled and teacher-forced. It
-runs a single reader output, or a group of equal-shape instances along a
-leading batch axis, where step i advances every instance at once. Orders
-are rows of candidate indices; candidates are stored by ascending item id,
-so greedy decoding breaks exact ties by smallest item id, never by storage
-position, and results are invariant to candidate storage order.
+Greedy and sampled decoding (and the summation foil) choose each step's
+item from that step's scores, so one decode loop runs them step by step.
+Teacher forcing fixes every decoder input in advance, so the forced
+log-probabilities run the n recurrent steps in one cell call and score
+every position in one pass. Both run a single reader output, or a group of
+equal-shape instances along a leading batch axis. Orders are rows of
+candidate indices; candidates are stored by ascending item id, so greedy
+decoding breaks exact ties by smallest item id, never by storage position,
+and results are invariant to candidate storage order.
 """
 from __future__ import annotations
 
@@ -30,9 +33,16 @@ from .permutation import Permutation
 from .reader import ReaderOutput
 
 
-def _max_positions(params: ParamStore) -> int:
-    hidden = params["dec.W"].values.shape[0] // 4
-    return params["dec.W"].values.shape[1] - 2 * hidden
+def _onehots(params: ParamStore, steps) -> np.ndarray:
+    """Position one-hot rows of the given steps; the last one repeats past the table."""
+    rows, cols = params["dec.W"].values.shape
+    positions = cols - rows // 2  # the cell reads [placed item, position one-hot, h]
+    return np.eye(positions)[np.minimum(steps, positions - 1)]
+
+
+def _pointer(rout: ReaderOutput, params: ParamStore) -> tuple[Tensor, Tensor]:
+    """The score parts fixed for a whole decode: W2 h_d of every candidate, and P u."""
+    return ad.matmul(rout.reprs, params["ptr.W2"]), ad.matvec(params["ptr.P"], rout.user_vec)
 
 
 def _decode(rout: ReaderOutput, params: ParamStore,
@@ -40,32 +50,30 @@ def _decode(rout: ReaderOutput, params: ParamStore,
     """Fill positions 1..n; returns the placement order as candidate indices (..., n).
 
     At every step ``choose(logits, mask)`` gets the scores of all candidates
-    and the mask of the unarranged ones, and names the index each instance
-    places next. The placed item's representation, with the one-hot of the
-    next position, advances the context, so the next scores condition on it.
+    and the mask of the unarranged ones, both (..., 1, n) (one step), and
+    names the index (..., 1) each instance places next. The placed item's
+    representation, with the one-hot of the next position, advances the
+    context, so the next scores condition on it.
     """
     reprs = rout.reprs
     lead, n = reprs.values.shape[:-2], reprs.values.shape[-2]
     if n == 0:
         raise ValueError("cannot arrange an empty candidate set")
-    positions = np.eye(_max_positions(params))  # one-hot rows; the last one repeats
-    w2h = ad.matmul(reprs, params["ptr.W2"])  # position-independent half of the score
-    w = ad.matvec(params["ptr.P"], rout.user_vec)  # P u, fixed for the whole decode
+    onehots = _onehots(params, np.arange(n))
+    w2h, w = _pointer(rout, params)
+    cell_w, cell_b, w3, b2 = params["dec.W"], params["dec.b"], params["ptr.W3"], params["ptr.b2"]
     h, c = rout.user_vec, Tensor(np.zeros(rout.user_vec.values.shape))
     placed: Tensor = params["dec.start"]
-    mask = np.ones(lead + (n,), dtype=bool)
-    order = np.empty(lead + (n,), dtype=np.intp)
+    mask = np.ones(lead + (1, n), dtype=bool)
+    order = []
     for i in range(n):
-        onehot = Tensor(positions[min(i, len(positions) - 1)])
-        h, c = ad.gated_cell(params["dec.W"], params["dec.b"], [placed, onehot, h], c)
-        ctx = ad.add(ad.matvec(params["ptr.W3"], h), params["ptr.b2"])
-        logits = ad.pointer_logits(w2h, ctx, w)
-        chosen = choose(logits, mask)
-        order[..., i] = chosen
+        hs, h, c = ad.gated_cell(cell_w, cell_b, [placed, Tensor(onehots[i])], h, c)
+        chosen = choose(ad.pointer_logits(w2h, ad.add(ad.matvec(w3, hs), b2), w), mask)
+        order.append(chosen)
         placed = ad.row(reprs, chosen)
         mask = mask.copy()  # the tape keeps the previous step's mask
-        mask[ad._per_instance(chosen)] = False
-    return order
+        mask[..., 0, :][ad._per_instance(chosen[..., 0])] = False
+    return np.concatenate(order, axis=-1)
 
 
 def _as_permutation(ids, order) -> Permutation:
@@ -89,7 +97,7 @@ def greedy_orders(rout: ReaderOutput, params: ParamStore) -> tuple[np.ndarray, n
         return np.argmax(p, axis=-1)  # exact ties: first index = smallest id
 
     order = _decode(rout, params, choose)
-    return order, np.stack(probs, axis=-2)
+    return order, np.concatenate(probs, axis=-2)
 
 
 def step_scores(rout: ReaderOutput, params: ParamStore) -> dict[int, float]:
@@ -101,7 +109,7 @@ def step_scores(rout: ReaderOutput, params: ParamStore) -> dict[int, float]:
         return np.argmax(np.where(mask, logits.values, -np.inf), axis=-1)
 
     _decode(rout, params, choose)
-    return {i: float(s) for i, s in zip(rout.ids, seen[0])}
+    return {i: float(s) for i, s in zip(rout.ids, seen[0].reshape(-1))}
 
 
 def arrange_greedy(rout: ReaderOutput, params: ParamStore) -> Permutation:
@@ -126,47 +134,57 @@ def arrange_sample(rout: ReaderOutput, params: ParamStore, seed: int) -> tuple[P
 
     def choose(logits, mask):
         nonlocal log_prob
-        p = ad.softmax_masked(logits, mask).values
-        support = np.flatnonzero(mask)
+        p = ad.softmax_masked(logits, mask).values[0]
+        support = np.flatnonzero(mask[0])
         weights = p[support]
-        chosen = int(support[rng.choice(len(support), p=weights / weights.sum())])
-        log_prob += float(ad.masked_log_prob(logits, mask, chosen).values)
+        chosen = support[[rng.choice(len(support), p=weights / weights.sum())]]
+        log_prob += float(ad.masked_log_prob(logits, mask, chosen).values[0])
         return chosen
 
     order = _decode(rout, params, choose)
     return _as_permutation(rout.ids, order), log_prob
 
 
-def forced_log_probs(rout: ReaderOutput, params: ParamStore, targets: np.ndarray,
-                     summation: bool = False) -> list[Tensor]:
-    """Differentiable per-position log-probabilities of ``targets`` (..., n indices).
+def forced_log_probs(rout: ReaderOutput, params: ParamStore, targets: np.ndarray) -> Tensor:
+    """Differentiable per-position log-probabilities (..., n) of ``targets`` (..., n indices).
 
     The decoder is teacher-forced along the targets: term i is the log
-    masked-softmax probability of the target given the target prefix. With
-    ``summation`` term i scores the target over all items and the decoder
-    follows its own greedy picks instead (the diagnostic foil of
-    ``loss.pointwise_summation_loss``).
+    masked-softmax probability of target i given the target prefix. The
+    inputs of every step are known in advance (the start vector, then the
+    targets), so one cell call runs the n steps and one pass scores them:
+    row i of the step-by-item logits keeps the n - i items not yet placed.
+    """
+    reprs = rout.reprs
+    n = reprs.values.shape[-2]
+    if n == 0:
+        raise ValueError("cannot arrange an empty candidate set")
+    placed = [params["dec.start"], ad.row(reprs, targets[..., :-1])]
+    hs, _, _ = ad.gated_cell(params["dec.W"], params["dec.b"],
+                             [placed, Tensor(_onehots(params, np.arange(n)))],
+                             rout.user_vec, Tensor(np.zeros(rout.user_vec.values.shape)))
+    w2h, w = _pointer(rout, params)
+    ctx = ad.add(ad.matvec(params["ptr.W3"], hs), params["ptr.b2"])  # one product, all steps
+    logits = ad.pointer_logits(w2h, ctx, w)
+    rank = np.argsort(targets, axis=-1)  # the step at which each candidate is placed
+    return ad.masked_log_prob(logits, rank[..., None, :] >= np.arange(n)[:, None], targets)
+
+
+def summation_log_probs(rout: ReaderOutput, params: ParamStore,
+                        targets: np.ndarray) -> list[Tensor]:
+    """Per-position terms (each (..., 1)) of the diagnostic summation foil.
+
+    Term i scores target i over all items while the decoder follows its own
+    greedy picks, so it runs the decode loop (``loss.pointwise_summation_loss``).
     """
     terms = []
 
     def choose(logits, mask):
-        target = targets[..., len(terms)]
-        if not summation:
-            terms.append(ad.masked_log_prob(logits, mask, target))
-            return target
-        terms.append(ad.masked_log_prob(logits, np.ones_like(mask), target))
+        terms.append(ad.masked_log_prob(logits, np.ones_like(mask),
+                                        targets[..., len(terms), None]))
         return np.argmax(np.where(mask, logits.values, -np.inf), axis=-1)
 
     _decode(rout, params, choose)
     return terms
-
-
-def sum_terms(terms: list[Tensor]) -> Tensor:
-    """Position terms added in position order."""
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return total
 
 
 def permutation_log_prob(rout: ReaderOutput, params: ParamStore, pi: Permutation) -> Tensor:
@@ -175,4 +193,4 @@ def permutation_log_prob(rout: ReaderOutput, params: ParamStore, pi: Permutation
     Equals the sum over positions of the log masked-softmax probability of
     pi's item given the already-placed prefix.
     """
-    return sum_terms(forced_log_probs(rout, params, np.array(target_indices(rout.ids, pi))))
+    return ad.sum_all(forced_log_probs(rout, params, np.array(target_indices(rout.ids, pi))))

@@ -121,21 +121,33 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _lead_agree(*leads: tuple) -> bool:
     """Leading (batch) shapes agree; an empty one belongs to a shared operand."""
-    return len(set(leads) - {()}) <= 1
+    first = None
+    for lead in leads:
+        if lead:
+            if first is None:
+                first = lead
+            elif lead != first:
+                return False
+    return True
 
 
-def _per_instance(index) -> tuple:
-    """Index tuple that picks entry ``index[b]`` of instance b along the next axis."""
+def _per_instance(index, lead: int | None = None) -> tuple:
+    """Index tuple that picks entry ``index[b, ...]`` of instance b along the next axis.
+
+    The first ``lead`` axes of ``index`` (all of them by default) pick the
+    instance; a trailing axis beyond them picks several entries per instance.
+    """
     index = np.asarray(index)
-    if index.ndim == 0:
+    if lead == 0 or index.ndim == 0:
         return (index,)
-    return np.indices(index.shape, sparse=True) + (index,)
+    return np.indices(index.shape, sparse=True)[:lead] + (index,)
 
 
 def _shared(sa: tuple, sb: tuple) -> bool:
     """One shape is a trailing part of the other (a scalar, or a bias shared by a batch)."""
-    short, long = sorted((sa, sb), key=len)
-    return long[len(long) - len(short):] == short
+    if len(sa) > len(sb):
+        sa, sb = sb, sa
+    return sb[len(sb) - len(sa):] == sa
 
 
 def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -171,7 +183,9 @@ def matvec(m: Tensor, v: Tensor) -> Tensor:
     if _tracing(m, v):
 
         def pull(g, m=m, v=v, mv=mv, vv=vv):
-            if m.requires_grad:
+            if m.requires_grad and mv.ndim == 2:  # shared: one product over every instance
+                m._accum(g.reshape(-1, mv.shape[0]).T @ vv.reshape(-1, mv.shape[1]))
+            elif m.requires_grad:
                 m._accum(_unbroadcast(g[..., :, None] * vv[..., None, :], mv.shape))
             if v.requires_grad:
                 v._accum(_unbroadcast((g[..., None, :] @ mv)[..., 0, :], vv.shape))
@@ -278,37 +292,65 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def row(m: Tensor, index) -> Tensor:
-    """Select row ``index`` of m[..., n, k] -> [..., k]; a batch takes one index per instance."""
-    if m.values.ndim < 2 or np.shape(index) != m.values.shape[:-2]:
-        raise ShapeError(f"row expects a [..., n, k] tensor and one index per instance, "
-                         f"got shape {m.values.shape} and index shape {np.shape(index)}")
-    sel = _per_instance(index)
+    """Select rows of m[..., n, k] along the n axis.
+
+    ``index`` holds one row per instance (shape ``m.shape[:-2]``, giving
+    [..., k]) or one per step (that shape plus a step axis T, giving
+    [..., T, k]).
+    """
+    lead = m.values.shape[:-2]
+    shape = np.shape(index)
+    if m.values.ndim < 2 or shape[:len(lead)] != lead or len(shape) - len(lead) not in (0, 1):
+        raise ShapeError(f"row expects a [..., n, k] tensor and one index per instance or step, "
+                         f"got shape {m.values.shape} and index shape {shape}")
+    sel = _per_instance(index, len(lead))
     out = Tensor(m.values[sel])
     if _tracing(m):
         shp = m.values.shape
 
         def pull(g, m=m, sel=sel, shp=shp):
             buf = np.zeros(shp)
-            buf[sel] = g
+            np.add.at(buf, sel, g)  # a row picked at two steps takes both gradients
             m._accum(buf)
 
         _record(out, pull)
     return out
 
 
-def _kept(values: np.ndarray, mask: np.ndarray, what: str) -> np.ndarray:
-    """The unmasked entries of every row, [..., kept]; rows must keep equally many."""
+def _masked_exp(values: np.ndarray, mask: np.ndarray, what: str):
+    """Row maxima m, exp(values - m) on the kept entries (exact 0 elsewhere) and row sums.
+
+    Every row is normalised on its own and may keep any number of entries.
+    Its sum runs over exactly its kept entries in order, as a lone row's
+    would: rows keeping equally many are gathered and summed as one block.
+    """
     if values.ndim < 1 or mask.shape != values.shape:
         raise ShapeError(f"{what} shapes do not agree: {values.shape} vs {mask.shape}")
     kept = values[mask]
-    if not kept.size:
-        raise EmptySupportError(f"{what} needs at least one unmasked entry")
-    if mask.ndim == 1:
-        return kept
-    counts = np.count_nonzero(mask, axis=-1)
-    if counts.min() != counts.max():
-        raise ShapeError(f"{what} needs the same number of unmasked entries in every row")
-    return kept.reshape(values.shape[:-1] + (-1,))
+    if mask.size == values.shape[-1]:  # a single row
+        low = high = kept.size
+    else:
+        counts = np.count_nonzero(mask, axis=-1)
+        low, high = counts.min(), counts.max()
+    if not low:
+        raise EmptySupportError(f"{what} needs at least one unmasked entry in every row")
+    if low == high:  # one block, as in a decode step
+        z = kept.reshape(values.shape[:-1] + (high,))
+        m = z.max(axis=-1)
+        ek = np.exp(z - m[..., None])
+        e = np.zeros(values.shape)
+        e[mask] = ek.reshape(-1)
+        return m, e, ek.sum(axis=-1)
+    m = np.where(mask, values, -np.inf).max(axis=-1)
+    e = np.exp(np.where(mask, values - m[..., None], -np.inf))
+    order = np.argsort(counts, axis=None, kind="stable")  # rows by kept count
+    n = values.shape[-1]
+    kept = e.reshape(-1, n)[order][mask.reshape(-1, n)[order]]
+    sums, row, start = np.empty(len(order)), 0, 0
+    for k, rows in zip(*np.unique(counts, return_counts=True)):
+        sums[order[row:row + rows]] = kept[start:start + rows * k].reshape(rows, k).sum(axis=-1)
+        row, start = row + rows, start + rows * k
+    return m, e, sums.reshape(m.shape)
 
 
 def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
@@ -316,157 +358,223 @@ def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
 
     Stabilized by max-subtraction over the unmasked support. Gradients flow
     only through unmasked entries. Each row of a batch is normalised on its
-    own; all rows keep the same number of entries, as they do in a decode.
+    own.
     """
-    z = _kept(logits.values, mask, "softmax_masked")
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    out_vals = np.zeros_like(logits.values)
-    out_vals[mask] = p.reshape(-1)
-    out = Tensor(out_vals)
+    _, e, s = _masked_exp(logits.values, mask, "softmax_masked")
+    p = e / s[..., None]
+    out = Tensor(p)
     if _tracing(logits):
 
-        def pull(g, logits=logits, mask=mask, p=p):
-            ga = g[mask].reshape(p.shape)
-            gz = p * (ga - (ga * p).sum(axis=-1, keepdims=True))
-            buf = np.zeros_like(logits.values)
-            buf[mask] = gz.reshape(-1)
-            logits._accum(buf)
+        def pull(g, logits=logits, p=p):
+            logits._accum(p * (g - (g * p).sum(axis=-1, keepdims=True)))
 
         _record(out, pull)
     return out
 
 
 def pointer_logits(m: Tensor, ctx: Tensor, w: Tensor) -> Tensor:
-    """Per-row pointer scores tanh(m_row + ctx) . w, fused.
+    """Pointer scores tanh(m_row + ctx_t) . w of every row at every step, fused.
 
-    m is (..., n, a); ctx (..., a) is added to every row; w is (..., a). The
-    decoder passes w = P u, fixed for a whole decode. One tape entry;
-    backward recomputes the tanh from m and ctx instead of keeping an (n, a)
-    array per decode step alive on the tape.
+    m is (..., n, a); ctx (..., T, a) holds one context per step, always with
+    the step axis (a decode step passes T = 1); w is (..., a). Returns
+    (..., T, n). The decoder passes w = P u, fixed for a whole decode. One
+    tape entry; backward recomputes the tanh from m and ctx instead of
+    keeping a (T, n, a) array alive on the tape.
     """
     mv, cv, wv = m.values, ctx.values, w.values
-    if (mv.ndim < 2 or cv.shape[-1:] != mv.shape[-1:] or wv.shape[-1:] != mv.shape[-1:]
-            or not _lead_agree(mv.shape[:-2], cv.shape[:-1], wv.shape[:-1])):
+    if (mv.ndim < 2 or cv.ndim < 2 or cv.shape[-1:] != mv.shape[-1:]
+            or wv.shape[-1:] != mv.shape[-1:]
+            or not _lead_agree(mv.shape[:-2], cv.shape[:-2], wv.shape[:-1])):
         raise ShapeError(
             f"pointer_logits shapes do not agree: m {mv.shape}, ctx {cv.shape}, w {wv.shape}")
-    t = mv + cv[..., None, :]
-    np.tanh(t, out=t)  # in place: a second (n, a) temporary per step costs page faults
-    out = Tensor(_mv(t, wv))
+    t = mv[..., None, :, :] + cv[..., :, None, :]
+    np.tanh(t, out=t)  # in place: a second (T, n, a) temporary costs page faults
+    out = Tensor(_mv(t, wv if wv.ndim == 1 else wv[..., None, :]))
     if _tracing(m, ctx, w):
 
         def pull(g, m=m, ctx=ctx, w=w):
             mv, cv, wv = m.values, ctx.values, w.values
-            t = np.tanh(mv + cv[..., None, :])
+            t = mv[..., None, :, :] + cv[..., :, None, :]
+            np.tanh(t, out=t)
+            if w.requires_grad:  # sum over steps and rows of g t, as one product
+                rows = t.reshape(t.shape[:-3] + (-1, mv.shape[-1]))
+                gw = g.reshape(g.shape[:-2] + (1, -1)) @ rows
+                w._accum(_unbroadcast(gw[..., 0, :], wv.shape))
             if m.requires_grad or ctx.requires_grad:
-                gpre = (g[..., None] * wv[..., None, :]) * (1.0 - t * t)
+                t *= t  # in place from here on: g (1 - t^2), with w factored out of the sums
+                np.subtract(1.0, t, out=t)
+                t = np.multiply(t, g[..., None], out=t if t.ndim > g.ndim else None)
                 if m.requires_grad:
-                    m._accum(_unbroadcast(gpre, mv.shape))
+                    m._accum(_unbroadcast(t.sum(axis=-3) * wv[..., None, :], mv.shape))
                 if ctx.requires_grad:
-                    ctx._accum(_unbroadcast(gpre.sum(axis=-2), cv.shape))
-            if w.requires_grad:
-                w._accum(_unbroadcast((t * g[..., None]).sum(axis=-2), wv.shape))
+                    ctx._accum(_unbroadcast((np.ones(t.shape[-2]) @ t) * wv[..., None, :],
+                                            cv.shape))
 
         _record(out, pull)
     return out
 
 
-def gated_cell(w: Tensor, b: Tensor, parts: Sequence[Tensor], c: Tensor
-               ) -> tuple[Tensor, Tensor]:
-    """One LSTM-style cell update on the input z = [parts...], fused into a single tape entry.
+def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor, c: Tensor
+               ) -> tuple[Tensor, Tensor, Tensor]:
+    """LSTM-style recurrence over T steps, fused into a single tape entry.
 
-    ``w @ z + b`` stacks the four gate pre-activations (input, forget,
-    output, candidate – each ``len(c)`` rows, in that order)::
+    Step t joins its input parts and the previous hidden state into
+    z = [parts_t..., h]; ``w @ z + b`` stacks the four gate pre-activations
+    (input, forget, output, candidate – each ``len(c)`` rows, in that order)::
 
         c' = sigmoid(f)*c + sigmoid(i)*tanh(g),  h' = sigmoid(o)*tanh(c')
 
-    Returns (h', c'). w and b are shared; each part is (..., width) and c
-    (..., hidden). The cell joins its parts along the last axis; a part
-    without the leading (batch) axes joins every instance of the batch and
-    its gradient sums over them. Fusing the cell keeps the tape an order of
-    magnitude shorter than composing it from elementwise primitives; the
-    hand-derived backward is covered by the finite-difference property tests.
-    """
-    vals = [p.values for p in parts]
-    wv, cv = w.values, c.values
-    leads = {v.shape[:-1] for v in vals}
-    if not _lead_agree(*leads, cv.shape[:-1]):
-        raise ShapeError(f"gated_cell batch shapes do not agree: input parts "
-                         f"{[v.shape for v in vals]}, state {cv.shape}")
-    if len(leads) > 1:  # broadcast only when a shared part meets batched ones
-        lead = max(leads, key=len)
-        vals = [np.broadcast_to(v, lead + v.shape[-1:]) for v in vals]
-    zv = np.concatenate(vals, axis=-1)
-    hdim = cv.shape[-1]
-    if wv.shape != (4 * hdim, zv.shape[-1]) or b.values.shape != (4 * hdim,):
-        raise ShapeError(f"gated_cell shapes do not agree: {wv.shape} vs "
-                         f"input {zv.shape}, state {cv.shape}")
-    pre = _mv(wv, zv) + b.values
-    gates = 0.5 * (np.tanh(0.5 * pre[..., :3 * hdim]) + 1.0)  # sigmoid of i, f, o
-    gi, gf, go = gates[..., :hdim], gates[..., hdim:2 * hdim], gates[..., 2 * hdim:]
-    gg = np.tanh(pre[..., 3 * hdim:])
-    c_new = gf * cv + gi * gg
-    h_out = Tensor(go * np.tanh(c_new))
-    c_out = Tensor(c_new)
-    if _tracing(w, b, c, *parts):
+    Returns (hs, h_T, c_T): the hidden state after every step (..., T,
+    hidden) and the last h and c (..., hidden). w and b are shared; h and c
+    are (..., hidden). A part is (..., T, width) with its step axis, or
+    (width,), shared by every step; a list of parts is laid end to end along
+    the step axis, a (width,) piece filling one step (the decoder's start
+    vector, then the targets it is forced along). A part without the
+    leading (batch) axes joins every instance and its gradient sums over
+    them.
 
-        def pull(grads, w=w, b=b, parts=tuple(parts), c=c, gi=gi, gf=gf, go=go, gg=gg,
-                 c_new=c_new, cv=cv, zv=zv, wv=wv, hdim=hdim):
-            gh, gcn = grads
-            tc = np.tanh(c_new)  # recomputed: one array less per step on the tape
-            gc_new = gcn if gcn is not None else 0.0
-            if gh is not None:
-                gc_new = gc_new + gh * go * (1.0 - tc * tc)
-            gpre = np.empty(tc.shape[:-1] + (4 * hdim,))
-            gpre[..., :hdim] = gc_new * gg * gi * (1.0 - gi)
-            gpre[..., hdim:2 * hdim] = gc_new * cv * gf * (1.0 - gf)
-            gpre[..., 2 * hdim:3 * hdim] = ((gh * tc) if gh is not None else 0.0) * go * (1.0 - go)
-            gpre[..., 3 * hdim:] = gc_new * gi * (1.0 - gg * gg)
+    Every step computes the same joined input and matrix-vector product as
+    a lone step, so T steps in one call equal T one-step calls bitwise.
+    Backward runs through time inside the one closure and takes the w
+    gradient from one product over all steps; the finite-difference tests
+    cover the hand-derived backward.
+    """
+    hv, cv, wv, bv = h.values, c.values, w.values, b.values
+    pieces, offsets, T = [], [0], 0  # (piece, first column, first step, steps or None: all)
+    leads = {hv.shape[:-1], cv.shape[:-1]}
+    for part in parts:
+        if type(part) is Tensor and part.values.ndim == 1:
+            pieces.append((part, offsets[-1], 0, None))
+            leads.add(())
+        else:
+            first = 0
+            for piece in ((part,) if type(part) is Tensor else part):
+                v = piece.values
+                steps = 1 if v.ndim == 1 else v.shape[-2]
+                pieces.append((piece, offsets[-1], first, steps))
+                leads.add(v.shape[:-2])
+                first += steps
+            if T and first != T:
+                raise ShapeError(f"gated_cell parts cover different step counts: {T} and {first}")
+            T = first
+        offsets.append(offsets[-1] + pieces[-1][0].values.shape[-1])
+    T, zin, hdim = T or 1, offsets[-1], cv.shape[-1]
+    spread = len(leads) > 1  # a shared part meets batched ones
+    if spread:
+        leads.discard(())
+        if len(leads) > 1:
+            raise ShapeError(f"gated_cell batch shapes do not agree: input parts "
+                             f"{[p.values.shape for p, _, _, _ in pieces]}, "
+                             f"state {hv.shape} / {cv.shape}")
+    lead = leads.pop()
+    if hv.shape[-1] != hdim or wv.shape != (4 * hdim, zin + hdim) or bv.shape != (4 * hdim,):
+        raise ShapeError(f"gated_cell shapes do not agree: {wv.shape} vs input width {zin}, "
+                         f"state {hv.shape} / {cv.shape}")
+    tracing = _ACTIVE is not None and _tracing(w, b, h, c, *[p for p, _, _, _ in pieces])
+    if T == 1:  # one step, as in a decode: join the parts and h like a single step
+        zv = [p.values if p.values.ndim == 1 else p.values[..., 0, :]
+              for p, _, _, steps in pieces if steps != 0]
+        zv.append(hv)
+        if spread:
+            zv = [np.broadcast_to(v, lead + v.shape[-1:]) for v in zv]
+        zv = np.concatenate(zv, axis=-1)
+    else:  # every step's input, joined; h goes in step by step
+        z = np.empty(lead + (T, zin + hdim))
+        for p, col, first, steps in pieces:  # a shared part broadcasts into every instance
+            stop = T if steps is None else first + steps
+            z[..., first:stop, col:col + p.values.shape[-1]] = p.values
+    hs = np.empty(lead + (T, hdim)) if T > 1 else None
+    if tracing:
+        acts, cs = np.empty(lead + (T, 4 * hdim)), np.empty(lead + (T + 1, hdim))
+        cs[..., 0, :] = cv
+    for t in range(T):
+        if T > 1:
+            z[..., t, zin:] = hv
+            zv = z[..., t, :]
+        pre = _mv(wv, zv) + bv
+        gates = 0.5 * (np.tanh(0.5 * pre[..., :3 * hdim]) + 1.0)  # sigmoid of i, f, o
+        gg = np.tanh(pre[..., 3 * hdim:])
+        cv = gates[..., hdim:2 * hdim] * cv + gates[..., :hdim] * gg
+        hv = gates[..., 2 * hdim:] * np.tanh(cv)
+        if hs is not None:
+            hs[..., t, :] = hv
+        if tracing:
+            acts[..., t, :3 * hdim], acts[..., t, 3 * hdim:], cs[..., t + 1, :] = gates, gg, cv
+    hs_out = Tensor(hv[..., None, :] if hs is None else hs)
+    h_out, c_out = Tensor(hv), Tensor(cv)
+    if tracing:
+        if T == 1:
+            z = zv[..., None, :]
+
+        def pull(grads, w=w, b=b, h=h, c=c, pieces=pieces, z=z, acts=acts, cs=cs):
+            ghs, gh, gc = grads
+            gi, gf = acts[..., :hdim], acts[..., hdim:2 * hdim]
+            go, gg = acts[..., 2 * hdim:3 * hdim], acts[..., 3 * hdim:]
+            tc = np.tanh(cs[..., 1:, :])  # recomputed: one array less on the tape
+            dc = go * (1.0 - tc * tc)     # c gradient per unit h gradient
+            coef = np.empty(acts.shape)   # pre-activation gradient per unit c (i, f, g) or h (o)
+            coef[..., :hdim] = gg * gi * (1.0 - gi)
+            coef[..., hdim:2 * hdim] = cs[..., :-1, :] * gf * (1.0 - gf)
+            coef[..., 2 * hdim:3 * hdim] = tc * go * (1.0 - go)
+            coef[..., 3 * hdim:] = gi * (1.0 - gg * gg)
+            gh = np.zeros(lead + (hdim,)) if gh is None else gh
+            gc = np.zeros(lead + (hdim,)) if gc is None else gc
+            wh = w.values[:, zin:]  # the columns that read the fed-back h
+            gpre = np.empty(acts.shape)
+            for t in reversed(range(T)):  # through time
+                if ghs is not None:
+                    gh = gh + ghs[..., t, :]
+                gc = gc + gh * dc[..., t, :]
+                np.multiply(coef[..., t, :], np.concatenate((gc, gc, gh, gc), axis=-1),
+                            out=gpre[..., t, :])
+                gc = gc * gf[..., t, :]  # carried to the previous step's c
+                gh = gpre[..., t, :] @ wh  # and to its h
             flat = gpre.reshape(-1, 4 * hdim)
             if w.requires_grad:
-                zb = np.broadcast_to(zv, gpre.shape[:-1] + zv.shape[-1:])
-                w._accum(flat.T @ zb.reshape(-1, zv.shape[-1]))
+                w._accum(flat.T @ z.reshape(-1, z.shape[-1]))
             if b.requires_grad:
                 b._accum(flat.sum(axis=0))
+            if h.requires_grad:
+                h._accum(_unbroadcast(gh, h.values.shape))
             if c.requires_grad:
-                c._accum(_unbroadcast(gc_new * gf, cv.shape))
-            if any(p.requires_grad for p in parts):
-                gz, off = gpre @ wv, 0
-                for p in parts:
-                    width = p.values.shape[-1]
+                c._accum(_unbroadcast(gc, c.values.shape))
+            if any(p.requires_grad for p, _, _, _ in pieces):
+                gz = gpre @ w.values[:, :zin]
+                for p, col, first, steps in pieces:
                     if p.requires_grad:
-                        p._accum(_unbroadcast(gz[..., off:off + width], p.values.shape))
-                    off += width
+                        g = gz[..., first:first + (T if steps is None else steps),
+                               col:col + p.values.shape[-1]]
+                        p._accum(_unbroadcast(g, p.values.shape))
 
-        h_out.requires_grad = True
-        c_out.requires_grad = True
-        _ACTIVE._steps.append(((h_out, c_out), pull))
-    return h_out, c_out
+        for out in (hs_out, h_out, c_out):
+            out.requires_grad = True
+        _ACTIVE._steps.append(((hs_out, h_out, c_out), pull))
+    return hs_out, h_out, c_out
 
 
 def masked_log_prob(logits: Tensor, mask: np.ndarray, index) -> Tensor:
-    """log softmax_masked(logits, mask)[index], fused for numerical safety.
+    """log softmax_masked(logits, mask)[index] of every row, fused for numerical safety.
 
     Equals ``log(softmax_masked(logits, mask)[index])`` but cannot
-    underflow to log(0) for very spread-out logits. A batch of logits
-    [..., n] takes one index per instance and returns [...].
+    underflow to log(0) for very spread-out logits. Every leading axis of
+    logits [..., n] is a row axis (instances, steps); ``index`` holds one
+    entry per row and the result is [...]. Rows may keep different numbers
+    of entries: row i of a teacher-forced decode keeps the n - i items not
+    yet placed.
     """
-    z = _kept(logits.values, mask, "masked_log_prob")
-    if np.shape(index) != logits.values.shape[:-1]:
-        raise ShapeError(f"masked_log_prob needs one index per instance, got shape {np.shape(index)}")
+    lv = logits.values
+    if np.shape(index) != lv.shape[:-1]:
+        raise ShapeError(f"masked_log_prob needs one index per row, got shape {np.shape(index)}")
+    m, e, s = _masked_exp(lv, mask, "masked_log_prob")
     sel = _per_instance(index)
     if not np.all(mask[sel]):
         raise ValueError(f"index {index} is masked out")
-    m = z.max(axis=-1)
-    e = np.exp(z - m[..., None])
-    s = e.sum(axis=-1)
-    out = Tensor(logits.values[sel] - (m + np.log(s)))
+    out = Tensor(lv[sel] - (m + np.log(s)))
     if _tracing(logits):
         p = e / s[..., None]
 
-        def pull(g, logits=logits, mask=mask, sel=sel, p=p):
-            buf = np.zeros_like(logits.values)
-            buf[mask] = (-g[..., None] * p).reshape(-1)
+        def pull(g, logits=logits, sel=sel, p=p):
+            buf = -g[..., None] * p
             buf[sel] += g
             logits._accum(buf)
 

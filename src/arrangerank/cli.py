@@ -15,8 +15,8 @@ import time
 from pathlib import Path
 
 from .clickmodels import ClickModelSpec, load_click_spec
-from .data import (generate_synthetic, read_dataset, read_instances, read_key_values,
-                   temporal_split, write_dataset, write_instances)
+from .data import (generate_synthetic, parse_value, read_dataset, read_instances,
+                   read_key_values, temporal_split, write_dataset, write_instances)
 from .evaluation import evaluate, export_attention, export_attention_weights
 from .training import (TrainConfig, dims_for, ensure_oracles, load_model, save_model,
                        train, write_training_log)
@@ -42,14 +42,15 @@ def _echo_config(out_dir: Path, values: dict) -> None:
     (out_dir / "config.echo.txt").write_text("\n".join(lines) + "\n")
 
 
-def _build_config(file_values: dict, args) -> TrainConfig:
+def _build_config(args) -> TrainConfig:
     cfg = TrainConfig()
     fields = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
     merged = dict(fields)
-    for key, raw in file_values.items():
+    file_values = read_key_values(args.config) if args.config else {}
+    for key in file_values:
         if key not in fields:
             raise SystemExit(f"unknown config key {key!r}")
-        merged[key] = type(fields[key])(raw)
+        merged[key] = parse_value(args.config, file_values, key, type(fields[key]))
     for key in fields:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -124,7 +125,7 @@ def _cmd_oracle(args) -> int:
             continue
         inputs.append(src)
         instances = read_instances(src)
-        n += ensure_oracles(instances, metric, args.seed)
+        n += ensure_oracles(instances, metric, args.seed, args.r_max)
         path = out / f"{name}.txt"
         write_instances(instances, path)
         outputs.append(path)
@@ -138,7 +139,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_train(args) -> int:
     out = _out_dir(args.out)
-    cfg = _build_config(read_key_values(args.config) if args.config else {}, args)
+    cfg = _build_config(args)
     metric = _metric_arg(args.metric, args.tau, cfg.r_max)
     from .data import DatasetSplit
 

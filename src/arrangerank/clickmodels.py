@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import read_key_values
+from .data import parse_value, read_key_values
 from .permutation import Permutation
 
 PBM = "pbm"
@@ -222,25 +222,33 @@ def load_click_spec(path) -> ClickModelSpec:
     unknown = set(fields) - {"kind", "tau", "r_max", "relevance_map", "examination_table"}
     if unknown:
         raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-    kind = fields.get("kind", PBM)
-    table = None
-    if "examination_table" in fields:
-        rows = [[float(x) for x in row.split(",") if x.strip() != ""]
-                for row in fields["examination_table"].split(";")]
-        table = np.array(rows[0]) if kind == PBM else np.array(rows)
-    rmap = None
-    if "relevance_map" in fields:
-        rmap = {}
-        for tok in fields["relevance_map"].split(","):
-            grade, prob = tok.split(":")
-            rmap[int(grade)] = float(prob)
+
+    def value(key, parse, default):
+        return parse_value(path, fields, key, parse) if key in fields else default
+
+    kind = value("kind", str, PBM)
     return ClickModelSpec(
         kind=kind,
-        tau=float(fields.get("tau", 1.0)),
-        examination_table=table,
-        relevance_map=rmap,
-        r_max=int(fields.get("r_max", 4)),
+        tau=value("tau", float, 1.0),
+        examination_table=value("examination_table", lambda raw: _table(raw, kind), None),
+        relevance_map=value("relevance_map", _relevance_map, None),
+        r_max=value("r_max", int, 4),
     )
+
+
+def _table(raw: str, kind: str) -> np.ndarray:
+    rows = [[float(x) for x in row.split(",") if x.strip() != ""] for row in raw.split(";")]
+    return np.array(rows[0]) if kind == PBM else np.array(rows)
+
+
+def _relevance_map(raw: str) -> dict[int, float]:
+    rmap = {}
+    for tok in raw.split(","):
+        grade, colon, prob = tok.partition(":")
+        if not colon:
+            raise ValueError(f"expected grade:prob, got {tok.strip()!r}")
+        rmap[int(grade)] = float(prob)
+    return rmap
 
 
 def metric_fingerprint(metric) -> str:

@@ -58,6 +58,15 @@ class Instance:
     oracle: Permutation | None = None
 
 
+def check_grades(instances, r_max: int) -> None:
+    """Reject a grade outside [0, r_max] where a metric meets the labels, naming its query."""
+    for inst in instances:
+        for item, grade in inst.labels.items():
+            if not 0 <= grade <= r_max:
+                raise ValueError(f"query {inst.query_id}: item {item} has grade {grade} "
+                                 f"outside [0, {r_max}]")
+
+
 @dataclass
 class DatasetSplit:
     train: list[Instance] = field(default_factory=list)
@@ -303,8 +312,9 @@ def read_instances(path) -> list[Instance]:
     return out
 
 
-def read_key_values(path) -> dict[str, str]:
-    """Flat ``key = value`` file; '#' starts a comment, a repeated key keeps its last value."""
+def read_key_values(path) -> dict[str, tuple[str, int]]:
+    """Flat ``key = value`` file as {key: (raw value, line number)}; '#' starts a comment,
+    a repeated key keeps its last value."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -314,8 +324,17 @@ def read_key_values(path) -> dict[str, str]:
             if "=" not in line:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
-            values[key] = raw
+            values[key] = (raw, lineno)
     return values
+
+
+def parse_value(path, values: dict[str, tuple[str, int]], key: str, parse):
+    """``parse`` of a key's raw value; its ValueError becomes a ParseError naming the line."""
+    raw, lineno = values[key]
+    try:
+        return parse(raw)
+    except ValueError as e:
+        raise ParseError(f"{path}:{lineno}: {key}: {e}") from None
 
 
 def oracle_seed(master_seed: int, metric_key: str, query_id: str) -> int:

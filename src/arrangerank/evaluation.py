@@ -22,7 +22,7 @@ import numpy as np
 
 from .arranger import greedy_step_probs
 from .clickmodels import ClickModelSpec, oracle_position_groups, r_cm, r_ndcg
-from .data import Instance
+from .data import Instance, check_grades
 from .model import rank_instances, read_instance
 from .permutation import Permutation
 
@@ -75,6 +75,8 @@ def evaluate(params, model_kind: str, instances: list[Instance],
     if click_specs is None:
         click_specs = {"P": ClickModelSpec(kind="pbm", r_max=r_max),
                        "U": ClickModelSpec(kind="ubm", r_max=r_max)}
+    check_grades(instances, min([r_max] + [spec.r_max for spec in click_specs.values()
+                                          if spec.relevance_map is None]))
     threshold = math.ceil(r_max / 2)
     columns = [f"{name}@{k}" for name in ["N", "M", *click_specs] for k in ks]
     sums = {c: 0.0 for c in columns}

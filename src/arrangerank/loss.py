@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .arranger import forced_log_probs, sum_terms, target_indices
+from .arranger import forced_log_probs, summation_log_probs, target_indices
 from .params import ParamStore
 from .permutation import Permutation
 from .reader import ReaderOutput
@@ -58,11 +58,20 @@ def sequence_loss(rout: ReaderOutput, params: ParamStore, targets: np.ndarray,
 
     ``variant="summation"`` is the diagnostic per-position summation loss.
     """
-    log_p = forced_log_probs(rout, params, targets, summation=variant == "summation")
-    losses = ad.mul(sum_terms(log_p), Tensor(-1.0))
-    return LossReport(losses=losses.values,
-                      terms=-np.stack([t.values for t in log_p], axis=-1),
-                      tensor=ad.sum_all(losses))
+    if variant == "summation":
+        steps = summation_log_probs(rout, params, targets)
+        log_p = np.concatenate([t.values for t in steps], axis=-1)
+        total = steps[0]
+        for t in steps[1:]:
+            total = ad.add(total, t)
+        total = ad.sum_all(total)
+    else:
+        terms = forced_log_probs(rout, params, targets)
+        log_p, total = terms.values, ad.sum_all(terms)
+    per_instance = log_p[..., 0]
+    for k in range(1, log_p.shape[-1]):  # in position order
+        per_instance = per_instance + log_p[..., k]
+    return LossReport(losses=-per_instance, terms=-log_p, tensor=ad.mul(total, Tensor(-1.0)))
 
 
 def listwise_loss(rout: ReaderOutput, params: ParamStore, pi_star: Permutation) -> LossReport:

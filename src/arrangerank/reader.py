@@ -124,9 +124,8 @@ def encode_history(ctx: UserContext | Group, params: ParamStore,
         if ctx.history.shape[-1] != expect:
             raise ad.ShapeError(
                 f"history feature dim {ctx.history.shape[-1]} does not match configured {expect}")
-        w, b, c = params["hist.W"], params["hist.b"], Tensor(np.zeros(h.values.shape))
-        for t in range(steps):
-            h, c = ad.gated_cell(w, b, [Tensor(ctx.history[..., t, :]), h], c)
+        _, h, _ = ad.gated_cell(params["hist.W"], params["hist.b"], [Tensor(ctx.history)], h,
+                                Tensor(np.zeros(h.values.shape)))
     if drop is not None:
         h = ad.dropout(h, drop.rate, drop.rng)
     return h

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import Tape
-from .clickmodels import metric_fingerprint, oracle_permutation
-from .data import DatasetSplit, Instance, oracle_seed
+from .clickmodels import ClickModelSpec, metric_fingerprint, oracle_permutation
+from .data import DatasetSplit, Instance, check_grades, oracle_seed
 from .model import ModelDims, batch_loss, init_params, normalize_kind, shape_groups
 from .params import ParamStore, load_checkpoint, save_checkpoint
 from .reader import DropoutPlan
@@ -75,13 +75,19 @@ def dims_for(cfg: TrainConfig, sample: Instance) -> ModelDims:
     )
 
 
-def ensure_oracles(instances: list[Instance], metric, master_seed: int) -> int:
+def ensure_oracles(instances: list[Instance], metric, master_seed: int, r_max: int = 4) -> int:
     """Fill missing oracle permutations; returns how many were computed.
 
     The tie-break stream for each instance is scoped by (master seed, metric
     fingerprint, query id), so supervision under different metrics draws
-    independent tie choices while staying reproducible.
+    independent tie choices while staying reproducible. Grades must lie in
+    [0, r_max], the click model's own ``r_max`` for a ClickModelSpec; a
+    relevance map names its grades itself.
     """
+    if not isinstance(metric, ClickModelSpec):
+        check_grades(instances, r_max)
+    elif metric.relevance_map is None:
+        check_grades(instances, metric.r_max)
     fp = metric_fingerprint(metric)
     n = 0
     for inst in instances:
@@ -152,7 +158,7 @@ def train(model_kind: str, split: DatasetSplit, metric_for_oracle, cfg: TrainCon
     if not split.train:
         raise ValueError("split has no training instances")
     if kind != "pointwise_baseline":
-        ensure_oracles(split.train, metric_for_oracle, cfg.seed)
+        ensure_oracles(split.train, metric_for_oracle, cfg.seed, cfg.r_max)
     dims = dims_for(cfg, split.train[0])
     params = init_params(kind, dims, cfg.seed)
     opt = _Adam(params) if cfg.optimizer == "adam" else _Sgd(params)

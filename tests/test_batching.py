@@ -2,13 +2,16 @@
 import numpy as np
 import pytest
 
-from arrangerank.autodiff import Tensor, add, grad_check
+from arrangerank import autodiff as ad
+from arrangerank.arranger import _decode, forced_log_probs, target_indices
+from arrangerank.autodiff import Tape, Tensor, add, grad_check
 from arrangerank.clickmodels import ClickModelSpec, oracle_permutation, r_cm
 from arrangerank.data import DatasetSplit
 from arrangerank.evaluation import evaluate
 from arrangerank.loss import LossReport
 from arrangerank.model import (batch_loss, init_params, instance_loss, rank_instance,
-                               rank_instances, shape_groups)
+                               rank_instances, read_group, shape_groups)
+from arrangerank.reader import DropoutPlan
 from arrangerank.training import TrainConfig, save_model, train
 
 from conftest import make_instance, spread_params, tiny_dims
@@ -128,3 +131,68 @@ def test_loss_report_rejects_negative_losses_beyond_rounding():
     assert rep.total == 0.0 and rep.per_position == [0.0]
     with pytest.raises(FloatingPointError):
         LossReport(losses=np.array([0.5, -1e-9]), terms=np.zeros((2, 3)), tensor=Tensor(0.0))
+
+
+def _per_step_terms(rout, params, targets):
+    """Reference: the decode loop teacher-forced one step at a time."""
+    terms = []
+
+    def choose(logits, mask):
+        target = targets[..., len(terms), None]
+        terms.append(ad.masked_log_prob(logits, mask, target))
+        return target
+
+    _decode(rout, params, choose)
+    return terms
+
+
+def _taped_loss(kind, params, group, one_pass):
+    """Losses, per-position terms and every parameter gradient of one group."""
+    params.zero_grads()
+    drop = DropoutPlan(0.3, np.random.default_rng(11))
+    targets = [target_indices(inst.cands.ids, inst.oracle) for inst in group]
+    with Tape() as tape:
+        rout = read_group(kind, params, group, drop)
+        targets = np.reshape(targets, rout.reprs.values.shape[:-1])  # a lone instance: (n,)
+        if one_pass:
+            log_p = forced_log_probs(rout, params, targets)
+            terms, total = log_p.values, ad.sum_all(log_p)
+        else:
+            steps = _per_step_terms(rout, params, targets)
+            terms = np.concatenate([t.values for t in steps], axis=-1)
+            total = ad.sum_all(steps[0])
+            for t in steps[1:]:
+                total = add(total, ad.sum_all(t))
+        loss = ad.mul(total, Tensor(-1.0))
+    tape.backward(loss)
+    grads = {name: p.grad.copy() for name, p in params.items() if p.grad is not None}
+    return -terms.sum(axis=-1), -terms, grads, len(tape._steps)
+
+
+@pytest.mark.parametrize("kind", ("starank", "starank_pi_mlp", "starank_ps_mlp"))
+def test_one_pass_forced_loss_equals_the_per_step_decode(kind):
+    pool = mixed_pool(seed=7)
+    params = spread_params(kind, tiny_dims(max_list_len=12), 8)
+    for positions in shape_groups(pool):
+        group = [pool[p] for p in positions]
+        losses, terms, grads, _ = _taped_loss(kind, params, group, one_pass=True)
+        ref_losses, ref_terms, ref_grads, _ = _taped_loss(kind, params, group, one_pass=False)
+        assert np.max(np.abs(losses - ref_losses)) <= 1e-12
+        assert np.max(np.abs(terms - ref_terms)) <= 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert np.max(np.abs(g - ref_grads[name])) <= 1e-12, name
+
+
+def test_forced_group_records_a_short_tape():
+    group = [make_instance(seed=900 + k, n=10, hist_len=8) for k in range(40)]
+    for k, inst in enumerate(group):
+        inst.oracle = oracle_permutation(inst.labels, "ndcg", seed=k)
+    params = init_params("starank", tiny_dims(max_list_len=10), 9)
+    *_, steps = _taped_loss("starank", params, group, one_pass=True)
+    *_, per_step = _taped_loss("starank", params, group, one_pass=False)
+    assert steps <= 35 < per_step
+    with Tape() as tape:
+        rep = batch_loss("starank", params, group, drop=DropoutPlan(0.3, np.random.default_rng(0)))
+    tape.backward(rep.tensor)
+    assert len(tape._steps) <= 35

@@ -128,6 +128,27 @@ def test_malformed_config_lines_name_file_and_line(tmp_path, capsys):
     assert f"error: {click}:2: expected 'key = value'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,shown", [
+    ("examination_table = 1.0, 0.x5, 0.3",
+     "examination_table: could not convert string to float: ' 0.x5'"),
+    ("relevance_map = 0:0.0, 0.2, 2:1.0", "relevance_map: expected grade:prob, got '0.2'"),
+])
+def test_bad_click_config_values_name_file_and_line(tmp_path, capsys, line, shown):
+    click = tmp_path / "click.cfg"
+    click.write_text(f"kind = pbm\n{line}\n")
+    assert _run("oracle", "--split-dir", str(tmp_path / "s"), "--metric", "pbm",
+                "--click-config", str(click), "--out", str(tmp_path / "o")) == 1
+    assert f"error: {click}:2: {shown}" in capsys.readouterr().err
+
+
+def test_bad_train_config_value_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 1\nbatch_size = four\n")
+    assert _run("train", "--split-dir", str(tmp_path / "s"), "--config", str(cfg),
+                "--out", str(tmp_path / "r")) == 1
+    assert f"error: {cfg}:2: batch_size: invalid literal for int()" in capsys.readouterr().err
+
+
 def test_evaluate_bad_instance_line_exits_naming_it(tmp_path, capsys):
     from arrangerank.model import ModelDims, init_params
     from arrangerank.training import save_model

@@ -73,6 +73,17 @@ def test_evaluate_rejects_empty():
         evaluate(None, "oracle_replay", [])
 
 
+def test_evaluate_rejects_grades_above_r_max_naming_the_query():
+    inst = make_instance(seed=3, n=2, labels={1: 9, 2: 0}, ids=[1, 2])
+    inst.oracle = Permutation([1, 2])
+    with pytest.raises(ValueError, match=r"query test:3: item 1 has grade 9 outside \[0, 4\]"):
+        evaluate(None, "oracle_replay", [inst], ks=(2,))
+    inst.labels[1] = 4  # within r_max, but above a click model's own r_max
+    spec = {"P": ClickModelSpec(kind="pbm", r_max=3)}
+    with pytest.raises(ValueError, match=r"query test:3: .*grade 4 outside \[0, 3\]"):
+        evaluate(None, "oracle_replay", [inst], ks=(2,), click_specs=spec)
+
+
 def test_tie_choice_does_not_move_label_metrics():
     # any oracle from the tie set yields the same N@K / M@K
     inst = make_instance(seed=70, n=6, labels={0: 3, 1: 3, 2: 2, 3: 2, 4: 0, 5: 0})

@@ -150,6 +150,20 @@ def test_oracle_metric_switch_changes_supervision():
     assert variants["ndcg"] != variants["ubm"]
 
 
+@pytest.mark.parametrize("metric", ["ndcg", ClickModelSpec(kind="pbm"),
+                                    ClickModelSpec(kind="ubm")])
+def test_ensure_oracles_rejects_grades_above_r_max_naming_the_query(metric):
+    inst = make_instance(seed=1, n=2, labels={1: 9, 2: 0}, ids=[1, 2])
+    with pytest.raises(ValueError, match=r"query test:1: item 1 has grade 9 outside \[0, 4\]"):
+        ensure_oracles([inst], metric, master_seed=0)
+    assert inst.oracle is None
+    narrow = make_instance(seed=2, n=2, labels={1: 3, 2: 0}, ids=[1, 2])
+    with pytest.raises(ValueError, match=r"query test:2: .*outside \[0, 2\]"):
+        ensure_oracles([narrow], "ndcg", master_seed=0, r_max=2)
+    mapped = ClickModelSpec(kind="pbm", relevance_map={0: 0.0, 9: 1.0})  # names grade 9 itself
+    assert ensure_oracles([inst], mapped, master_seed=0) == 1
+
+
 def test_ensure_oracles_counts_and_caches():
     split = _small_split(n_users=4, seed=2)
     n1 = ensure_oracles(split.train, "ndcg", 0)
