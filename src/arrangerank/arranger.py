@@ -10,15 +10,17 @@ and the next-item distribution is a softmax over the not-yet-arranged items
 representation h_d is fed into the decoder cell together with a one-hot
 position indicator to produce the next context vector.
 
-Greedy and sampled decoding (and the summation foil) choose each step's
-item from that step's scores, so one decode loop runs them step by step.
-Teacher forcing fixes every decoder input in advance, so the forced
-log-probabilities run the n recurrent steps in one cell call and score
-every position in one pass. Both run a single reader output, or a group of
-equal-shape instances along a leading batch axis. Orders are rows of
-candidate indices; candidates are stored by ascending item id, so greedy
-decoding breaks exact ties by smallest item id, never by storage position,
-and results are invariant to candidate storage order.
+Greedy and sampled decoding choose each step's item from that step's
+scores, so one decode loop runs them step by step, on plain arrays: it
+records nothing on a tape. Teacher forcing fixes every decoder input in
+advance, so the differentiable log-probabilities run the n recurrent steps
+in one cell call and score every position in one pass; the summation foil
+decodes its greedy picks first, then is scored that way. Both run a single
+reader output, or a group of equal-shape instances along a leading batch
+axis. Orders are rows of candidate indices; candidates are stored by
+ascending item id, so greedy decoding breaks exact ties by smallest item
+id, never by storage position, and results are invariant to candidate
+storage order.
 """
 from __future__ import annotations
 
@@ -40,40 +42,44 @@ def _onehots(params: ParamStore, steps) -> np.ndarray:
     return np.eye(positions)[np.minimum(steps, positions - 1)]
 
 
-def _pointer(rout: ReaderOutput, params: ParamStore) -> tuple[Tensor, Tensor]:
-    """The score parts fixed for a whole decode: W2 h_d of every candidate, and P u."""
-    return ad.matmul(rout.reprs, params["ptr.W2"]), ad.matvec(params["ptr.P"], rout.user_vec)
-
-
 def _decode(rout: ReaderOutput, params: ParamStore,
-            choose: Callable[[Tensor, np.ndarray], np.ndarray]) -> np.ndarray:
+            choose: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
     """Fill positions 1..n; returns the placement order as candidate indices (..., n).
 
     At every step ``choose(logits, mask)`` gets the scores of all candidates
-    and the mask of the unarranged ones, both (..., 1, n) (one step), and
-    names the index (..., 1) each instance places next. The placed item's
+    and the mask of the unarranged ones, both (..., n) arrays, and names the
+    index (...) each instance places next. The placed item's
     representation, with the one-hot of the next position, advances the
-    context, so the next scores condition on it.
+    context, so the next scores condition on it. Plain arrays throughout:
+    nothing is recorded on a tape, and each instance's cell input row
+    [placed item, position one-hot, h] and the mask are updated in place.
     """
-    reprs = rout.reprs
-    lead, n = reprs.values.shape[:-2], reprs.values.shape[-2]
+    reprs, h = rout.reprs.values, rout.user_vec.values
+    lead, (n, e) = reprs.shape[:-2], reprs.shape[-2:]
     if n == 0:
         raise ValueError("cannot arrange an empty candidate set")
-    onehots = _onehots(params, np.arange(n))
-    w2h, w = _pointer(rout, params)
-    cell_w, cell_b, w3, b2 = params["dec.W"], params["dec.b"], params["ptr.W3"], params["ptr.b2"]
-    h, c = rout.user_vec, Tensor(np.zeros(rout.user_vec.values.shape))
-    placed: Tensor = params["dec.start"]
-    mask = np.ones(lead + (1, n), dtype=bool)
+    onehots = _onehots(params, np.arange(n + 1))
+    w2h, w = reprs @ params["ptr.W2"].values, ad._mv(params["ptr.P"].values, h)  # fixed parts
+    cell_w, cell_b = params["dec.W"].values, params["dec.b"].values
+    w3, b2 = params["ptr.W3"].values, params["ptr.b2"].values
+    z = np.empty(lead + (cell_w.shape[1],))
+    z[..., :e], z[..., e:-e], z[..., -e:] = params["dec.start"].values, onehots[0], h
+    c = np.zeros(h.shape)
+    mask = np.ones(lead + (n,), dtype=bool)
+    each = tuple(np.indices(lead, sparse=True))  # instance axes of a per-instance pick
     order = []
     for i in range(n):
-        hs, h, c = ad.gated_cell(cell_w, cell_b, [placed, Tensor(onehots[i])], h, c)
-        chosen = choose(ad.pointer_logits(w2h, ad.add(ad.matvec(w3, hs), b2), w), mask)
+        _, _, c, h = ad._cell_step(cell_w, cell_b, z, c)
+        ctx = ad._mv(w3, h) + b2
+        chosen = choose(ad._pointer_scores(w2h, ctx[..., None, :], w)[..., 0, :], mask)
         order.append(chosen)
-        placed = ad.row(reprs, chosen)
-        mask = mask.copy()  # the tape keeps the previous step's mask
-        mask[..., 0, :][ad._per_instance(chosen[..., 0])] = False
-    return np.concatenate(order, axis=-1)
+        mask[each + (chosen,)] = False
+        z[..., :e], z[..., e:-e], z[..., -e:] = reprs[each + (chosen,)], onehots[i + 1], h
+    return np.stack(order, axis=-1)
+
+
+def _masked_argmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return np.argmax(np.where(mask, logits, -np.inf), axis=-1)
 
 
 def _as_permutation(ids, order) -> Permutation:
@@ -92,29 +98,23 @@ def greedy_orders(rout: ReaderOutput, params: ParamStore) -> tuple[np.ndarray, n
     probs = []
 
     def choose(logits, mask):
-        p = ad.softmax_masked(logits, mask).values
-        probs.append(p)
-        return np.argmax(p, axis=-1)  # exact ties: first index = smallest id
+        _, e, s = ad._masked_exp(logits, mask, "greedy decode")
+        probs.append(e / s[..., None])
+        return probs[-1].argmax(axis=-1)  # exact ties: first index = smallest id
 
     order = _decode(rout, params, choose)
-    return order, np.concatenate(probs, axis=-2)
+    return order, np.stack(probs, axis=-2)
 
 
 def step_scores(rout: ReaderOutput, params: ParamStore) -> dict[int, float]:
     """Placement scores s^1_d of every candidate for position 1."""
     seen = []
-
-    def choose(logits, mask):
-        seen.append(logits.values)
-        return np.argmax(np.where(mask, logits.values, -np.inf), axis=-1)
-
-    _decode(rout, params, choose)
+    _decode(rout, params, lambda logits, mask: seen.append(logits) or _masked_argmax(logits, mask))
     return {i: float(s) for i, s in zip(rout.ids, seen[0].reshape(-1))}
 
 
 def arrange_greedy(rout: ReaderOutput, params: ParamStore) -> Permutation:
-    pi, _ = greedy_step_probs(rout, params)
-    return pi
+    return greedy_step_probs(rout, params)[0]
 
 
 def greedy_step_probs(rout: ReaderOutput, params: ParamStore) -> tuple[Permutation, np.ndarray]:
@@ -134,57 +134,57 @@ def arrange_sample(rout: ReaderOutput, params: ParamStore, seed: int) -> tuple[P
 
     def choose(logits, mask):
         nonlocal log_prob
-        p = ad.softmax_masked(logits, mask).values[0]
-        support = np.flatnonzero(mask[0])
-        weights = p[support]
-        chosen = support[[rng.choice(len(support), p=weights / weights.sum())]]
-        log_prob += float(ad.masked_log_prob(logits, mask, chosen).values[0])
+        m, e, s = ad._masked_exp(logits, mask, "sampled decode")
+        support = np.flatnonzero(mask)
+        weights = (e / s)[support]
+        chosen = support[rng.choice(len(support), p=weights / weights.sum())]
+        log_prob += float(logits[chosen] - (m + np.log(s)))
         return chosen
 
     order = _decode(rout, params, choose)
     return _as_permutation(rout.ids, order), log_prob
 
 
-def forced_log_probs(rout: ReaderOutput, params: ParamStore, targets: np.ndarray) -> Tensor:
-    """Differentiable per-position log-probabilities (..., n) of ``targets`` (..., n indices).
-
-    The decoder is teacher-forced along the targets: term i is the log
-    masked-softmax probability of target i given the target prefix. The
-    inputs of every step are known in advance (the start vector, then the
-    targets), so one cell call runs the n steps and one pass scores them:
-    row i of the step-by-item logits keeps the n - i items not yet placed.
-    """
+def _forced_logits(rout: ReaderOutput, params: ParamStore, inputs: np.ndarray) -> Tensor:
+    """Step-by-item logits (..., n, n) of the decoder fed the start vector, then ``inputs``:
+    one cell call runs the n recurrent steps and one pass scores them."""
     reprs = rout.reprs
     n = reprs.values.shape[-2]
     if n == 0:
         raise ValueError("cannot arrange an empty candidate set")
-    placed = [params["dec.start"], ad.row(reprs, targets[..., :-1])]
+    placed = [params["dec.start"], ad.row(reprs, inputs)]
     hs, _, _ = ad.gated_cell(params["dec.W"], params["dec.b"],
                              [placed, Tensor(_onehots(params, np.arange(n)))],
                              rout.user_vec, Tensor(np.zeros(rout.user_vec.values.shape)))
-    w2h, w = _pointer(rout, params)
+    w2h, w = ad.matmul(reprs, params["ptr.W2"]), ad.matvec(params["ptr.P"], rout.user_vec)
     ctx = ad.add(ad.matvec(params["ptr.W3"], hs), params["ptr.b2"])  # one product, all steps
-    logits = ad.pointer_logits(w2h, ctx, w)
+    return ad.pointer_logits(w2h, ctx, w)
+
+
+def forced_log_probs(rout: ReaderOutput, params: ParamStore, targets: np.ndarray) -> Tensor:
+    """Differentiable per-position log-probabilities (..., n) of ``targets`` (..., n indices).
+
+    The decoder is teacher-forced along the targets: term i is the log
+    masked-softmax probability of target i given the target prefix, so row
+    i of the step-by-item logits keeps the n - i items not yet placed.
+    """
+    logits = _forced_logits(rout, params, targets[..., :-1])
+    n = targets.shape[-1]
     rank = np.argsort(targets, axis=-1)  # the step at which each candidate is placed
     return ad.masked_log_prob(logits, rank[..., None, :] >= np.arange(n)[:, None], targets)
 
 
-def summation_log_probs(rout: ReaderOutput, params: ParamStore,
-                        targets: np.ndarray) -> list[Tensor]:
-    """Per-position terms (each (..., 1)) of the diagnostic summation foil.
+def summation_log_probs(rout: ReaderOutput, params: ParamStore, targets: np.ndarray) -> Tensor:
+    """Per-position terms (..., n) of the diagnostic summation foil.
 
     Term i scores target i over all items while the decoder follows its own
-    greedy picks, so it runs the decode loop (``loss.pointwise_summation_loss``).
+    greedy picks (``loss.pointwise_summation_loss``). The picks are decoded
+    untaped, then fed to the decoder like forced targets, so one pass
+    scores every position.
     """
-    terms = []
-
-    def choose(logits, mask):
-        terms.append(ad.masked_log_prob(logits, np.ones_like(mask),
-                                        targets[..., len(terms), None]))
-        return np.argmax(np.where(mask, logits.values, -np.inf), axis=-1)
-
-    _decode(rout, params, choose)
-    return terms
+    picks = _decode(rout, params, _masked_argmax)
+    logits = _forced_logits(rout, params, picks[..., :-1])
+    return ad.masked_log_prob(logits, np.ones(logits.values.shape, dtype=bool), targets)
 
 
 def permutation_log_prob(rout: ReaderOutput, params: ParamStore, pi: Permutation) -> Tensor:

@@ -372,14 +372,21 @@ def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
     return out
 
 
+def _pointer_scores(mv: np.ndarray, cv: np.ndarray, wv: np.ndarray) -> np.ndarray:
+    """Forward of ``pointer_logits`` on plain arrays (a decode step calls it untaped)."""
+    t = mv[..., None, :, :] + cv[..., :, None, :]
+    np.tanh(t, out=t)  # in place: a second (T, n, a) temporary costs page faults
+    return _mv(t, wv if wv.ndim == 1 else wv[..., None, :])
+
+
 def pointer_logits(m: Tensor, ctx: Tensor, w: Tensor) -> Tensor:
     """Pointer scores tanh(m_row + ctx_t) . w of every row at every step, fused.
 
     m is (..., n, a); ctx (..., T, a) holds one context per step, always with
-    the step axis (a decode step passes T = 1); w is (..., a). Returns
-    (..., T, n). The decoder passes w = P u, fixed for a whole decode. One
-    tape entry; backward recomputes the tanh from m and ctx instead of
-    keeping a (T, n, a) array alive on the tape.
+    the step axis; w is (..., a). Returns (..., T, n). The decoder passes
+    w = P u, fixed for a whole decode. One tape entry; backward recomputes
+    the tanh from m and ctx instead of keeping a (T, n, a) array alive on
+    the tape.
     """
     mv, cv, wv = m.values, ctx.values, w.values
     if (mv.ndim < 2 or cv.ndim < 2 or cv.shape[-1:] != mv.shape[-1:]
@@ -387,9 +394,7 @@ def pointer_logits(m: Tensor, ctx: Tensor, w: Tensor) -> Tensor:
             or not _lead_agree(mv.shape[:-2], cv.shape[:-2], wv.shape[:-1])):
         raise ShapeError(
             f"pointer_logits shapes do not agree: m {mv.shape}, ctx {cv.shape}, w {wv.shape}")
-    t = mv[..., None, :, :] + cv[..., :, None, :]
-    np.tanh(t, out=t)  # in place: a second (T, n, a) temporary costs page faults
-    out = Tensor(_mv(t, wv if wv.ndim == 1 else wv[..., None, :]))
+    out = Tensor(_pointer_scores(mv, cv, wv))
     if _tracing(m, ctx, w):
 
         def pull(g, m=m, ctx=ctx, w=w):
@@ -414,6 +419,17 @@ def pointer_logits(m: Tensor, ctx: Tensor, w: Tensor) -> Tensor:
     return out
 
 
+def _cell_step(wv: np.ndarray, bv: np.ndarray, zv: np.ndarray, cv: np.ndarray) -> tuple:
+    """One ``gated_cell`` step on plain arrays from the joined input zv = [parts..., h]:
+    the sigmoid i, f, o gates, the candidate tanh(g), and the new c and h."""
+    hdim = cv.shape[-1]
+    pre = _mv(wv, zv) + bv
+    gates = 0.5 * (np.tanh(0.5 * pre[..., :3 * hdim]) + 1.0)  # sigmoid of i, f, o
+    gg = np.tanh(pre[..., 3 * hdim:])
+    cv = gates[..., hdim:2 * hdim] * cv + gates[..., :hdim] * gg
+    return gates, gg, cv, gates[..., 2 * hdim:] * np.tanh(cv)
+
+
 def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor, c: Tensor
                ) -> tuple[Tensor, Tensor, Tensor]:
     """LSTM-style recurrence over T steps, fused into a single tape entry.
@@ -434,7 +450,8 @@ def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor, c: Tensor
     them.
 
     Every step computes the same joined input and matrix-vector product as
-    a lone step, so T steps in one call equal T one-step calls bitwise.
+    a lone step (``_cell_step``, which the untaped decode calls directly),
+    so T steps in one call equal T one-step calls bitwise.
     Backward runs through time inside the one closure and takes the w
     gradient from one product over all steps; the finite-difference tests
     cover the hand-derived backward.
@@ -454,13 +471,13 @@ def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor, c: Tensor
                 pieces.append((piece, offsets[-1], first, steps))
                 leads.add(v.shape[:-2])
                 first += steps
-            if T and first != T:
-                raise ShapeError(f"gated_cell parts cover different step counts: {T} and {first}")
+            if not first or T and first != T:
+                raise ShapeError(f"gated_cell parts cover different or no step counts: "
+                                 f"{T} and {first}")
             T = first
         offsets.append(offsets[-1] + pieces[-1][0].values.shape[-1])
     T, zin, hdim = T or 1, offsets[-1], cv.shape[-1]
-    spread = len(leads) > 1  # a shared part meets batched ones
-    if spread:
+    if len(leads) > 1:  # a shared part meets batched ones
         leads.discard(())
         if len(leads) > 1:
             raise ShapeError(f"gated_cell batch shapes do not agree: input parts "
@@ -471,40 +488,22 @@ def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor, c: Tensor
         raise ShapeError(f"gated_cell shapes do not agree: {wv.shape} vs input width {zin}, "
                          f"state {hv.shape} / {cv.shape}")
     tracing = _ACTIVE is not None and _tracing(w, b, h, c, *[p for p, _, _, _ in pieces])
-    if T == 1:  # one step, as in a decode: join the parts and h like a single step
-        zv = [p.values if p.values.ndim == 1 else p.values[..., 0, :]
-              for p, _, _, steps in pieces if steps != 0]
-        zv.append(hv)
-        if spread:
-            zv = [np.broadcast_to(v, lead + v.shape[-1:]) for v in zv]
-        zv = np.concatenate(zv, axis=-1)
-    else:  # every step's input, joined; h goes in step by step
-        z = np.empty(lead + (T, zin + hdim))
-        for p, col, first, steps in pieces:  # a shared part broadcasts into every instance
-            stop = T if steps is None else first + steps
-            z[..., first:stop, col:col + p.values.shape[-1]] = p.values
-    hs = np.empty(lead + (T, hdim)) if T > 1 else None
+    z = np.empty(lead + (T, zin + hdim))  # every step's input, joined; h goes in step by step
+    for p, col, first, steps in pieces:  # a shared part broadcasts into every instance
+        stop = T if steps is None else first + steps
+        z[..., first:stop, col:col + p.values.shape[-1]] = p.values
+    hs = np.empty(lead + (T, hdim))
     if tracing:
         acts, cs = np.empty(lead + (T, 4 * hdim)), np.empty(lead + (T + 1, hdim))
         cs[..., 0, :] = cv
     for t in range(T):
-        if T > 1:
-            z[..., t, zin:] = hv
-            zv = z[..., t, :]
-        pre = _mv(wv, zv) + bv
-        gates = 0.5 * (np.tanh(0.5 * pre[..., :3 * hdim]) + 1.0)  # sigmoid of i, f, o
-        gg = np.tanh(pre[..., 3 * hdim:])
-        cv = gates[..., hdim:2 * hdim] * cv + gates[..., :hdim] * gg
-        hv = gates[..., 2 * hdim:] * np.tanh(cv)
-        if hs is not None:
-            hs[..., t, :] = hv
+        z[..., t, zin:] = hv
+        gates, gg, cv, hv = _cell_step(wv, bv, z[..., t, :], cv)
+        hs[..., t, :] = hv
         if tracing:
             acts[..., t, :3 * hdim], acts[..., t, 3 * hdim:], cs[..., t + 1, :] = gates, gg, cv
-    hs_out = Tensor(hv[..., None, :] if hs is None else hs)
-    h_out, c_out = Tensor(hv), Tensor(cv)
+    hs_out, h_out, c_out = Tensor(hs), Tensor(hv), Tensor(cv)
     if tracing:
-        if T == 1:
-            z = zv[..., None, :]
 
         def pull(grads, w=w, b=b, h=h, c=c, pieces=pieces, z=z, acts=acts, cs=cs):
             ghs, gh, gc = grads

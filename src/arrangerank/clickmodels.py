@@ -29,11 +29,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import parse_value, read_key_values
+from .data import ParseError, parse_value, read_key_values
 from .permutation import Permutation
 
 PBM = "pbm"
@@ -219,21 +219,18 @@ def load_click_spec(path) -> ClickModelSpec:
     semicolon-separated rows indexed by last-click position).
     """
     fields = read_key_values(path)
-    unknown = set(fields) - {"kind", "tau", "r_max", "relevance_map", "examination_table"}
+    parsers = {"kind": str, "tau": float, "r_max": int, "relevance_map": _relevance_map,
+               "examination_table": lambda raw: _table(raw, spec.kind)}  # after kind
+    unknown = sorted(set(fields) - set(parsers))
     if unknown:
-        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-
-    def value(key, parse, default):
-        return parse_value(path, fields, key, parse) if key in fields else default
-
-    kind = value("kind", str, PBM)
-    return ClickModelSpec(
-        kind=kind,
-        tau=value("tau", float, 1.0),
-        examination_table=value("examination_table", lambda raw: _table(raw, kind), None),
-        relevance_map=value("relevance_map", _relevance_map, None),
-        r_max=value("r_max", int, 4),
-    )
+        lineno = min(fields[key][1] for key in unknown)
+        raise ParseError(f"{path}:{lineno}: unknown keys {unknown}")
+    spec = ClickModelSpec(kind=PBM)
+    for key, parse in parsers.items():
+        if key in fields:  # checked as it joins, so a rejected value names its own line
+            value = parse_value(path, fields, key, parse)
+            spec = parse_value(path, fields, key, lambda _: replace(spec, **{key: value}))
+    return spec
 
 
 def _table(raw: str, kind: str) -> np.ndarray:

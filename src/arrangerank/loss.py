@@ -58,16 +58,9 @@ def sequence_loss(rout: ReaderOutput, params: ParamStore, targets: np.ndarray,
 
     ``variant="summation"`` is the diagnostic per-position summation loss.
     """
-    if variant == "summation":
-        steps = summation_log_probs(rout, params, targets)
-        log_p = np.concatenate([t.values for t in steps], axis=-1)
-        total = steps[0]
-        for t in steps[1:]:
-            total = ad.add(total, t)
-        total = ad.sum_all(total)
-    else:
-        terms = forced_log_probs(rout, params, targets)
-        log_p, total = terms.values, ad.sum_all(terms)
+    log_probs = summation_log_probs if variant == "summation" else forced_log_probs
+    terms = log_probs(rout, params, targets)
+    log_p, total = terms.values, ad.sum_all(terms)
     per_instance = log_p[..., 0]
     for k in range(1, log_p.shape[-1]):  # in position order
         per_instance = per_instance + log_p[..., k]

@@ -170,8 +170,9 @@ def instance_loss(kind: str, params: ParamStore, inst: Instance,
 
 def batch_loss(kind: str, params: ParamStore, instances: list[Instance],
                r_max: int = 4, drop: DropoutPlan | None = None,
-               loss_variant: str = "listwise") -> LossReport:
-    """Losses of instances sharing one (history length, slate size), in one array pass."""
+               loss_variant: str = "listwise", targets: list | None = None) -> LossReport:
+    """Losses of instances sharing one (history length, slate size), in one array pass;
+    ``targets``, the oracles as candidate indices, may come precomputed."""
     kind = normalize_kind(kind)
     ctx, cands = _inputs(instances)
     shape = cands.features.shape[:-1]
@@ -179,12 +180,13 @@ def batch_loss(kind: str, params: ParamStore, instances: list[Instance],
         grades = [[inst.labels[i] for i in inst.cands.ids] for inst in instances]
         return baseline.grade_loss(cands, encode_history(ctx, params, drop), params,
                                    np.reshape(grades, shape) / r_max)
-    for inst in instances:
-        if inst.oracle is None:
-            raise ValueError(f"instance {inst.query_id} has no oracle permutation")
+    if targets is None:
+        for inst in instances:
+            if inst.oracle is None:
+                raise ValueError(f"instance {inst.query_id} has no oracle permutation")
+        targets = [target_indices(inst.cands.ids, inst.oracle) for inst in instances]
     if loss_variant not in ("listwise", "summation"):
         raise ValueError(f"unknown loss variant {loss_variant!r}")
-    targets = [target_indices(inst.cands.ids, inst.oracle) for inst in instances]
     return sequence_loss(read_group(kind, params, instances, drop), params,
                          np.reshape(targets, shape), loss_variant)
 

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .arranger import target_indices
 from .autodiff import Tape
 from .clickmodels import ClickModelSpec, metric_fingerprint, oracle_permutation
 from .data import DatasetSplit, Instance, check_grades, oracle_seed
@@ -157,13 +158,18 @@ def train(model_kind: str, split: DatasetSplit, metric_for_oracle, cfg: TrainCon
     kind = normalize_kind(model_kind)
     if not split.train:
         raise ValueError("split has no training instances")
-    if kind != "pointwise_baseline":
-        ensure_oracles(split.train, metric_for_oracle, cfg.seed, cfg.r_max)
+    instances = split.train
+    if kind == "pointwise_baseline":  # it regresses on grade / r_max
+        check_grades(instances, cfg.r_max)
+        targets = [None] * len(instances)
+    else:
+        ensure_oracles(instances, metric_for_oracle, cfg.seed, cfg.r_max)
+        # the oracles stay fixed, so their candidate indices are computed once per run
+        targets = [target_indices(inst.cands.ids, inst.oracle) for inst in instances]
     dims = dims_for(cfg, split.train[0])
     params = init_params(kind, dims, cfg.seed)
     opt = _Adam(params) if cfg.optimizer == "adam" else _Sgd(params)
     log: list[dict] = []
-    instances = split.train
     for epoch in range(cfg.epochs):
         lr = learning_rate(cfg, epoch)
         order = np.random.default_rng([cfg.seed, 7, epoch]).permutation(len(instances))
@@ -176,7 +182,8 @@ def train(model_kind: str, split: DatasetSplit, metric_for_oracle, cfg: TrainCon
             for positions in shape_groups(batch, TAPE_GROUP):
                 with Tape() as tape:
                     rep = batch_loss(kind, params, [batch[j] for j in positions], cfg.r_max,
-                                     drop, cfg.loss_variant)
+                                     drop, cfg.loss_variant,
+                                     [targets[order[done + j]] for j in positions])
                 tape.backward(rep.tensor)
                 losses[[done + j for j in positions]] = rep.losses
                 _check_finite(params, rep.losses, epoch, batch[positions[0]].query_id)

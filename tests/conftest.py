@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from arrangerank import autodiff as ad
+from arrangerank.autodiff import Tensor
 from arrangerank.data import Instance
 from arrangerank.model import ModelDims, init_params
 from arrangerank.reader import CandidateSet, UserContext
@@ -61,6 +63,33 @@ def separable_rank_split(n_users: int, n: int = 6, n_features: int = 8, seed: in
             labels={ids[k]: int(n - 1 - ranks[k]) for k in range(n)},
         ))
     return split
+
+
+def taped_decode(rout, params, choose):
+    """Reference decode built from the public tape primitives, one step per call.
+
+    Each step runs ``gated_cell`` with T = 1 and ``pointer_logits`` on Tensors;
+    ``choose(logits, mask)`` gets the (..., 1, n) logits Tensor and mask and names
+    the index (..., 1) each instance places next, which ``row`` feeds back.
+    """
+    reprs, h = rout.reprs, rout.user_vec
+    lead, n = reprs.values.shape[:-2], reprs.values.shape[-2]
+    rows, cols = params["dec.W"].values.shape
+    onehots = np.eye(cols - rows // 2)
+    w2h, w = ad.matmul(reprs, params["ptr.W2"]), ad.matvec(params["ptr.P"], h)
+    c, placed = Tensor(np.zeros(h.values.shape)), params["dec.start"]
+    mask = np.ones(lead + (1, n), dtype=bool)
+    order = []
+    for i in range(n):
+        hs, h, c = ad.gated_cell(params["dec.W"], params["dec.b"],
+                                 [placed, Tensor(onehots[min(i, len(onehots) - 1)])], h, c)
+        ctx = ad.add(ad.matvec(params["ptr.W3"], hs), params["ptr.b2"])
+        chosen = choose(ad.pointer_logits(w2h, ctx, w), mask)
+        order.append(chosen)
+        placed = ad.row(reprs, chosen)
+        mask = mask.copy()  # the tape keeps the previous step's mask
+        np.put_along_axis(mask, chosen[..., None], False, axis=-1)
+    return np.concatenate(order, axis=-1)
 
 
 @pytest.fixture

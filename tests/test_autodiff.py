@@ -334,18 +334,17 @@ def test_gated_cell_batch_with_a_shared_part():
         assert np.array_equal(hs.values[i], hsi.values) and np.array_equal(c.values[i], ci.values)
 
 
-def test_gated_cell_broadcasts_only_a_shared_part(monkeypatch):
-    calls = []
-    real = np.broadcast_to
-    monkeypatch.setattr(np, "broadcast_to", lambda *a, **k: calls.append(1) or real(*a, **k))
+def test_gated_cell_broadcasts_only_a_shared_part():
     w, b = Tensor(np.ones((8, 5))), Tensor(np.zeros(8))
-    ad.gated_cell(w, b, [Tensor(np.ones(3))], Tensor(np.ones(2)), Tensor(np.ones(2)))
-    ad.gated_cell(w, b, [Tensor(np.ones((4, 1, 3)))], Tensor(np.ones((4, 2))),
-                  Tensor(np.ones((4, 2))))
-    assert not calls  # a single request, or parts that already share the batch
+    single, _, _ = ad.gated_cell(w, b, [Tensor(np.ones(3))], Tensor(np.ones(2)), Tensor(np.ones(2)))
+    batched, _, _ = ad.gated_cell(w, b, [Tensor(np.ones((4, 1, 3)))], Tensor(np.ones((4, 2))),
+                                  Tensor(np.ones((4, 2))))
+    # a single request stays unbatched; parts that already share the batch keep it
+    assert single.values.shape == (1, 2) and batched.values.shape == (4, 1, 2)
+    assert all(np.array_equal(row, single.values) for row in batched.values)
     shared = Tensor(np.arange(3.0))
     hs, _, _ = ad.gated_cell(w, b, [shared], Tensor(np.ones((4, 2))), Tensor(np.ones((4, 2))))
-    assert calls
+    assert hs.values.shape == (4, 1, 2)
     copied, _, _ = ad.gated_cell(w, b, [Tensor(np.tile(shared.values, (4, 1, 1)))],
                                  Tensor(np.ones((4, 2))), Tensor(np.ones((4, 2))))
     assert hs.values.tobytes() == copied.values.tobytes()  # every instance reads the part
@@ -363,6 +362,8 @@ def test_gated_cell_batch_shape_errors():
         ad.gated_cell(Tensor(np.zeros((8, 6))), b, [Tensor(np.zeros((2, 3))),
                                                     Tensor(np.zeros((3, 1)))],
                       Tensor(np.zeros(2)), Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError, match="step counts"):  # a part covering no step
+        ad.gated_cell(w, b, [Tensor(np.zeros((0, 3)))], Tensor(np.zeros(2)), Tensor(np.zeros(2)))
 
 
 def test_grad_check_contract_examples():

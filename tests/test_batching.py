@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from arrangerank import autodiff as ad
-from arrangerank.arranger import _decode, forced_log_probs, target_indices
+from arrangerank.arranger import (arrange_sample, forced_log_probs, greedy_orders, step_scores,
+                                  summation_log_probs, target_indices)
 from arrangerank.autodiff import Tape, Tensor, add, grad_check
 from arrangerank.clickmodels import ClickModelSpec, oracle_permutation, r_cm
 from arrangerank.data import DatasetSplit
@@ -14,7 +15,7 @@ from arrangerank.model import (batch_loss, init_params, instance_loss, rank_inst
 from arrangerank.reader import DropoutPlan
 from arrangerank.training import TrainConfig, save_model, train
 
-from conftest import make_instance, spread_params, tiny_dims
+from conftest import make_instance, spread_params, taped_decode, tiny_dims
 
 KINDS = ("starank", "starank_pi_mlp", "starank_ps_mlp", "pointwise_baseline")
 
@@ -133,20 +134,24 @@ def test_loss_report_rejects_negative_losses_beyond_rounding():
         LossReport(losses=np.array([0.5, -1e-9]), terms=np.zeros((2, 3)), tensor=Tensor(0.0))
 
 
-def _per_step_terms(rout, params, targets):
-    """Reference: the decode loop teacher-forced one step at a time."""
+def _per_step_terms(rout, params, targets, variant="listwise"):
+    """Reference: the taped decode loop, teacher-forced one step at a time, or (the
+    summation foil) following its own greedy picks and scoring over every item."""
     terms = []
 
     def choose(logits, mask):
         target = targets[..., len(terms), None]
+        if variant == "summation":
+            terms.append(ad.masked_log_prob(logits, np.ones_like(mask), target))
+            return np.argmax(np.where(mask, logits.values, -np.inf), axis=-1)
         terms.append(ad.masked_log_prob(logits, mask, target))
         return target
 
-    _decode(rout, params, choose)
+    taped_decode(rout, params, choose)
     return terms
 
 
-def _taped_loss(kind, params, group, one_pass):
+def _taped_loss(kind, params, group, one_pass, variant="listwise"):
     """Losses, per-position terms and every parameter gradient of one group."""
     params.zero_grads()
     drop = DropoutPlan(0.3, np.random.default_rng(11))
@@ -155,10 +160,11 @@ def _taped_loss(kind, params, group, one_pass):
         rout = read_group(kind, params, group, drop)
         targets = np.reshape(targets, rout.reprs.values.shape[:-1])  # a lone instance: (n,)
         if one_pass:
-            log_p = forced_log_probs(rout, params, targets)
+            log_probs = summation_log_probs if variant == "summation" else forced_log_probs
+            log_p = log_probs(rout, params, targets)
             terms, total = log_p.values, ad.sum_all(log_p)
         else:
-            steps = _per_step_terms(rout, params, targets)
+            steps = _per_step_terms(rout, params, targets, variant)
             terms = np.concatenate([t.values for t in steps], axis=-1)
             total = ad.sum_all(steps[0])
             for t in steps[1:]:
@@ -169,14 +175,13 @@ def _taped_loss(kind, params, group, one_pass):
     return -terms.sum(axis=-1), -terms, grads, len(tape._steps)
 
 
-@pytest.mark.parametrize("kind", ("starank", "starank_pi_mlp", "starank_ps_mlp"))
-def test_one_pass_forced_loss_equals_the_per_step_decode(kind):
+def _assert_one_pass_equals_per_step(kind, variant):
     pool = mixed_pool(seed=7)
     params = spread_params(kind, tiny_dims(max_list_len=12), 8)
     for positions in shape_groups(pool):
         group = [pool[p] for p in positions]
-        losses, terms, grads, _ = _taped_loss(kind, params, group, one_pass=True)
-        ref_losses, ref_terms, ref_grads, _ = _taped_loss(kind, params, group, one_pass=False)
+        losses, terms, grads, _ = _taped_loss(kind, params, group, True, variant)
+        ref_losses, ref_terms, ref_grads, _ = _taped_loss(kind, params, group, False, variant)
         assert np.max(np.abs(losses - ref_losses)) <= 1e-12
         assert np.max(np.abs(terms - ref_terms)) <= 1e-12
         assert grads.keys() == ref_grads.keys()
@@ -184,10 +189,25 @@ def test_one_pass_forced_loss_equals_the_per_step_decode(kind):
             assert np.max(np.abs(g - ref_grads[name])) <= 1e-12, name
 
 
-def test_forced_group_records_a_short_tape():
-    group = [make_instance(seed=900 + k, n=10, hist_len=8) for k in range(40)]
+@pytest.mark.parametrize("kind", ("starank", "starank_pi_mlp", "starank_ps_mlp"))
+def test_one_pass_forced_loss_equals_the_per_step_decode(kind):
+    _assert_one_pass_equals_per_step(kind, "listwise")
+
+
+@pytest.mark.parametrize("kind", ("starank", "starank_pi_mlp", "starank_ps_mlp"))
+def test_one_pass_summation_foil_equals_the_per_step_decode(kind):
+    _assert_one_pass_equals_per_step(kind, "summation")
+
+
+def _forty_group(n=10):
+    group = [make_instance(seed=900 + k, n=n, hist_len=8) for k in range(40)]
     for k, inst in enumerate(group):
         inst.oracle = oracle_permutation(inst.labels, "ndcg", seed=k)
+    return group
+
+
+def test_forced_group_records_a_short_tape():
+    group = _forty_group()
     params = init_params("starank", tiny_dims(max_list_len=10), 9)
     *_, steps = _taped_loss("starank", params, group, one_pass=True)
     *_, per_step = _taped_loss("starank", params, group, one_pass=False)
@@ -196,3 +216,74 @@ def test_forced_group_records_a_short_tape():
         rep = batch_loss("starank", params, group, drop=DropoutPlan(0.3, np.random.default_rng(0)))
     tape.backward(rep.tensor)
     assert len(tape._steps) <= 35
+
+
+def test_summation_group_records_a_short_tape():
+    group = _forty_group()
+    params = init_params("starank", tiny_dims(max_list_len=10), 9)
+    with Tape() as tape:
+        rep = batch_loss("starank", params, group, drop=DropoutPlan(0.3, np.random.default_rng(0)),
+                         loss_variant="summation")
+    tape.backward(rep.tensor)
+    assert len(tape._steps) <= 35
+
+
+def test_decode_inside_a_tape_records_nothing():
+    group = _forty_group(n=6)
+    params = spread_params("starank", tiny_dims(max_list_len=6), 10)
+    with Tape() as tape:
+        routs = [read_group("starank", params, group), read_group("starank", params, group[:1])]
+        assert all(r.reprs.requires_grad and r.user_vec.requires_grad for r in routs)
+        recorded = len(tape._steps)
+        for rout in routs:
+            greedy_orders(rout, params)
+        arrange_sample(routs[1], params, seed=0)
+        step_scores(routs[1], params)
+    assert len(tape._steps) == recorded
+
+
+def _taped_greedy(rout, params):
+    probs = []
+
+    def choose(logits, mask):
+        probs.append(ad.softmax_masked(logits, mask).values)
+        return np.argmax(probs[-1], axis=-1)
+
+    order = taped_decode(rout, params, choose)
+    return order, np.concatenate(probs, axis=-2)
+
+
+@pytest.mark.parametrize("kind", ("starank", "starank_pi_mlp", "starank_ps_mlp"))
+def test_greedy_decode_equals_the_taped_per_step_loop_bitwise(kind):
+    pool = mixed_pool(seed=8)
+    params = spread_params(kind, tiny_dims(max_list_len=12), 12)
+    for positions in shape_groups(pool):
+        for group in ([pool[p] for p in positions], [pool[positions[-1]]]):
+            rout = read_group(kind, params, group)
+            order, probs = greedy_orders(rout, params)
+            ref_order, ref_probs = _taped_greedy(rout, params)
+            assert order.shape == ref_order.shape and probs.shape == ref_probs.shape
+            assert order.tobytes() == ref_order.tobytes()
+            assert probs.tobytes() == ref_probs.tobytes()
+
+
+def test_sampled_decode_equals_the_taped_per_step_loop():
+    pool = mixed_pool(n_inst=12, seed=9)
+    params = spread_params("starank", tiny_dims(max_list_len=12), 13)
+    for inst in pool:
+        rout = read_group("starank", params, [inst])
+        for seed in range(4):
+            rng, log_prob = np.random.default_rng(seed), []
+
+            def choose(logits, mask):
+                p = ad.softmax_masked(logits, mask).values[0]
+                support = np.flatnonzero(mask[0])
+                weights = p[support]
+                chosen = support[[rng.choice(len(support), p=weights / weights.sum())]]
+                log_prob.append(float(ad.masked_log_prob(logits, mask, chosen).values[0]))
+                return chosen
+
+            ref = taped_decode(rout, params, choose)
+            pi, lp = arrange_sample(rout, params, seed)
+            assert pi.order == tuple(inst.cands.ids[k] for k in ref)
+            assert lp == sum(log_prob)

@@ -132,6 +132,9 @@ def test_malformed_config_lines_name_file_and_line(tmp_path, capsys):
     ("examination_table = 1.0, 0.x5, 0.3",
      "examination_table: could not convert string to float: ' 0.x5'"),
     ("relevance_map = 0:0.0, 0.2, 2:1.0", "relevance_map: expected grade:prob, got '0.2'"),
+    ("examination_table = 1.0, 1.5", "examination_table: examination probabilities must lie in"),
+    ("kind = cascade", "kind: unknown click model kind 'cascade'"),
+    ("taus = 0.5", "unknown keys ['taus']"),
 ])
 def test_bad_click_config_values_name_file_and_line(tmp_path, capsys, line, shown):
     click = tmp_path / "click.cfg"

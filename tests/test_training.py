@@ -164,6 +164,15 @@ def test_ensure_oracles_rejects_grades_above_r_max_naming_the_query(metric):
     assert ensure_oracles([inst], mapped, master_seed=0) == 1
 
 
+@pytest.mark.parametrize("kind", ["pointwise_baseline", "starank"])
+def test_train_rejects_grades_above_r_max_naming_the_query(kind):
+    good = make_instance(seed=3, n=3)
+    bad = make_instance(seed=1, n=3, labels={0: 9, 1: 0, 2: 1})
+    cfg = TrainConfig(epochs=1, embedding_dim=4, max_list_len=3, seed=0)
+    with pytest.raises(ValueError, match=r"query test:1: item 0 has grade 9 outside \[0, 4\]"):
+        train(kind, DatasetSplit(train=[good, bad]), "ndcg", cfg)
+
+
 def test_ensure_oracles_counts_and_caches():
     split = _small_split(n_users=4, seed=2)
     n1 = ensure_oracles(split.train, "ndcg", 0)
