@@ -43,8 +43,10 @@ def _onehots(params: ParamStore, steps) -> np.ndarray:
 
 
 def _decode(rout: ReaderOutput, params: ParamStore,
-            choose: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Fill positions 1..n; returns the placement order as candidate indices (..., n).
+            choose: Callable[[np.ndarray, np.ndarray], np.ndarray],
+            steps: int | None = None) -> np.ndarray:
+    """Fill positions 1..n, or the first ``steps``; returns the placement order as candidate
+    indices (..., steps).
 
     At every step ``choose(logits, mask)`` gets the scores of all candidates
     and the mask of the unarranged ones, both (..., n) arrays, and names the
@@ -68,7 +70,7 @@ def _decode(rout: ReaderOutput, params: ParamStore,
     mask = np.ones(lead + (n,), dtype=bool)
     each = tuple(np.indices(lead, sparse=True))  # instance axes of a per-instance pick
     order = []
-    for i in range(n):
+    for i in range(n if steps is None else steps):
         _, _, c, h = ad._cell_step(cell_w, cell_b, z, c)
         ctx = ad._mv(w3, h) + b2
         chosen = choose(ad._pointer_scores(w2h, ctx[..., None, :], w)[..., 0, :], mask)
@@ -107,9 +109,10 @@ def greedy_orders(rout: ReaderOutput, params: ParamStore) -> tuple[np.ndarray, n
 
 
 def step_scores(rout: ReaderOutput, params: ParamStore) -> dict[int, float]:
-    """Placement scores s^1_d of every candidate for position 1."""
+    """Placement scores s^1_d of every candidate for position 1 (one decoder step)."""
     seen = []
-    _decode(rout, params, lambda logits, mask: seen.append(logits) or _masked_argmax(logits, mask))
+    _decode(rout, params, lambda logits, mask: seen.append(logits) or _masked_argmax(logits, mask),
+            steps=1)
     return {i: float(s) for i, s in zip(rout.ids, seen[0].reshape(-1))}
 
 

@@ -346,22 +346,92 @@ def _perm_table(n: int) -> np.ndarray:
     return table
 
 
-def _perm_chunks(n: int):
-    """``itertools.permutations(range(n))`` as int8 blocks: beyond 8 items, one block per
-    fixed prefix, followed by the 8-item table mapped onto the other indices."""
-    if n <= 8:
-        return [_perm_table(n)]
-    tail = _perm_table(8)
-    return (np.hstack([np.tile(np.array(p, dtype=np.int8), (len(tail), 1)),
-                       np.array([j for j in range(n) if j not in p], dtype=np.int8)[tail]])
-            for p in itertools.permutations(range(n), n - 8))
+def _prefixes(n: int, tail: np.ndarray):
+    """Each fixed prefix of the first ``n - 8`` positions (only the empty one up to 8 items),
+    in lexicographic order, with the ascending int8 indices left for ``tail`` to arrange."""
+    for p in itertools.permutations(range(n), n - tail.shape[1]):
+        yield p, np.array([j for j in range(n) if j not in p], dtype=np.int8)
+
+
+def _rows(prefix: tuple[int, ...], rest: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Index rows: ``prefix`` followed by ``rest[tail]`` (``tail`` itself when nothing is fixed)."""
+    if not prefix:
+        return tail
+    return np.hstack([np.tile(np.array(prefix, dtype=np.int8), (len(tail), 1)), rest[tail]])
+
+
+def _browse(table: np.ndarray, values: np.ndarray, gams: list[np.ndarray], q: np.ndarray,
+            score: float, bufs) -> tuple[np.ndarray, np.ndarray]:
+    """Browsing-model DP through the next positions of one placed prefix, for every row of
+    ``table``.
+
+    ``values`` are the items not yet placed, so the prefix holds the other
+    ``start = len(gams) - len(values)``; ``q`` (n,) and ``score`` are its state, q[j] being
+    P(last click at position j). ``table`` (R, L) lists in lexicographic order every way
+    to fill positions start + 1 .. start + L with indices into ``values``, so the distinct
+    i-prefixes of its rows are rows ``::R // P_i``. Each is scored once: position i repeats
+    the P_{i-1} states over the k items that can take it, then applies the float operations
+    the per-row DP applies to each row (examination sum, click, score add, then q except after
+    position n). The returned (R, n) and (R,) states live in the reused ``bufs``.
+    """
+    n = len(gams)
+    (q_in, q_out), (s_in, s_out, dots, rel, clicks) = bufs
+    P, R, start = 1, len(table), n - len(values)
+    q_in[0], s_in[0] = q, score
+    for col in range(table.shape[1]):
+        i = start + col + 1
+        k = n - i + 1
+        if k > 1:  # one copy of each state per item that can fill position i
+            parent = np.arange(P * k) // k
+            np.take(q_in, parent, axis=0, out=q_out[:P * k], mode="clip")
+            np.take(s_in, parent, out=s_out[:P * k], mode="clip")
+            q_in, q_out, s_in, s_out = q_out, q_in, s_out, s_in
+            P *= k
+        items = table[::R // P, col]
+        # OpenBLAS's gemv can sum a call's last (rows mod 4) rows in another order, and numpy
+        # sends a one-row product to its dot routine: padding the row count to a multiple of 4,
+        # as the per-row DP's n! or 8! rows are from 4 items on, keeps each row's bits
+        m = -(-P // 4) * 4
+        dot = np.matmul(q_in[:m, :i], gams[i - 1], out=dots[:m])[:P]
+        click = np.multiply(dot, np.take(values, items, out=rel[:P], mode="clip"), out=clicks[:P])
+        np.add(s_in[:P], click, out=s_in[:P])
+        if i < n:
+            # q[:, j] *= 1 - gam[j] * rel for j < i, taken per item; later columns times 1
+            factors = np.ones((len(values), n))
+            factors[:, :i] = 1.0 - values[:, None] * gams[i - 1]
+            np.multiply(q_in[:P], np.take(factors, items, axis=0, out=q_out[:P], mode="clip"),
+                        out=q_in[:P])
+            q_in[:P, i] = click
+    return q_in[:P], s_in[:P]
+
+
+def _browsing_scores(values: np.ndarray, metric, tail: np.ndarray):
+    """(prefix, rest, scores) for each ``_maximizers`` block under an explicit browsing table.
+
+    Beyond 8 items the first n - 8 positions are run once for all prefixes, then each
+    prefix's state is expanded through ``tail``. No working array has more than 8! rows;
+    ``scores`` is overwritten by the next block.
+    """
+    n = len(values)
+    gams = [np.array([examination_prob(metric, i, j) for j in range(i)])
+            for i in range(1, n + 1)]
+    rows = -(-len(tail) // 4) * 4
+    bufs = np.zeros((2, rows, n)), np.zeros((5, rows))
+    prefixes = list(_prefixes(n, tail))
+    head = np.array([p for p, _ in prefixes], dtype=np.int8).reshape(len(prefixes), -1)
+    qs, ss = (a.copy() for a in _browse(head, values, gams, np.eye(1, n)[0], 0.0, bufs))
+    for c, (p, rest) in enumerate(prefixes):
+        yield p, rest, _browse(tail, values[rest], gams, qs[c], ss[c], bufs)[1]
 
 
 def _maximizers(ids: list[int], values: np.ndarray, metric) -> np.ndarray:
     """Index rows of every maximizing arrangement, int8, in lexicographic order.
 
-    One pass over all permutations in chunks of 8! rows; a chunk whose best
-    score beats the running maximum discards the rows kept so far.
+    One pass over all permutations in blocks of at most 8! rows, one block per fixed
+    prefix of the first n - 8 positions; a block whose best score beats the running maximum
+    discards the rows kept so far. Position weights score a block with one product; an
+    explicit browsing table scores it with ``_browsing_scores``, which runs the DP once per
+    distinct prefix rather than once per arrangement.
     """
     n = len(ids)
     if n > ENUMERATION_CAP:
@@ -369,29 +439,19 @@ def _maximizers(ids: list[int], values: np.ndarray, metric) -> np.ndarray:
             f"{n} candidates exceed the enumeration cap {ENUMERATION_CAP} and the metric has "
             "no sorting route; rank label-descending (greedy) instead")
     pos_w = _position_weights(metric, n)
+    tail = _perm_table(min(n, 8))
     if pos_w is None:
-        gams = [np.array([examination_prob(metric, i, j) for j in range(i)])
-                for i in range(1, n + 1)]
+        blocks = _browsing_scores(values, metric, tail)
+    else:
+        blocks = ((p, rest, values[_rows(p, rest, tail)] @ pos_w)
+                  for p, rest in _prefixes(n, tail))
     best, rows = -np.inf, []
-    for idx in _perm_chunks(n):
-        rel = values[idx]  # (m, n)
-        if pos_w is not None:
-            scores = rel @ pos_w
-        else:
-            # browsing-model DP over the last-click position, one row per arrangement
-            scores = np.zeros(len(idx))
-            q = np.zeros((len(idx), n + 1))
-            q[:, 0] = 1.0
-            for i, gam in enumerate(gams, start=1):
-                click = (q[:, :i] @ gam) * rel[:, i - 1]
-                scores += click
-                q[:, :i] *= 1.0 - gam[None, :] * rel[:, i - 1][:, None]
-                q[:, i] = click
+    for p, rest, scores in blocks:
         top = float(scores.max())
         if top > best:
             best, rows = top, []
         if top == best:
-            rows.append(idx[scores == top])
+            rows.append(_rows(p, rest, tail[scores == top]))
     return np.concatenate(rows)
 
 

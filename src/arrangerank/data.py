@@ -58,11 +58,16 @@ class Instance:
     oracle: Permutation | None = None
 
 
-def check_grades(instances, r_max: int) -> None:
-    """Reject a grade outside [0, r_max] where a metric meets the labels, naming its query."""
+def check_grades(instances, r_max: int, relevance_map: dict | None = None) -> None:
+    """Reject a grade a metric cannot score, naming its query: one outside [0, r_max], or,
+    when a ``relevance_map`` names the grades, one the map leaves out."""
     for inst in instances:
         for item, grade in inst.labels.items():
-            if not 0 <= grade <= r_max:
+            if relevance_map is not None:
+                if grade not in relevance_map:
+                    raise ValueError(f"query {inst.query_id}: item {item} has grade {grade}, "
+                                     f"which the relevance map {sorted(relevance_map)} lacks")
+            elif not 0 <= grade <= r_max:
                 raise ValueError(f"query {inst.query_id}: item {item} has grade {grade} "
                                  f"outside [0, {r_max}]")
 

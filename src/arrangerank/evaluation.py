@@ -75,8 +75,9 @@ def evaluate(params, model_kind: str, instances: list[Instance],
     if click_specs is None:
         click_specs = {"P": ClickModelSpec(kind="pbm", r_max=r_max),
                        "U": ClickModelSpec(kind="ubm", r_max=r_max)}
-    check_grades(instances, min([r_max] + [spec.r_max for spec in click_specs.values()
-                                          if spec.relevance_map is None]))
+    check_grades(instances, r_max)
+    for spec in click_specs.values():
+        check_grades(instances, spec.r_max, spec.relevance_map)
     threshold = math.ceil(r_max / 2)
     columns = [f"{name}@{k}" for name in ["N", "M", *click_specs] for k in ks]
     sums = {c: 0.0 for c in columns}

@@ -83,12 +83,12 @@ def ensure_oracles(instances: list[Instance], metric, master_seed: int, r_max: i
     fingerprint, query id), so supervision under different metrics draws
     independent tie choices while staying reproducible. Grades must lie in
     [0, r_max], the click model's own ``r_max`` for a ClickModelSpec; a
-    relevance map names its grades itself.
+    relevance map names its grades itself, and each must be among them.
     """
     if not isinstance(metric, ClickModelSpec):
         check_grades(instances, r_max)
-    elif metric.relevance_map is None:
-        check_grades(instances, metric.r_max)
+    else:
+        check_grades(instances, metric.r_max, metric.relevance_map)
     fp = metric_fingerprint(metric)
     n = 0
     for inst in instances:

@@ -55,6 +55,29 @@ def test_step_scores_deterministic_and_remaining_only():
     assert set(s1) == set(rout.ids)
 
 
+def test_step_scores_run_one_decoder_step_equal_to_the_first_greedy_step():
+    from unittest import mock
+
+    from arrangerank import autodiff as ad
+    from arrangerank.arranger import _decode, greedy_orders
+
+    rout, params = _rout(seed=4, n=6)
+    first = []
+
+    def greedy_choose(logits, mask):  # greedy_orders' pick, keeping the logits it sees
+        first.append(logits.copy())
+        _, e, s = ad._masked_exp(logits, mask, "greedy decode")
+        return (e / s[..., None]).argmax(axis=-1)
+
+    with mock.patch.object(ad, "_cell_step", wraps=ad._cell_step) as cell:
+        assert np.array_equal(_decode(rout, params, greedy_choose), greedy_orders(rout, params)[0])
+        assert cell.call_count == 2 * 6
+        scores = step_scores(rout, params)
+        assert cell.call_count == 2 * 6 + 1
+    assert list(scores) == list(rout.ids)
+    assert np.array([scores[i] for i in rout.ids]).tobytes() == first[0].tobytes()
+
+
 def test_greedy_tie_break_by_item_id():
     params = _uniform_params()
     inst = make_instance(seed=1, n=3, ids=[7, 3, 5])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -142,6 +143,19 @@ def test_bad_click_config_values_name_file_and_line(tmp_path, capsys, line, show
     assert _run("oracle", "--split-dir", str(tmp_path / "s"), "--metric", "pbm",
                 "--click-config", str(click), "--out", str(tmp_path / "o")) == 1
     assert f"error: {click}:2: {shown}" in capsys.readouterr().err
+
+
+def test_oracle_relevance_map_missing_a_grade_exits_naming_the_query(tmp_path, capsys):
+    data, split = tmp_path / "d", tmp_path / "s"
+    _run("gen-data", "--users", "5", "--history-len", "4", "--out", str(data))
+    _run("split", "--data", str(data / "dataset.txt"), "--out", str(split))
+    click = tmp_path / "click.cfg"
+    click.write_text("kind = pbm\nrelevance_map = 0:0.0, 1:0.3\n")  # grades 2-4 are missing
+    assert _run("oracle", "--split-dir", str(split), "--metric", "pbm",
+                "--click-config", str(click), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"error: query \d+:train: item \d+ has grade [2-4], which the relevance map "
+                     r"\[0, 1\] lacks", err), err
 
 
 def test_bad_train_config_value_names_file_and_line(tmp_path, capsys):

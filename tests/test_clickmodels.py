@@ -381,6 +381,81 @@ def test_maximizers_nine_items_match_itertools_reference():
     assert np.array_equal(got, want)
 
 
+def _per_row_browsing(values, spec):
+    """Reference maximizer rows and scores: the browsing-model DP run over the whole prefix of
+    every row, in 8!-row blocks straight from itertools: one gemv call per block and position,
+    the per-row form the prefix-shared DP must match bit for bit."""
+    n = len(values)
+    gams = [np.array([examination_prob(spec, i, j) for j in range(i)]) for i in range(1, n + 1)]
+    perms = itertools.permutations(range(n))
+    best, kept, every = -np.inf, [], []
+    while block := list(itertools.islice(perms, 40320)):
+        idx = np.array(block, dtype=np.int8)
+        rel = values[idx]
+        scores = np.zeros(len(idx))
+        q = np.zeros((len(idx), n + 1))
+        q[:, 0] = 1.0
+        for i, gam in enumerate(gams, start=1):
+            click = (q[:, :i] @ gam) * rel[:, i - 1]
+            scores += click
+            q[:, :i] *= 1.0 - gam[None, :] * rel[:, i - 1][:, None]
+            q[:, i] = click
+        every.append(scores)
+        top = float(scores.max())
+        if top > best:
+            best, kept = top, []
+        if top == best:
+            kept.append(idx[scores == top])
+    return np.concatenate(kept), np.concatenate(every)
+
+
+def _prefix_shared_browsing(values, spec):
+    import arrangerank.clickmodels as cm
+
+    blocks = cm._browsing_scores(values, spec, cm._perm_table(min(len(values), 8)))
+    scores = np.concatenate([s.copy() for _, _, s in blocks])  # each block reuses the buffers
+    return cm._maximizers(list(range(len(values))), values, spec), scores
+
+
+_quarter = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _browsing_case(draw):
+    n = draw(st.integers(1, 8))
+    cell, value = (draw(st.sampled_from([_quarter, _unit])) for _ in range(2))
+    table = [[draw(cell) for _ in range(n)] for _ in range(n)]  # tied and zero cells, or uniform
+    values = np.array([draw(value) for _ in range(n)])
+    return values, _ubm(examination_table=table)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_browsing_case())
+def test_prefix_shared_browsing_dp_equals_the_per_row_dp_bitwise(case):
+    values, spec = case
+    want_rows, want_scores = _per_row_browsing(values, spec)
+    got_rows, got_scores = _prefix_shared_browsing(values, spec)
+    assert got_scores.view(np.int64).tolist() == want_scores.view(np.int64).tolist()
+    assert got_rows.dtype == np.int8 and np.array_equal(got_rows, want_rows)
+
+
+@pytest.mark.parametrize("table_seed,n_maximizers", [(0, 24), (1, 1)])
+def test_browsing_maximizers_nine_items_match_the_per_row_reference(table_seed, n_maximizers):
+    # a quarter-valued table with ties and zeros, then a uniform one; both against the per-row DP
+    rng = np.random.default_rng(table_seed)
+    if table_seed == 0:
+        table = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(9, 9))
+        values = np.array([1.0, 1.0, 0.5, 0.5, 0.5, 0.25, 0.0, 0.75, 0.75])
+    else:
+        table, values = rng.random((9, 9)), rng.random(9)
+    want_rows, want_scores = _per_row_browsing(values, _ubm(examination_table=table))
+    got_rows, got_scores = _prefix_shared_browsing(values, _ubm(examination_table=table))
+    assert got_scores.view(np.int64).tolist() == want_scores.view(np.int64).tolist()
+    assert got_rows.dtype == np.int8 and np.array_equal(got_rows, want_rows)
+    assert len(want_rows) == n_maximizers
+
+
 _sorting_metric_st = st.one_of(
     st.just("ndcg"),
     st.floats(0.05, 5.0).map(lambda tau: _pbm(tau=tau)),

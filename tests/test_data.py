@@ -1,10 +1,17 @@
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from arrangerank.data import (LogItem, ParseError, UserLog, generate_synthetic,
+from arrangerank.data import (Instance, LogItem, ParseError, UserLog, generate_synthetic,
                               oracle_seed, read_dataset, read_instances, slate_grades,
                               temporal_split, write_dataset, write_instances)
 from arrangerank.permutation import Permutation
+from arrangerank.reader import CandidateSet, UserContext
 
 
 def _log(user_id: int, t: int) -> UserLog:
@@ -206,6 +213,117 @@ def test_dataset_rejects_bad_line_naming_it(tmp_path, bad):
     path.write_text(f"1|0.5,0.5|10:2:0.1,0.2;11:9:0.3,0.4\n{bad}\n")
     with pytest.raises(ParseError, match=r"bad\.txt:2: "):
         read_dataset(path)
+
+
+_ROUND_TRIP = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_float = st.floats(allow_nan=False, allow_infinity=False)  # -0.0, subnormals and extremes too
+_grade = st.integers(0, 9)  # grades above a metric's r_max are kept; only a metric rejects them
+
+
+def _vector(dim):
+    return st.lists(_float, min_size=dim, max_size=dim).map(np.array)
+
+
+@st.composite
+def _user_logs(draw):
+    dim = draw(st.integers(1, 4))
+    logs = []
+    for user in draw(st.lists(st.integers(0, 10 ** 9), max_size=4, unique=True)):
+        ids = draw(st.lists(st.integers(0, 10 ** 12), max_size=5))  # a log may repeat an item
+        logs.append(UserLog(user, draw(_vector(dim)),
+                            [LogItem(i, draw(_vector(dim)), draw(_grade)) for i in ids]))
+    return logs
+
+
+@st.composite
+def _instances(draw):
+    dim = draw(st.integers(1, 4))
+    out = []
+    for k in range(draw(st.integers(0, 4))):
+        ids = draw(st.lists(st.integers(0, 10 ** 12), min_size=1, max_size=5, unique=True))
+        inst = Instance(
+            query_id=draw(st.sampled_from([f"{k}:train", f"u{k}:test", f"q {k}"])),
+            ctx=UserContext(draw(_vector(draw(st.integers(1, 4)))),
+                            draw(st.lists(_vector(dim), max_size=3)), feature_dim=dim),
+            cands=CandidateSet((i, draw(_vector(dim))) for i in ids),
+            labels={i: draw(_grade) for i in ids})
+        if draw(st.booleans()):
+            inst.oracle = Permutation(draw(st.permutations(ids)))
+        out.append(inst)
+    return out
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def _in_a_file(write, rows, read):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.txt")
+        write(rows, path)
+        return read(path)
+
+
+@_ROUND_TRIP
+@given(_user_logs())
+def test_read_dataset_inverts_write_dataset(logs):
+    back = _in_a_file(write_dataset, logs, read_dataset)
+    assert [(b.user_id, _bits(b.profile), [(it.item_id, it.grade, _bits(it.features))
+                                           for it in b.items]) for b in back] == \
+        [(a.user_id, _bits(a.profile), [(it.item_id, it.grade, _bits(it.features))
+                                        for it in a.items]) for a in logs]
+
+
+@_ROUND_TRIP
+@given(_instances())
+def test_read_instances_inverts_write_instances_oracles_included(instances):
+    def key(inst):
+        return (inst.query_id, _bits(inst.ctx.profile), _bits(inst.ctx.history),
+                inst.ctx.history.shape, inst.cands.ids, _bits(inst.cands.features), inst.labels,
+                inst.oracle.order if inst.oracle else None)
+
+    back = _in_a_file(write_instances, instances, read_instances)
+    assert [key(b) for b in back] == [key(a) for a in instances]
+
+
+def _drop_last_grade(line):
+    """Cut ':grade' out of the line's last item record ('id:features' is malformed)."""
+    if ":" not in line:
+        return None  # a browse log without items
+    last = line.rindex(":")
+    return line[:line.rindex(":", 0, last)] + line[last:]
+
+
+_CORRUPTIONS = {  # each makes any line of either format unreadable
+    "drop a field": lambda line: line.replace("|", "", 1),
+    "add a field": lambda line: line + "|",
+    "profile value not a number": lambda line: line.replace("|", "|x", 1),
+    "non-finite profile value": lambda line: line.replace("|", "|nan,", 1),
+    "item record without its grade": _drop_last_grade,
+}
+
+
+@_ROUND_TRIP
+@given(st.one_of(_user_logs().map(lambda logs: ("logs", logs)),
+                 _instances().map(lambda insts: ("instances", insts))),
+       st.sampled_from(sorted(_CORRUPTIONS)), st.data())
+def test_one_corrupted_line_is_rejected_naming_file_and_line(case, corruption, data):
+    kind, rows = case
+    assume(rows)
+    write, read = ((write_dataset, read_dataset) if kind == "logs"
+                   else (write_instances, read_instances))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.txt")
+        write(rows, path)
+        with open(path, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+        bad = data.draw(st.integers(0, len(lines) - 1))
+        lines[bad] = _CORRUPTIONS[corruption](lines[bad])
+        assume(lines[bad] is not None)
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(path)}:{bad + 1}: "):
+            read(path)
 
 
 def test_oracle_seed_stability():

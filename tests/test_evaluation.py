@@ -84,6 +84,18 @@ def test_evaluate_rejects_grades_above_r_max_naming_the_query():
         evaluate(None, "oracle_replay", [inst], ks=(2,), click_specs=spec)
 
 
+def test_evaluate_rejects_a_grade_a_relevance_map_lacks():
+    inst = make_instance(seed=3, n=2, labels={1: 3, 2: 0}, ids=[1, 2])
+    inst.oracle = Permutation([1, 2])
+    specs = {"P": ClickModelSpec(kind="pbm"),
+             "Q": ClickModelSpec(kind="ubm", relevance_map={0: 0.0, 1: 0.5, 2: 1.0})}
+    with pytest.raises(ValueError, match=r"query test:3: item 1 has grade 3, which the "
+                                         r"relevance map \[0, 1, 2\] lacks"):
+        evaluate(None, "oracle_replay", [inst], ks=(2,), click_specs=specs)
+    specs["Q"].relevance_map[3] = 0.75
+    assert evaluate(None, "oracle_replay", [inst], ks=(2,), click_specs=specs).n_instances == 1
+
+
 def test_tie_choice_does_not_move_label_metrics():
     # any oracle from the tie set yields the same N@K / M@K
     inst = make_instance(seed=70, n=6, labels={0: 3, 1: 3, 2: 2, 3: 2, 4: 0, 5: 0})

@@ -164,6 +164,16 @@ def test_ensure_oracles_rejects_grades_above_r_max_naming_the_query(metric):
     assert ensure_oracles([inst], mapped, master_seed=0) == 1
 
 
+@pytest.mark.parametrize("kind", ["pbm", "ubm"])
+def test_ensure_oracles_rejects_a_grade_the_relevance_map_lacks(kind):
+    inst = make_instance(seed=1, n=3, labels={1: 2, 2: 0, 3: 7}, ids=[1, 2, 3])
+    spec = ClickModelSpec(kind=kind, relevance_map={0: 0.0, 2: 0.5, 4: 1.0})
+    with pytest.raises(ValueError, match=r"query test:1: item 3 has grade 7, which the "
+                                         r"relevance map \[0, 2, 4\] lacks"):
+        ensure_oracles([inst], spec, master_seed=0)
+    assert inst.oracle is None
+
+
 @pytest.mark.parametrize("kind", ["pointwise_baseline", "starank"])
 def test_train_rejects_grades_above_r_max_naming_the_query(kind):
     good = make_instance(seed=3, n=3)
