@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .clickmodels import ClickModelSpec, load_click_spec
-from .data import (generate_synthetic, parse_value, read_dataset, read_instances,
+from .data import (ParseError, generate_synthetic, parse_value, read_dataset, read_instances,
                    read_key_values, temporal_split, write_dataset, write_instances)
 from .evaluation import evaluate, export_attention, export_attention_weights
 from .training import (TrainConfig, dims_for, ensure_oracles, load_model, save_model,
@@ -49,7 +49,7 @@ def _build_config(args) -> TrainConfig:
     file_values = read_key_values(args.config) if args.config else {}
     for key in file_values:
         if key not in fields:
-            raise SystemExit(f"unknown config key {key!r}")
+            raise ParseError(f"{args.config}:{file_values[key][1]}: unknown config key {key!r}")
         merged[key] = parse_value(args.config, file_values, key, type(fields[key]))
     for key in fields:
         flag = getattr(args, key, None)

@@ -16,13 +16,11 @@ metric is deterministic.
 
 The oracle permutation maximizes a chosen metric over all arrangements,
 drawing one seeded index into the lexicographically ordered list of tied
-maximizers. When the maximizers are consecutive blocks of ids free to take
-any order within their spans (every arrangement ties, or every maximizer is
-value-descending: strictly decreasing position weights, or the default
-browsing form), a sorting route decodes that index directly, for any
-candidate count. Otherwise a single enumeration pass, capped at
-``ENUMERATION_CAP`` candidates, keeps the maximizing rows; the same rows
-give the oracle's pick and the per-position tie sets.
+maximizers. For NDCG, the position-based model and the default browsing
+model, the rearrangement inequality describes every maximizer in closed form
+and the index is decoded directly, for any candidate count. An explicit
+browsing-model table is enumerated in one pass, capped at ``ENUMERATION_CAP``
+candidates. Either description gives the pick and the per-position tie sets.
 """
 from __future__ import annotations
 
@@ -263,77 +261,94 @@ def metric_fingerprint(metric) -> str:
 # ------------------------------------------------------------ oracle search
 
 
-def _item_values(labels: dict[int, int], metric) -> tuple[list[int], np.ndarray]:
-    """Ascending ids and the per-item value the metric attaches to each."""
+def _item_values(labels: dict[int, int], metric) -> tuple[list[int], list[float]]:
+    """Ascending ids and the value the metric attaches to each, computed once per grade."""
     if not labels:
         raise ValueError("cannot build an oracle for an empty candidate set")
-    ids = sorted(int(i) for i in labels)
-    if metric == "ndcg":
-        return ids, np.array([2.0 ** labels[i] - 1.0 for i in ids])
-    if not isinstance(metric, ClickModelSpec):
+    if metric != "ndcg" and not isinstance(metric, ClickModelSpec):
         raise ValueError(f"metric must be 'ndcg' or a ClickModelSpec, got {metric!r}")
-    return ids, np.array([relevance_prob(metric, labels[i]) for i in ids])
+    ids = sorted(map(int, labels))
+    grades = [labels[i] for i in ids]
+    by_grade = {g: 2.0 ** g - 1.0 if metric == "ndcg" else relevance_prob(metric, g)
+                for g in dict.fromkeys(grades)}  # the first id's grade is checked first
+    return ids, [by_grade[g] for g in grades]
 
 
-def _position_weights(metric, n: int) -> list[float] | None:
-    """Per-position examination weights when the metric has them (pbm/ndcg)."""
+def _position_weights(metric, values: list[float]) -> list[float] | None:
+    """Position weights with the metric's maximizers; None for an explicit browsing table.
+
+    The default browsing model's maximizers are the value-descending arrangements when
+    tau > 0 and all when tau = 0 (property-tested against brute force); an explicit browsing
+    table makes every arrangement tie only when every value does."""
+    n = len(values)
     if metric == "ndcg":
         return (1.0 / np.log2(np.arange(2, n + 2))).tolist()
-    if metric.kind != PBM:
-        return None
+    if metric.kind == PBM:
+        if metric.examination_table is None:
+            return [(1.0 / i) ** metric.tau for i in range(1, n + 1)]
+        return [examination_prob(metric, i) for i in range(1, n + 1)]
     if metric.examination_table is None:
-        return [(1.0 / i) ** metric.tau for i in range(1, n + 1)]
-    return [examination_prob(metric, i) for i in range(1, n + 1)]
+        return [float(n - p) if metric.tau > 0.0 else 1.0 for p in range(n)]
+    return [1.0] * n if min(values) == max(values) else None
 
 
-def _tie_blocks(metric, ids: list[int], values: np.ndarray) -> list[list[int]] | None:
-    """The maximizers as consecutive blocks of ids, each free to take any order in its span.
+def _plan(metric, values: list[float]) -> tuple[list[list[float]], int] | None:
+    """Per position, the values its weight class takes (one descending list per class), and
+    the maximizer count; None for an explicit browsing table.
 
-    ``[ids]`` when every arrangement ties; the equal-value groups, highest
-    value first, when every maximizer is value-descending; None when only
-    enumeration can tell.
+    Swapping the items at positions p and q changes a weighted sum by (w_p - w_q)(v_a - v_b), so
+    the maximizers give each class of equal-weight positions the values it gets when the classes,
+    heaviest first, take the values in descending order. For class sizes r_W, m_{W,v} values v
+    in class W and n_v items of value v there are prod_W r_W! / prod_v m_{W,v}! * prod_v n_v!.
     """
-    by_value = sorted(zip(values.tolist(), ids), key=lambda p: p[0], reverse=True)  # stable
-    blocks = [[i for _, i in grp] for _, grp in itertools.groupby(by_value, key=lambda p: p[0])]
-    if len(blocks) == 1:
-        return blocks
-    w = _position_weights(metric, len(ids))
-    if w is not None:
-        if all(x == w[0] for x in w):
-            return [list(ids)]
-        descending = all(b < a for a, b in zip(w, w[1:]))
-    elif metric.examination_table is None and metric.tau == 0.0:
-        return [list(ids)]  # the default browsing model examines everything: order-free
-    else:
-        # default browsing model: examination shrinks with the gap since the last click,
-        # so descending relevance is optimal (property-tested against enumeration)
-        descending = metric.examination_table is None and metric.tau > 0.0
-    return blocks if descending else None
+    weights = _position_weights(metric, values)
+    if weights is None:
+        return None
+    by_weight = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
+    takes: list = [None] * len(weights)
+    count, weight, value, run = 1, None, None, 0
+    for p, v in zip(by_weight, sorted(values, reverse=True)):
+        if weights[p] != weight:
+            weight, cls, m = weights[p], [], 0
+        run, m = (run + 1, m + 1) if v == value else (1, 1)
+        value = v
+        cls.append(v)
+        count = count * run * len(cls) // m  # the formula, one item at a time
+        takes[p] = cls
+    return takes, count
 
 
-def _unrank(ids: list[int], rank: int) -> list[int]:
-    """rank-th permutation of ``ids`` in lexicographic order (Lehmer decode)."""
-    pool, out = list(ids), []
-    for k in range(len(ids), 0, -1):
-        digit, rank = divmod(rank, math.factorial(k - 1))
-        out.append(pool.pop(digit))
-    return out
+def _pools(ids: list[int], values: list[float]) -> dict[float, list[int]]:
+    pools: dict[float, list[int]] = {}  # the ascending ids of each value
+    for i, v in zip(ids, values):
+        pools.setdefault(v, []).append(i)
+    return pools
 
 
-def _sorted_oracle(blocks: list[list[int]], rng: np.random.Generator) -> Permutation:
-    """Seeded uniform choice among the arrangements ``blocks`` describe.
+def _unrank(ids: list[int], values: list[float], takes: list[list[float]], count: int,
+            u: int) -> list[int]:
+    """The u-th of the ``count`` maximizers ``takes`` describes, in lexicographic id order.
 
-    The choice index is decoded most significant block first, matching the
-    lexicographic order in which enumeration would list the same maximizers.
+    At each position, each id whose value v its class W still takes completes
+    count * m_{W,v} / (r_W * n_v) maximizers: count / n_v when one value is
+    left, so one divmod picks the id and the class needs no more counting.
     """
-    n_ties = math.prod(math.factorial(len(b)) for b in blocks)
-    u = int(rng.integers(n_ties))
-    order: list[int] = []
-    for b in blocks:
-        n_ties //= math.factorial(len(b))
-        digit, u = divmod(u, n_ties)
-        order.extend(_unrank(b, digit))
-    return Permutation(order)
+    pools, order = _pools(ids, values), []
+    for cls in takes:
+        if cls[0] == cls[-1]:
+            v = cls[0]
+            count //= len(pools[v])
+            k, u = divmod(u, count)
+        else:
+            for i, v in sorted((i, v) for v in set(cls) for i in pools[v]):
+                below = count * cls.count(v) // (len(cls) * len(pools[v]))
+                if u < below:
+                    break
+                u -= below
+            count, k = below, pools[v].index(i)
+            cls.remove(v)
+        order.append(pools[v].pop(k))
+    return order
 
 
 @functools.cache
@@ -344,20 +359,6 @@ def _perm_table(n: int) -> np.ndarray:
     table = np.hstack([first, rest + (rest >= first)])  # rest skips ``first``, order kept
     table.flags.writeable = False
     return table
-
-
-def _prefixes(n: int, tail: np.ndarray):
-    """Each fixed prefix of the first ``n - 8`` positions (only the empty one up to 8 items),
-    in lexicographic order, with the ascending int8 indices left for ``tail`` to arrange."""
-    for p in itertools.permutations(range(n), n - tail.shape[1]):
-        yield p, np.array([j for j in range(n) if j not in p], dtype=np.int8)
-
-
-def _rows(prefix: tuple[int, ...], rest: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Index rows: ``prefix`` followed by ``rest[tail]`` (``tail`` itself when nothing is fixed)."""
-    if not prefix:
-        return tail
-    return np.hstack([np.tile(np.array(prefix, dtype=np.int8), (len(tail), 1)), rest[tail]])
 
 
 def _browse(table: np.ndarray, values: np.ndarray, gams: list[np.ndarray], q: np.ndarray,
@@ -417,66 +418,64 @@ def _browsing_scores(values: np.ndarray, metric, tail: np.ndarray):
             for i in range(1, n + 1)]
     rows = -(-len(tail) // 4) * 4
     bufs = np.zeros((2, rows, n)), np.zeros((5, rows))
-    prefixes = list(_prefixes(n, tail))
+    # each fixed prefix of the first n - 8 positions (only the empty one up to 8 items), in
+    # lexicographic order, with the ascending indices left for ``tail`` to arrange
+    prefixes = [(p, np.array([j for j in range(n) if j not in p], dtype=np.int8))
+                for p in itertools.permutations(range(n), n - tail.shape[1])]
     head = np.array([p for p, _ in prefixes], dtype=np.int8).reshape(len(prefixes), -1)
     qs, ss = (a.copy() for a in _browse(head, values, gams, np.eye(1, n)[0], 0.0, bufs))
     for c, (p, rest) in enumerate(prefixes):
         yield p, rest, _browse(tail, values[rest], gams, qs[c], ss[c], bufs)[1]
 
 
-def _maximizers(ids: list[int], values: np.ndarray, metric) -> np.ndarray:
-    """Index rows of every maximizing arrangement, int8, in lexicographic order.
-
-    One pass over all permutations in blocks of at most 8! rows, one block per fixed
-    prefix of the first n - 8 positions; a block whose best score beats the running maximum
-    discards the rows kept so far. Position weights score a block with one product; an
-    explicit browsing table scores it with ``_browsing_scores``, which runs the DP once per
-    distinct prefix rather than once per arrangement.
+def _maximizers(ids: list[int], values: list[float], metric) -> np.ndarray:
+    """Index rows of every arrangement maximizing an explicit browsing table, int8, in
+    lexicographic order: one pass over blocks of at most 8! rows scored by ``_browsing_scores``;
+    a block whose best score beats the running maximum discards the rows kept so far.
     """
     n = len(ids)
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"{n} candidates exceed the enumeration cap {ENUMERATION_CAP} and the metric has "
-            "no sorting route; rank label-descending (greedy) instead")
-    pos_w = _position_weights(metric, n)
+            f"{n} candidates exceed the enumeration cap {ENUMERATION_CAP} of an explicit "
+            "browsing-model table; rank label-descending (greedy) instead")
     tail = _perm_table(min(n, 8))
-    if pos_w is None:
-        blocks = _browsing_scores(values, metric, tail)
-    else:
-        blocks = ((p, rest, values[_rows(p, rest, tail)] @ pos_w)
-                  for p, rest in _prefixes(n, tail))
     best, rows = -np.inf, []
-    for p, rest, scores in blocks:
+    for p, rest, scores in _browsing_scores(np.array(values), metric, tail):
         top = float(scores.max())
         if top > best:
             best, rows = top, []
         if top == best:
-            rows.append(_rows(p, rest, tail[scores == top]))
+            keep = tail[scores == top]  # after the prefix p, indices into rest
+            rows.append(np.hstack([np.tile(np.array(p, dtype=np.int8), (len(keep), 1)),
+                                   rest[keep]]))
     return np.concatenate(rows)
 
 
 def oracle_permutation(labels: dict[int, int], metric, seed: int) -> Permutation:
-    """Arrangement maximizing the metric; seeded uniform choice among ties.
-
-    ``metric`` is "ndcg" or a ClickModelSpec. Metrics whose maximizers
-    ``_tie_blocks`` can describe take an exact sorting route (any candidate
-    count); anything else is exhaustively enumerated, which requires
-    ``len(labels) <= ENUMERATION_CAP``.
+    """Arrangement maximizing the metric ("ndcg" or a ClickModelSpec); one seeded draw
+    indexes the tied maximizers in lexicographic id order. Position weights decode it in
+    closed form; an explicit browsing table is enumerated, up to ``ENUMERATION_CAP`` items.
     """
     ids, values = _item_values(labels, metric)
     rng = np.random.default_rng(seed)
-    blocks = _tie_blocks(metric, ids, values)
-    if blocks is not None:
-        return _sorted_oracle(blocks, rng)
-    rows = _maximizers(ids, values, metric)
-    return Permutation([ids[j] for j in rows[rng.integers(len(rows))]])
+    plan = _plan(metric, values)
+    if plan is None:
+        rows = _maximizers(ids, values, metric)
+        return Permutation([ids[j] for j in rows[rng.integers(len(rows))]])
+    takes, count = plan
+    return Permutation(_unrank(ids, values, takes, count, int(rng.integers(count))))
 
 
 def oracle_position_groups(labels: dict[int, int], metric) -> list[set[int]]:
     """For each position, the ids some maximizer places there (the tie sets)."""
     ids, values = _item_values(labels, metric)
-    blocks = _tie_blocks(metric, ids, values)
-    if blocks is not None:
-        return [set(b) for b in blocks for _ in b]
-    rows = _maximizers(ids, values, metric)
-    return [{ids[j] for j in np.unique(col)} for col in rows.T]
+    plan = _plan(metric, values)
+    if plan is None:
+        rows = _maximizers(ids, values, metric)
+        return [{ids[j] for j in np.unique(col)} for col in rows.T]
+    pools, groups = _pools(ids, values), []
+    for cls in plan[0]:
+        groups.append(set(pools[cls[0]]))
+        for v in set(cls[1:]):
+            groups[-1].update(pools[v])
+    return groups

@@ -78,22 +78,28 @@ def _finite_hex(tok: str) -> bool:
 def load_checkpoint(path, expect_shapes: dict[str, tuple] | None = None) -> tuple[ParamStore, dict]:
     """Read a checkpoint; optionally validate parameter shapes against a config.
 
-    Returns (params, meta). Raises CheckpointError on version/format problems
-    and ShapeError when ``expect_shapes`` disagrees with the file.
+    Returns (params, meta). Raises CheckpointError, naming ``path:line``, on
+    version/format problems and ShapeError when ``expect_shapes`` disagrees
+    with the file.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(FORMAT_TAG):
-        raise CheckpointError(f"{path}: not a {FORMAT_TAG} file")
+        raise CheckpointError(f"{path}:1: not a {FORMAT_TAG} file")
     version = lines[0][len(FORMAT_TAG):].strip()
     if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version!r}, expected {FORMAT_VERSION}")
-    if len(lines) < 3 or not lines[1].startswith("meta ") or lines[-1] != "end":
-        raise CheckpointError(f"{path}: malformed checkpoint body")
+        raise CheckpointError(
+            f"{path}:1: unsupported version {version!r}, expected {FORMAT_VERSION}")
+    if len(lines) < 2 or not lines[1].startswith("meta "):
+        raise CheckpointError(f"{path}:2: expected the meta line")
+    if len(lines) < 3 or lines[-1] != "end":
+        raise CheckpointError(f"{path}:{len(lines)}: expected 'end' as the last line")
     try:
         meta = json.loads(lines[1][5:])
     except json.JSONDecodeError as e:
         raise CheckpointError(f"{path}:2: malformed meta line: {e}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}:2: meta line is not a JSON object")
     params = ParamStore()
     for lineno, line in enumerate(lines[2:-1], start=3):
         fields = line.split(" ")
@@ -116,6 +122,8 @@ def load_checkpoint(path, expect_shapes: dict[str, tuple] | None = None) -> tupl
         expected = int(np.prod(shape)) if shape else 1
         if vals.size != expected:
             raise CheckpointError(f"{path}:{lineno}: value count does not match shape for {name}")
+        if name in params.names():
+            raise CheckpointError(f"{path}:{lineno}: repeats parameter {name}")
         params.create(name, vals.reshape(shape))
     if expect_shapes is not None:
         got = {name: t.values.shape for name, t in params.items()}

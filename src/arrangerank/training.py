@@ -20,7 +20,7 @@ from .autodiff import Tape
 from .clickmodels import ClickModelSpec, metric_fingerprint, oracle_permutation
 from .data import DatasetSplit, Instance, check_grades, oracle_seed
 from .model import ModelDims, batch_loss, init_params, normalize_kind, shape_groups
-from .params import ParamStore, load_checkpoint, save_checkpoint
+from .params import CheckpointError, ParamStore, load_checkpoint, save_checkpoint
 from .reader import DropoutPlan
 
 
@@ -214,8 +214,13 @@ def load_model(path, expect_kind: str | None = None, expect_dims: ModelDims | No
     if expect_kind is not None and expect_dims is not None:
         expect_shapes = param_shapes(expect_kind, expect_dims)
     params, meta = load_checkpoint(path, expect_shapes=expect_shapes)
-    dims = ModelDims(**meta["dims"])
-    return params, meta["model_kind"], dims
+    missing = [key for key in ("model_kind", "dims") if key not in meta]
+    if missing:
+        raise CheckpointError(f"{path}:2: meta line lacks {missing}")
+    try:
+        return params, meta["model_kind"], ModelDims(**meta["dims"])
+    except TypeError as e:
+        raise CheckpointError(f"{path}:2: meta dims: {e}") from None
 
 
 def write_training_log(log: list[dict], path) -> None:

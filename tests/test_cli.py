@@ -1,9 +1,11 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from arrangerank.cli import main
+from arrangerank.clickmodels import examination_prob, load_click_spec, relevance_prob
 
 
 def _run(*argv):
@@ -102,15 +104,15 @@ def test_unknown_flag_nonzero_exit():
     assert e.value.code != 0
 
 
-def test_bad_config_key_fails(tmp_path):
+def test_bad_config_key_fails(tmp_path, capsys):
     data, split = tmp_path / "d", tmp_path / "s"
     _run("gen-data", "--users", "5", "--history-len", "4", "--out", str(data))
     _run("split", "--data", str(data / "dataset.txt"), "--out", str(split))
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("learning = fast\n")
-    with pytest.raises(SystemExit):
-        _run("train", "--split-dir", str(split), "--config", str(cfg),
-             "--out", str(tmp_path / "r"))
+    cfg.write_text("epochs = 1\nlearning = fast\n")
+    assert _run("train", "--split-dir", str(split), "--config", str(cfg),
+                "--out", str(tmp_path / "r")) == 1
+    assert f"error: {cfg}:2: unknown config key 'learning'" in capsys.readouterr().err
 
 
 def test_malformed_config_lines_name_file_and_line(tmp_path, capsys):
@@ -158,6 +160,28 @@ def test_oracle_relevance_map_missing_a_grade_exits_naming_the_query(tmp_path, c
                      r"\[0, 1\] lacks", err), err
 
 
+def test_oracle_tied_non_monotone_pbm_table_beyond_the_enumeration_cap(tmp_path, capsys):
+    # 12 items, a table with tied, zero and non-monotone weights: solved in closed form
+    split = tmp_path / "s"
+    split.mkdir()
+    grades = {20 + i: g for i, g in enumerate([3, 0, 4, 1, 1, 2, 4, 0, 3, 2, 2, 1])}
+    items = ";".join(f"{i}:{g}:0.{i},0.5" for i, g in grades.items())
+    (split / "test.txt").write_text(f"q0|0.5,0.5||{items}|\n")
+    click = tmp_path / "click.cfg"
+    click.write_text("kind = pbm\n"
+                     "examination_table = 0.3, 0.9, 0.7, 0.9, 0.3, 1, 0.7, 0.7, 0, 0.9, 0.3, 0.7\n")
+    assert _run("oracle", "--split-dir", str(split), "--metric", "pbm",
+                "--click-config", str(click), "--out", str(tmp_path / "o")) == 0, \
+        capsys.readouterr().err
+    oracle = [int(i) for i in (tmp_path / "o" / "test.txt").read_text().split("|")[4].split(",")]
+    assert sorted(oracle) == sorted(grades)
+    spec = load_click_spec(click)
+    weights = [Fraction(examination_prob(spec, p)) for p in range(1, 13)]
+    values = [Fraction(relevance_prob(spec, grades[i])) for i in oracle]
+    optimum = sum(w * v for w, v in zip(sorted(weights), sorted(values)))  # rearrangement
+    assert sum(w * v for w, v in zip(weights, values)) == optimum
+
+
 def test_bad_train_config_value_names_file_and_line(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("epochs = 1\nbatch_size = four\n")
@@ -179,6 +203,19 @@ def test_evaluate_bad_instance_line_exits_naming_it(tmp_path, capsys):
     assert _run("evaluate", "--checkpoint", str(ckpt), "--instances", str(inst),
                 "--out", str(tmp_path / "ev")) == 1
     assert f"error: {inst}:2: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "inspect"])
+@pytest.mark.parametrize("meta", ["[1, 2]", '{"dims": {}}'])
+def test_checkpoint_with_a_bad_meta_line_exits_naming_it(tmp_path, capsys, command, meta):
+    ckpt = tmp_path / "ckpt.txt"
+    ckpt.write_text(f"arrangerank-checkpoint v1\nmeta {meta}\nparam w 1 0x1.0p+0\nend\n")
+    inst = tmp_path / "test.txt"
+    inst.write_text("q0|0.5,0.5||10:2:0.1,0.2;11:1:0.3,0.4|\n")
+    extra = ["--query-ids", "q0"] if command == "inspect" else []
+    assert _run(command, "--checkpoint", str(ckpt), "--instances", str(inst), *extra,
+                "--out", str(tmp_path / "out")) == 1
+    assert f"error: {ckpt}:2: meta line " in capsys.readouterr().err
 
 
 def test_bench_reports_exponent(tmp_path, capsys):

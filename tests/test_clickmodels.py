@@ -1,6 +1,6 @@
 import itertools
 import math
-from unittest import mock
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -249,6 +249,48 @@ def _metric_value(pi, labels, metric):
     return r_ndcg(pi, labels) if metric == "ndcg" else r_cm(pi, labels, metric).value
 
 
+def _exact_scores(labels, metric):
+    """Every arrangement of the sorted ids, in lexicographic order, with its score computed
+    exactly in Fractions of the float weights and values the metric uses."""
+    ids = sorted(labels)
+    n = len(ids)
+    if metric == "ndcg":
+        value = {i: Fraction(2.0 ** labels[i] - 1.0) for i in ids}
+        weights = [Fraction(w) for w in (1.0 / np.log2(np.arange(2, n + 2))).tolist()]
+    else:
+        value = {i: Fraction(relevance_prob(metric, labels[i])) for i in ids}
+        weights = [Fraction(examination_prob(metric, p)) for p in range(1, n + 1)] \
+            if metric.kind == "pbm" else None
+        gams = [[Fraction(examination_prob(metric, i, j)) for j in range(i)]
+                for i in range(1, n + 1)]
+    for row in itertools.permutations(ids):
+        if weights is not None:
+            yield row, sum(w * value[i] for w, i in zip(weights, row))
+            continue
+        q, score = [Fraction(1)], Fraction(0)  # the browsing DP over the last-click position
+        for gam, i in zip(gams, row):
+            click = sum(a * g for a, g in zip(q, gam)) * value[i]
+            score += click
+            q = [a * (1 - g * value[i]) for a, g in zip(q, gam)] + [click]
+        yield row, score
+
+
+def _exact_oracle(labels, metric, seed):
+    """Reference (pick, tie sets): the exact maximizers kept in lexicographic order, and
+    ``rows[default_rng(seed).integers(len(rows))]`` as the pick."""
+    best, rows = None, []
+    for row, score in _exact_scores(labels, metric):
+        if best is None or score > best:
+            best, rows = score, []
+        if score == best:
+            rows.append(row)
+    return rows[np.random.default_rng(seed).integers(len(rows))], [set(c) for c in zip(*rows)]
+
+
+def _oracle(labels, metric, seed):
+    return oracle_permutation(labels, metric, seed).order, oracle_position_groups(labels, metric)
+
+
 def test_oracle_pbm_example_label_descending():
     labels = {0: 1, 1: 3, 2: 2}
     pi = oracle_permutation(labels, _pbm(), seed=0)
@@ -280,31 +322,53 @@ def test_oracle_total_tie_reproducible_and_uniformish():
     assert len(seen) == 24  # every arrangement is reachable
 
 
-def test_oracle_sorting_route_equals_enumeration_route(monkeypatch):
-    # same seed, same metric: the sorting shortcut must reproduce the
-    # enumeration route's tie pick exactly, not just its metric value
-    import arrangerank.clickmodels as cm
-
+def test_oracle_sorting_route_equals_enumeration_route():
+    # same seed, same metric: the closed-form route must reproduce the exact
+    # enumeration's tie pick, not just its metric value, and its tie sets
     rng = np.random.default_rng(6)
     for case in range(60):
         n = int(rng.integers(2, 6))
         labels = {i: int(rng.integers(0, 3)) for i in range(n)}
         metric = ["ndcg", _pbm(), _ubm()][case % 3]
-        fast = oracle_permutation(labels, metric, seed=case)
-        with monkeypatch.context() as m:
-            m.setattr(cm, "_tie_blocks", lambda metric, ids, values: None)
-            slow = cm.oracle_permutation(labels, metric, seed=case)
-        assert fast.order == slow.order, (labels, metric, fast.order, slow.order)
+        want = _exact_oracle(labels, metric, case)
+        assert _oracle(labels, metric, case) == want, (labels, metric)
 
 
 def test_oracle_cap_error_suggests_fallback():
-    table = np.array([0.5, 0.9, 0.1, 0.7, 0.3, 0.2, 0.6, 0.4, 0.8, 0.05, 0.02])
+    rng = np.random.default_rng(11)
     labels = {i: int(i % 5) for i in range(11)}
     with pytest.raises(EnumerationCapError, match="greedy"):
-        oracle_permutation(labels, _pbm(examination_table=table), seed=0)
+        oracle_permutation(labels, _ubm(examination_table=rng.random((11, 11))), seed=0)
 
 
-def test_oracle_non_monotone_table_uses_enumeration():
+def test_oracle_ties_are_decided_by_single_weights_and_values():
+    # summing whole arrangements in floats split positions 4-5 into {3} and {4}
+    spec = _pbm(examination_table=[0.7, 0.7, 0.7, 0.9, 0.9])
+    labels = {0: 2, 1: 0, 2: 1, 3: 3, 4: 4}
+    assert oracle_position_groups(labels, spec) == [{0, 1, 2}] * 3 + [{3, 4}] * 2
+    for seed in range(20):
+        assert _oracle(labels, spec, seed) == _exact_oracle(labels, spec, seed)
+
+
+@pytest.mark.parametrize("n", [11, 40])
+def test_oracle_tied_non_monotone_tables_beyond_the_enumeration_cap(n):
+    # n // 2 weights, each on two shuffled positions, and distinct values: 2^(n // 2) maximizers
+    rng = np.random.default_rng(n)
+    table = rng.permutation([k / 23 for k in range(1, n // 2 + 1)] * 2 + [0.3] * (n % 2))
+    spec = _pbm(examination_table=table, relevance_map={g: g / 41 for g in range(n)})
+    labels = {3 * i: i for i in range(n)}
+    value = {i: Fraction(spec.relevance_map[g]) for i, g in labels.items()}
+    optimum = sum(Fraction(w) * v for w, v in zip(sorted(table), sorted(value.values())))
+    groups = oracle_position_groups(labels, spec)
+    for seed in range(5):
+        pi = oracle_permutation(labels, spec, seed)
+        assert pi.order == oracle_permutation(labels, spec, seed).order
+        assert sum(Fraction(w) * value[i] for w, i in zip(table, pi)) == optimum
+        assert all(i in g for i, g in zip(pi, groups))
+    assert [len(g) for g in groups].count(2) == 2 * (n // 2)
+
+
+def test_oracle_non_monotone_table_puts_the_best_item_on_the_heaviest_position():
     # best item must land on the highest-weight position, not position 1
     spec = _pbm(examination_table=[0.2, 1.0, 0.1])
     labels = {0: 4, 1: 1, 2: 0}
@@ -356,14 +420,12 @@ def test_perm_table_is_itertools_order_and_read_only():
 
 
 def test_maximizers_nine_items_match_itertools_reference():
-    # reference: 8!-row chunks straight from itertools, keeping every row
-    # that ties the running maximum
-    import arrangerank.clickmodels as cm
-
+    # reference: 8!-row chunks straight from itertools, keeping every row that ties the
+    # running maximum (quarter values keep every float score exact)
     labels = {i: g for i, g in enumerate([4, 4, 2, 2, 2, 1, 0, 3, 3])}
     spec = _pbm(examination_table=[0.5, 1.0, 1.0, 0.25, 0.5, 0.75, 0.75, 0.25, 0.5],
                 relevance_map={0: 0.0, 1: 0.25, 2: 0.5, 3: 0.75, 4: 1.0})
-    ids, values = cm._item_values(labels, spec)
+    values = np.array([spec.relevance_map[labels[i]] for i in range(9)])
     weights = np.array(spec.examination_table)
     perms = itertools.permutations(range(9))
     best, kept = -np.inf, []
@@ -376,9 +438,11 @@ def test_maximizers_nine_items_match_itertools_reference():
         if top == best:
             kept.append(idx[scores == top])
     want = np.concatenate(kept)
-    got = cm._maximizers(ids, values, spec)
-    assert got.dtype == np.int8 and len(want) > 1
-    assert np.array_equal(got, want)
+    assert len(want) == 2 * 2 * 6 * 2  # orders of the equal values, times 2 in the 0.25 class
+    assert oracle_position_groups(labels, spec) == [set(col.tolist()) for col in want.T]
+    for seed in range(10):
+        pick = want[np.random.default_rng(seed).integers(len(want))]
+        assert oracle_permutation(labels, spec, seed).order == tuple(pick.tolist())
 
 
 def _per_row_browsing(values, spec):
@@ -470,13 +534,28 @@ _sorting_metric_st = st.one_of(
        _sorting_metric_st, st.integers(0, 2 ** 32))
 def test_sorting_route_equals_enumeration_route_property(labels, metric, seed):
     # tied relevance probabilities (a monotone map with repeats) merge grades
-    # into one block; the pick and the tie sets must still match enumeration
-    import arrangerank.clickmodels as cm
+    # into one value; the pick and the tie sets must still match the exact reference
+    assert _oracle(labels, metric, seed) == _exact_oracle(labels, metric, seed)
 
-    fast = (oracle_permutation(labels, metric, seed), oracle_position_groups(labels, metric))
-    with mock.patch.object(cm, "_tie_blocks", lambda metric, ids, values: None):
-        slow = (oracle_permutation(labels, metric, seed), oracle_position_groups(labels, metric))
-    assert fast == slow
+
+_tied = st.sampled_from([0.0, 0.3, 0.7, 0.9, 1.0])  # not dyadic: float sums round
+
+
+@st.composite
+def _tied_pbm_case(draw):
+    labels = draw(st.dictionaries(st.integers(0, 50), st.integers(0, 4), min_size=1, max_size=7))
+    table = draw(st.lists(_tied, min_size=len(labels), max_size=len(labels)))
+    rmap = draw(st.one_of(st.none(), st.fixed_dictionaries({g: _tied for g in range(5)})))
+    return labels, _pbm(examination_table=table, relevance_map=rmap)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_tied_pbm_case(), st.integers(0, 2 ** 32))
+def test_tied_non_monotone_pbm_tables_match_the_exact_reference(case, seed):
+    # tied, zero and non-monotone weights and tied relevance maps, n <= 7: the pick and every
+    # position's tie set equal exact enumeration's
+    labels, spec = case
+    assert _oracle(labels, spec, seed) == _exact_oracle(labels, spec, seed)
 
 
 def test_metric_fingerprint_distinguishes_configs():

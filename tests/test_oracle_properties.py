@@ -3,13 +3,13 @@
 ``oracle_permutation`` must reach the brute-force maximum, and
 ``oracle_position_groups`` must equal, position by position, the ids that
 some brute-force maximizer places there. For the default browsing model
-this is the claim the sorting route rests on: its maximizers are exactly
-the value-descending arrangements.
+this is the claim its closed-form route rests on: its maximizers are
+exactly the value-descending arrangements.
 
-The oracle decides ties by exact float equality of its scores. The
-explicit-table cases therefore draw examination and relevance values from
-quarters, which keeps every score exact, so arrangements that tie
-mathematically also tie in floating point.
+Brute force and the enumeration of explicit browsing tables decide ties by
+float equality of whole scores. The explicit-table cases therefore draw
+examination and relevance values from quarters, which keeps every score
+exact, so arrangements that tie mathematically also tie in floating point.
 """
 import itertools
 

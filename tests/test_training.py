@@ -1,13 +1,18 @@
+import json
+import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from arrangerank.autodiff import ShapeError
 from arrangerank.clickmodels import ClickModelSpec
 from arrangerank.data import DatasetSplit, generate_synthetic, temporal_split
 from arrangerank.model import ModelDims, init_params, param_shapes
-from arrangerank.params import CheckpointError, load_checkpoint, save_checkpoint
+from arrangerank.params import CheckpointError, ParamStore, load_checkpoint, save_checkpoint
 from arrangerank.training import (TrainConfig, _Sgd, dims_for, ensure_oracles, learning_rate,
                                   load_model, save_model, train, write_training_log)
 
@@ -249,6 +254,106 @@ def test_checkpoint_bad_value_shape_or_meta_names_the_line(tmp_path):
     path.write_text("\n".join([lines[0], "meta {bad"] + lines[2:]) + "\n")
     with pytest.raises(CheckpointError, match=re.escape("p.txt:2: malformed meta line")):
         load_checkpoint(path)
+
+
+def _edited_model(tmp_path, lineno, replace):
+    """A saved model whose line ``lineno`` is ``replace(lines)``; returns its path."""
+    dims = tiny_dims()
+    path = tmp_path / "p.txt"
+    save_model(init_params("starank", dims, 5), path, "starank", dims)
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = replace(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_checkpoint_repeated_parameter_names_the_line(tmp_path):
+    path = _edited_model(tmp_path, 4, lambda lines: lines[2])  # line 3's parameter again
+    with pytest.raises(CheckpointError, match=re.escape("p.txt:4: repeats parameter ")):
+        load_model(path)
+
+
+def test_checkpoint_meta_that_is_not_an_object_names_the_line(tmp_path):
+    path = _edited_model(tmp_path, 2, lambda lines: 'meta ["starank"]')
+    with pytest.raises(CheckpointError, match=re.escape("p.txt:2: meta line is not a JSON object")):
+        load_model(path)
+
+
+def test_checkpoint_meta_without_model_kind_or_dims_names_the_line(tmp_path):
+    for key in ("model_kind", "dims"):
+        def drop_key(lines):
+            meta = json.loads(lines[1][5:])
+            del meta[key]
+            return "meta " + json.dumps(meta)
+        path = _edited_model(tmp_path, 2, drop_key)
+        with pytest.raises(CheckpointError, match=re.escape(f"p.txt:2: meta line lacks ['{key}']")):
+            load_model(path)
+
+
+# every finite float, -0.0 and subnormals named so that each run draws them
+_finite = st.one_of(st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _param_stores(draw):
+    params = ParamStore()
+    for k in range(draw(st.integers(1, 4))):
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        size = math.prod(shape)
+        values = draw(st.lists(_finite, min_size=size, max_size=size))
+        params.create(f"layer{k}.w", np.array(values, dtype=np.float64).reshape(shape))
+    return params
+
+
+_CHECKPOINT_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_CHECKPOINT_PROPERTY
+@given(_param_stores())
+def test_checkpoint_round_trip_is_bitwise_over_shapes_and_finite_floats(tmp_path, params):
+    path = tmp_path / "p.txt"
+    save_checkpoint(params, path, {"note": "x"})
+    back, meta = load_checkpoint(path)
+    assert meta == {"note": "x"} and back.names() == params.names()
+    for name, t in params.items():
+        assert back[name].values.shape == t.values.shape
+        assert back[name].values.tobytes() == t.values.tobytes()
+
+
+def _corrupt(line: str, lineno: int, last: int, previous: str, choice: int) -> str:
+    """One line of a saved model made unreadable; ``choice`` picks how."""
+    if lineno == 1:
+        return ["arrangerank-checkpoint v2", "checkpoint v1"][choice % 2]
+    if lineno == 2:
+        return ['meta ["starank"]', "meta {bad", "meta {}", 'meta {"model_kind": "starank"}',
+                'meta {"model_kind": "starank", "dims": 3}', "mta {}"][choice % 6]
+    if lineno == last:
+        return "ned"
+    fields = line.split(" ")
+    edits = [fields + ["0x1.0p+0"], fields[:2] + [fields[2] + "x"] + fields[3:],
+             ["parm"] + fields[1:]]
+    if len(fields) > 3:
+        edits += [fields[:-1], fields[:-1] + ["zz"], fields[:-1] + ["inf"], fields[:-1] + ["nan"]]
+    if lineno > 3:
+        edits.append(previous.split(" "))  # repeats the previous parameter's name
+    return " ".join(edits[choice % len(edits)])
+
+
+@_CHECKPOINT_PROPERTY
+@given(_param_stores(), st.data())
+def test_checkpoint_one_corrupted_line_is_rejected_naming_it(tmp_path, params, data):
+    path = tmp_path / "p.txt"
+    save_checkpoint(params, path, {"model_kind": "starank", "dims": asdict(tiny_dims())})
+    lines = path.read_text().splitlines()
+    lineno = data.draw(st.integers(1, len(lines)))
+    choice = data.draw(st.integers(0, 11))
+    lines[lineno - 1] = _corrupt(lines[lineno - 1], lineno, len(lines), lines[lineno - 2], choice)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}:{lineno}: ")
 
 
 def test_training_log_csv(tmp_path):
