@@ -12,7 +12,7 @@ from .data import (DatasetSplit, Instance, UserLog, generate_synthetic, read_dat
                    temporal_split, write_dataset)
 from .evaluation import (accuracy_at_position, evaluate, export_attention,
                          export_attention_weights)
-from .loss import LossReport, listwise_loss, pointwise_summation_loss
+from .loss import LossReport, listwise_loss
 from .model import (ModelDims, batch_loss, init_params, instance_loss, rank_instance,
                     rank_instances, read_instance)
 from .params import ParamStore, load_checkpoint, save_checkpoint

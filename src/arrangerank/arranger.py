@@ -181,8 +181,8 @@ def summation_log_probs(rout: ReaderOutput, params: ParamStore, targets: np.ndar
     """Per-position terms (..., n) of the diagnostic summation foil.
 
     Term i scores target i over all items while the decoder follows its own
-    greedy picks (``loss.pointwise_summation_loss``). The picks are decoded
-    untaped, then fed to the decoder like forced targets, so one pass
+    greedy picks (``loss.sequence_loss(..., "summation")``). The picks are
+    decoded untaped, then fed to the decoder like forced targets, so one pass
     scores every position.
     """
     picks = _decode(rout, params, _masked_argmax)

@@ -43,10 +43,6 @@ class Tensor:
         self.grad = None
         self.requires_grad = requires_grad
 
-    @property
-    def shape(self) -> tuple:
-        return self.values.shape
-
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64, copy=True)

@@ -68,15 +68,15 @@ class ClickModelSpec:
     def __post_init__(self):
         if self.kind not in (PBM, UBM):
             raise ValueError(f"unknown click model kind {self.kind!r}")
-        if self.tau < 0:
+        if not self.tau >= 0:  # NaN fails too
             raise ValueError(f"tau must be >= 0, got {self.tau}")
         if self.examination_table is not None:
             self.examination_table = np.asarray(self.examination_table, dtype=np.float64)
             want = 1 if self.kind == PBM else 2
             if self.examination_table.ndim != want:
                 raise ValueError(f"{self.kind} examination table must be {want}-D")
-            if np.any(self.examination_table < 0) or np.any(self.examination_table > 1):
-                raise ValueError("examination probabilities must lie in [0, 1]")
+            if not np.all((self.examination_table >= 0) & (self.examination_table <= 1)):
+                raise ValueError("examination probabilities must lie in [0, 1]")  # NaN fails too
         if self.relevance_map is not None:
             bad = {r: p for r, p in self.relevance_map.items() if not 0.0 <= p <= 1.0}
             if bad:
@@ -201,7 +201,7 @@ def simulate_clicks(pi: Permutation, labels: dict[int, int], spec: ClickModelSpe
     last = 0
     for i in range(1, len(rel) + 1):
         u_exam, u_rel = rng.random(), rng.random()
-        examined = u_exam < examination_prob(spec, i, last if spec.kind == UBM else 0)
+        examined = u_exam < examination_prob(spec, i, last)  # a PBM user ignores ``last``
         if examined and u_rel < rel[i - 1]:
             clicks[i - 1] = True
             last = i
@@ -233,6 +233,8 @@ def load_click_spec(path) -> ClickModelSpec:
 
 def _table(raw: str, kind: str) -> np.ndarray:
     rows = [[float(x) for x in row.split(",") if x.strip() != ""] for row in raw.split(";")]
+    if kind == PBM and len(rows) > 1:
+        raise ValueError(f"a pbm table is one row, got {len(rows)} ';'-separated rows")
     return np.array(rows[0]) if kind == PBM else np.array(rows)
 
 
@@ -252,7 +254,8 @@ def metric_fingerprint(metric) -> str:
         return "ndcg"
     parts = [metric.kind, f"tau={metric.tau!r}", f"rmax={metric.r_max}"]
     if metric.examination_table is not None:
-        parts.append("table=" + metric.examination_table.tobytes().hex()[:32])
+        table = metric.examination_table
+        parts.append(f"table={'x'.join(map(str, table.shape))}:{table.tobytes().hex()}")
     if metric.relevance_map is not None:
         parts.append("rmap=" + ",".join(f"{r}:{p!r}" for r, p in sorted(metric.relevance_map.items())))
     return "|".join(parts)
@@ -284,8 +287,6 @@ def _position_weights(metric, values: list[float]) -> list[float] | None:
     if metric == "ndcg":
         return (1.0 / np.log2(np.arange(2, n + 2))).tolist()
     if metric.kind == PBM:
-        if metric.examination_table is None:
-            return [(1.0 / i) ** metric.tau for i in range(1, n + 1)]
         return [examination_prob(metric, i) for i in range(1, n + 1)]
     if metric.examination_table is None:
         return [float(n - p) if metric.tau > 0.0 else 1.0 for p in range(n)]

@@ -246,8 +246,8 @@ def write_dataset(logs: list[UserLog], path) -> None:
             fh.write(f"{log.user_id}|{_fmt_floats(log.profile)}|{items}\n")
 
 
-def read_dataset(path) -> list[UserLog]:
-    logs = []
+def _records(path, n_fields: int):
+    """(``file:line``, its '|' fields) for every non-empty line of a record file."""
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -255,16 +255,22 @@ def read_dataset(path) -> list[UserLog]:
                 continue
             where = f"{path}:{lineno}"
             fields = line.split("|")
-            if len(fields) != 3:
-                raise ParseError(f"{where}: expected 3 '|' fields, got {len(fields)}")
-            try:
-                uid = int(fields[0])
-            except ValueError as e:
-                raise ParseError(f"{where}: {e}") from None
-            profile = _parse_floats(fields[1], where, "profile")
-            items = _parse_items(fields[2], where)
-            _check_feature_dims(items, where)
-            logs.append(UserLog(uid, profile, items))
+            if len(fields) != n_fields:
+                raise ParseError(f"{where}: expected {n_fields} '|' fields, got {len(fields)}")
+            yield where, fields
+
+
+def read_dataset(path) -> list[UserLog]:
+    logs = []
+    for where, fields in _records(path, 3):
+        try:
+            uid = int(fields[0])
+        except ValueError as e:
+            raise ParseError(f"{where}: {e}") from None
+        profile = _parse_floats(fields[1], where, "profile")
+        items = _parse_items(fields[2], where)
+        _check_feature_dims(items, where)
+        logs.append(UserLog(uid, profile, items))
     return logs
 
 
@@ -282,38 +288,30 @@ def write_instances(instances: list[Instance], path) -> None:
 
 def read_instances(path) -> list[Instance]:
     out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            fields = line.split("|")
-            if len(fields) != 5:
-                raise ParseError(f"{where}: expected 5 '|' fields, got {len(fields)}")
-            profile = _parse_floats(fields[1], where, "profile")
-            hist_items = _parse_items(fields[2], where)
-            cand_items = _parse_items(fields[3], where)
-            if not cand_items:
-                raise ParseError(f"{where}: instance has no candidate items")
-            _check_feature_dims(hist_items + cand_items, where)
-            labels = {it.item_id: it.grade for it in cand_items}
-            if len(labels) != len(cand_items):
-                raise ParseError(f"{where}: duplicate candidate item ids")
-            inst = Instance(
-                query_id=fields[0],
-                ctx=UserContext(profile, [it.features for it in hist_items],
-                                feature_dim=cand_items[0].features.shape[0]),
-                cands=CandidateSet((it.item_id, it.features) for it in cand_items),
-                labels=labels,
-            )
-            if fields[4]:
-                try:
-                    inst.oracle = Permutation([int(x) for x in fields[4].split(",")])
-                    inst.oracle.validate_against(labels)
-                except ValueError as e:
-                    raise ParseError(f"{where}: oracle: {e}") from None
-            out.append(inst)
+    for where, fields in _records(path, 5):
+        profile = _parse_floats(fields[1], where, "profile")
+        hist_items = _parse_items(fields[2], where)
+        cand_items = _parse_items(fields[3], where)
+        if not cand_items:
+            raise ParseError(f"{where}: instance has no candidate items")
+        _check_feature_dims(hist_items + cand_items, where)
+        labels = {it.item_id: it.grade for it in cand_items}
+        if len(labels) != len(cand_items):
+            raise ParseError(f"{where}: duplicate candidate item ids")
+        inst = Instance(
+            query_id=fields[0],
+            ctx=UserContext(profile, [it.features for it in hist_items],
+                            feature_dim=cand_items[0].features.shape[0]),
+            cands=CandidateSet((it.item_id, it.features) for it in cand_items),
+            labels=labels,
+        )
+        if fields[4]:
+            try:
+                inst.oracle = Permutation([int(x) for x in fields[4].split(",")])
+                inst.oracle.validate_against(labels)
+            except ValueError as e:
+                raise ParseError(f"{where}: oracle: {e}") from None
+        out.append(inst)
     return out
 
 

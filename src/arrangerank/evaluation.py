@@ -59,9 +59,10 @@ class MetricTable:
         return f"{head}\n{vals}\n"
 
     def to_text(self) -> str:
-        width = max(len(c) for c in self.columns) + 2
+        values = [f"{self.means[c]:.4f}" for c in self.columns]
+        width = max(map(len, self.columns + values)) + 2  # the widest header or value
         lines = ["".join(c.rjust(width) for c in self.columns),
-                 "".join(f"{self.means[c]:.4f}".rjust(width) for c in self.columns)]
+                 "".join(v.rjust(width) for v in values)]
         return "\n".join(lines) + "\n"
 
 
@@ -94,12 +95,11 @@ def evaluate(params, model_kind: str, instances: list[Instance],
     return MetricTable(columns=columns, means=means, n_instances=len(instances))
 
 
-def accuracy_at_position(params, model_kind: str, instances: list[Instance],
-                         metric="ndcg") -> np.ndarray:
-    """Mean exact-match indicator per position against the oracle tie sets.
+def accuracy_at_position(params, model_kind: str, instances: list[Instance]) -> np.ndarray:
+    """Mean exact-match indicator per position against the NDCG oracle tie sets.
 
     A position counts as correct when the placed item appears at that
-    position in some metric-maximizing arrangement, so label ties never
+    position in some NDCG-maximizing arrangement, so label ties never
     punish an equally-good choice.
     """
     if not instances:
@@ -108,7 +108,7 @@ def accuracy_at_position(params, model_kind: str, instances: list[Instance],
     hits = np.zeros(max_n)
     counts = np.zeros(max_n)
     for inst, pi in zip(instances, rank_instances(model_kind, params, instances)):
-        groups = oracle_position_groups(inst.labels, metric)
+        groups = oracle_position_groups(inst.labels, "ndcg")
         for i, item in enumerate(pi):
             counts[i] += 1
             if item in groups[i]:

@@ -55,21 +55,17 @@ def _fresh_split(split: DatasetSplit) -> DatasetSplit:
 
 
 def comparative_experiment(n_users: int = 2000, context_strength: float = 1.0,
-                           n_seeds: int = 10, epochs: int = 4,
-                           history_len: int = 8, data_seed: int = 97,
-                           eval_limit: int | None = None) -> ComparativeResult:
+                           n_seeds: int = 10, epochs: int = 4) -> ComparativeResult:
     """Arranger vs pointwise baseline on context-dependent synthetic slates."""
-    logs = generate_synthetic(n_users, history_len=history_len,
-                              context_strength=context_strength, seed=data_seed)
-    split = temporal_split(logs)
-    test = split.test[:eval_limit] if eval_limit else split.test
+    split = temporal_split(generate_synthetic(n_users, history_len=8,
+                                              context_strength=context_strength, seed=97))
     result = ComparativeResult()
     for seed in range(n_seeds):
         for kind, bucket in (("starank", result.starank_n5),
                              ("pointwise_baseline", result.pointwise_n5)):
             cfg = small_config(seed=seed, epochs=epochs)
             params, _ = train(kind, _fresh_split(split), "ndcg", cfg)
-            table = evaluate(params, kind, test, ks=(5,))
+            table = evaluate(params, kind, split.test, ks=(5,))
             bucket.append(table.means["N@5"])
     return result
 
@@ -87,14 +83,11 @@ class SupervisionVariantResult:
         return float((a.mean() - b.mean()) / se) if se > 0 else 0.0
 
 
-def supervision_variant_experiment(n_users: int = 800, context_strength: float = 1.0,
-                                   n_seeds: int = 5, epochs: int = 4,
-                                   history_len: int = 8, data_seed: int = 131,
-                                   ks: tuple[int, ...] = (5, 10)) -> SupervisionVariantResult:
-    """Train under gain-discount vs position-based-click oracles and compare."""
-    logs = generate_synthetic(n_users, history_len=history_len,
-                              context_strength=context_strength, seed=data_seed)
-    base_split = temporal_split(logs)
+def supervision_variant_experiment(n_users: int = 800, n_seeds: int = 5, epochs: int = 4
+                                   ) -> SupervisionVariantResult:
+    """Train under gain-discount vs position-based-click oracles and compare P@5 and P@10."""
+    data_seed, ks = 131, (5, 10)
+    base_split = temporal_split(generate_synthetic(n_users, history_len=8, seed=data_seed))
     pbm = ClickModelSpec(kind="pbm")
     result = SupervisionVariantResult(p_at_k={"ndcg": {k: [] for k in ks},
                                               "pbm": {k: [] for k in ks}})
@@ -125,8 +118,7 @@ DECODE_GROUP = 32  # instances decode_scaling decodes together per candidate cou
 
 
 def decode_scaling(sizes: tuple[int, ...] = (5, 10, 20, 40), repeats: int = 15,
-                   width: int = 1024, embed: int = 8, seed: int = 0
-                   ) -> tuple[list[float], float]:
+                   width: int = 1024, seed: int = 0) -> tuple[list[float], float]:
     """Greedy-decode wall time per instance and candidate count, and the fitted growth exponent.
 
     Each candidate count decodes a group of ``DECODE_GROUP`` instances in one
@@ -139,8 +131,8 @@ def decode_scaling(sizes: tuple[int, ...] = (5, 10, 20, 40), repeats: int = 15,
     """
     rng = np.random.default_rng(seed)
     fdim = 16
-    dims = ModelDims(feature_dim=fdim, profile_dim=fdim, embed=embed,
-                     attn_width=width, mlp_hidden=embed, max_list_len=max(sizes))
+    dims = ModelDims(feature_dim=fdim, profile_dim=fdim, embed=8, attn_width=width, mlp_hidden=8,
+                     max_list_len=max(sizes))
     params = init_params("starank", dims, seed)
     routs = []
     for n in sizes:

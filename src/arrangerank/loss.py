@@ -56,7 +56,9 @@ def sequence_loss(rout: ReaderOutput, params: ParamStore, targets: np.ndarray,
                   variant: str = "listwise") -> LossReport:
     """-log P(targets) per instance, targets given as candidate indices (..., n).
 
-    ``variant="summation"`` is the diagnostic per-position summation loss.
+    ``variant="summation"`` is the diagnostic per-position summation loss: a
+    cross-entropy over all items at every position while the decoder follows
+    its own greedy picks, so it ignores which items the target prefix removed.
     """
     log_probs = summation_log_probs if variant == "summation" else forced_log_probs
     terms = log_probs(rout, params, targets)
@@ -71,14 +73,3 @@ def listwise_loss(rout: ReaderOutput, params: ParamStore, pi_star: Permutation) 
     """Differentiable -log P(pi_star) with per-position terms."""
     return sequence_loss(rout, params, np.array(target_indices(rout.ids, pi_star)))
 
-
-def pointwise_summation_loss(rout: ReaderOutput, params: ParamStore,
-                             pi_star: Permutation) -> LossReport:
-    """Per-position cross-entropy over ALL items, no masking, no teacher forcing.
-
-    The decoder state follows the model's own greedy choices, so the loss
-    ignores which items the target prefix removed from contention. Kept only
-    to demonstrate how much that contextual bookkeeping matters.
-    """
-    return sequence_loss(rout, params, np.array(target_indices(rout.ids, pi_star)),
-                         "summation")

@@ -141,11 +141,7 @@ def _inputs(instances: list[Instance]):
     return group, group
 
 
-def read_group(kind: str, params: ParamStore, instances: list[Instance],
-               drop: DropoutPlan | None = None) -> ReaderOutput:
-    """Reader output of instances sharing one (history length, slate size)."""
-    kind = normalize_kind(kind)
-    ctx, cands = _inputs(instances)
+def _read(kind: str, params: ParamStore, ctx, cands, drop: DropoutPlan | None) -> ReaderOutput:
     if kind == "starank_ps_mlp":
         user_vec = encode_history_mlp(ctx, params, drop)
     else:
@@ -157,15 +153,19 @@ def read_group(kind: str, params: ParamStore, instances: list[Instance],
     return encode_candidates(cands, user_vec, params, drop)
 
 
-def read_instance(kind: str, params: ParamStore, inst: Instance,
-                  drop: DropoutPlan | None = None) -> ReaderOutput:
-    return read_group(kind, params, [inst], drop)
+def read_group(kind: str, params: ParamStore, instances: list[Instance],
+               drop: DropoutPlan | None = None) -> ReaderOutput:
+    """Reader output of instances sharing one (history length, slate size)."""
+    return _read(normalize_kind(kind), params, *_inputs(instances), drop)
+
+
+def read_instance(kind: str, params: ParamStore, inst: Instance) -> ReaderOutput:
+    return read_group(kind, params, [inst])
 
 
 def instance_loss(kind: str, params: ParamStore, inst: Instance,
-                  r_max: int = 4, drop: DropoutPlan | None = None,
                   loss_variant: str = "listwise") -> LossReport:
-    return batch_loss(kind, params, [inst], r_max, drop, loss_variant)
+    return batch_loss(kind, params, [inst], loss_variant=loss_variant)
 
 
 def batch_loss(kind: str, params: ParamStore, instances: list[Instance],
@@ -187,7 +187,7 @@ def batch_loss(kind: str, params: ParamStore, instances: list[Instance],
         targets = [target_indices(inst.cands.ids, inst.oracle) for inst in instances]
     if loss_variant not in ("listwise", "summation"):
         raise ValueError(f"unknown loss variant {loss_variant!r}")
-    return sequence_loss(read_group(kind, params, instances, drop), params,
+    return sequence_loss(_read(kind, params, ctx, cands, drop), params,
                          np.reshape(targets, shape), loss_variant)
 
 
@@ -197,23 +197,24 @@ def _stable_int(text: str) -> int:
 
 def rank_instance(kind: str, params, inst: Instance) -> Permutation:
     """Greedy ranking for trainable kinds; see module docstring for the rest."""
-    if kind == "oracle_replay":
-        if inst.oracle is None:
-            raise ValueError(f"instance {inst.query_id} has no oracle to replay")
-        return inst.oracle
-    if kind == "uniform_random":
-        rng = np.random.default_rng([int(params), _stable_int(inst.query_id)])
-        order = list(inst.cands.ids)
-        rng.shuffle(order)
-        return Permutation(order)
     return rank_instances(kind, params, [inst])[0]
 
 
 def rank_instances(kind: str, params, instances: list[Instance]) -> list[Permutation]:
     """``rank_instance`` for every instance; trainable kinds rank each
     (history length, slate size) group in one array pass."""
-    if kind in ("oracle_replay", "uniform_random"):
-        return [rank_instance(kind, params, inst) for inst in instances]
+    if kind == "oracle_replay":
+        for inst in instances:
+            if inst.oracle is None:
+                raise ValueError(f"instance {inst.query_id} has no oracle to replay")
+        return [inst.oracle for inst in instances]
+    if kind == "uniform_random":
+        ranked = []
+        for inst in instances:
+            order = list(inst.cands.ids)
+            np.random.default_rng([int(params), _stable_int(inst.query_id)]).shuffle(order)
+            ranked.append(Permutation(order))
+        return ranked
     kind = normalize_kind(kind)
     ranked: list[Permutation] = [None] * len(instances)
     for positions in shape_groups(instances):

@@ -26,9 +26,6 @@ class Permutation:
     def __iter__(self):
         return iter(self.order)
 
-    def __getitem__(self, i: int) -> int:
-        return self.order[i]
-
     def validate_against(self, item_ids: Iterable[int]) -> None:
         expected = set(int(i) for i in item_ids)
         if set(self.order) != expected or len(self.order) != len(expected):

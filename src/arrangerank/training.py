@@ -41,8 +41,6 @@ class TrainConfig:
     seed: int = 0
     embedding_dim: int = 64
     optimizer: str = "adam"  # plain sgd available; needs lr scaled for summed grads
-    attn_width: int = 0       # 0: follow embedding_dim
-    mlp_hidden: int = 0       # 0: follow embedding_dim
     max_list_len: int = 10
     r_max: int = 4
     loss_variant: str = "listwise"  # "summation" = diagnostic per-position loss
@@ -65,15 +63,11 @@ def learning_rate(cfg: TrainConfig, epoch: int) -> float:
 
 
 def dims_for(cfg: TrainConfig, sample: Instance) -> ModelDims:
+    """Model dimensions for a config; the attention and MLP widths follow ``embedding_dim``."""
     e = cfg.embedding_dim
-    return ModelDims(
-        feature_dim=sample.cands.features.shape[1],
-        profile_dim=sample.ctx.profile.shape[0],
-        embed=e,
-        attn_width=cfg.attn_width or e,
-        mlp_hidden=cfg.mlp_hidden or e,
-        max_list_len=cfg.max_list_len,
-    )
+    return ModelDims(feature_dim=sample.cands.features.shape[1],
+                     profile_dim=sample.ctx.profile.shape[0], embed=e, attn_width=e,
+                     mlp_hidden=e, max_list_len=cfg.max_list_len)
 
 
 def ensure_oracles(instances: list[Instance], metric, master_seed: int, r_max: int = 4) -> int:
@@ -117,9 +111,10 @@ class _Sgd:
 
 
 class _Adam:
-    def __init__(self, params: ParamStore, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: ParamStore):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {name: np.zeros_like(p.values) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.values) for name, p in params.items()}
         self.t = 0

@@ -137,6 +137,43 @@ def test_backward_twice_is_an_error():
         t.backward(out)
 
 
+def test_batched_primitives_reject_shapes_that_do_not_agree():
+    m = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError, match="matvec"):  # batch 2 against batch 3
+        ad.matvec(m, Tensor(np.zeros((3, 4))))
+    with pytest.raises(ShapeError, match="add shapes"):
+        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError, match="add_rows"):
+        ad.add_rows(m, Tensor(np.zeros((3, 4))))
+    with pytest.raises(ShapeError, match="mul"):
+        ad.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+    with pytest.raises(ShapeError, match="scale_rows"):
+        ad.scale_rows(m, Tensor(np.zeros((2, 4))))
+
+
+def test_masked_log_prob_rejects_bad_indices():
+    logits = Tensor(np.zeros((2, 3)))
+    mask = np.array([[True, True, False], [True, True, True]])
+    with pytest.raises(ShapeError, match="one index per row"):
+        ad.masked_log_prob(logits, mask, np.zeros(3, dtype=int))
+    with pytest.raises(ValueError, match="masked out"):
+        ad.masked_log_prob(logits, mask, np.array([2, 0]))
+
+
+def test_dropout_rate_nested_tapes_and_non_scalar_backward_are_errors():
+    for rate in (-0.1, 1.0):
+        with pytest.raises(ValueError, match="dropout rate"):
+            ad.dropout(Tensor([1.0]), rate, np.random.default_rng(0))
+    with Tape():
+        with pytest.raises(GraphError, match="nested"):
+            Tape().__enter__()
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as t:
+        out = ad.tanh(x)
+    with pytest.raises(ShapeError, match="scalar"):
+        t.backward(out)
+
+
 def test_forward_determinism_bitwise():
     rng = np.random.default_rng(9)
     x = rng.uniform(-2, 2, 16)

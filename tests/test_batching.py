@@ -127,6 +127,18 @@ def test_evaluate_click_metrics_are_prefix_sums_of_one_dp():
             assert table.means[f"{name}@{k}"] == total / len(pool)
 
 
+def test_model_dispatch_rejects_unknown_kinds_and_variants_and_missing_oracles():
+    inst = make_instance(seed=1, n=3)
+    with pytest.raises(ValueError, match="unknown model kind 'ranknet'"):
+        init_params("ranknet", tiny_dims(), 0)
+    with pytest.raises(ValueError, match="test:1 has no oracle to replay"):
+        rank_instance("oracle_replay", None, inst)
+    inst.oracle = oracle_permutation(inst.labels, "ndcg", seed=0)
+    with pytest.raises(ValueError, match="unknown loss variant 'pairwise'"):
+        batch_loss("starank", init_params("starank", tiny_dims(), 0), [inst],
+                   loss_variant="pairwise")
+
+
 def test_loss_report_rejects_negative_losses_beyond_rounding():
     rep = LossReport(losses=np.array(-1e-15), terms=np.array([-1e-15]), tensor=Tensor(0.0))
     assert rep.total == 0.0 and rep.per_position == [0.0]

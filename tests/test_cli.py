@@ -138,6 +138,11 @@ def test_malformed_config_lines_name_file_and_line(tmp_path, capsys):
     ("examination_table = 1.0, 1.5", "examination_table: examination probabilities must lie in"),
     ("kind = cascade", "kind: unknown click model kind 'cascade'"),
     ("taus = 0.5", "unknown keys ['taus']"),
+    ("tau = nan", "tau: tau must be >= 0, got nan"),
+    ("examination_table = nan, 0.5, 0.9",
+     "examination_table: examination probabilities must lie in"),
+    ("examination_table = 1.0, 0.5; 0.3, 0.2",
+     "examination_table: a pbm table is one row, got 2 ';'-separated rows"),
 ])
 def test_bad_click_config_values_name_file_and_line(tmp_path, capsys, line, shown):
     click = tmp_path / "click.cfg"
@@ -190,7 +195,8 @@ def test_bad_train_config_value_names_file_and_line(tmp_path, capsys):
     assert f"error: {cfg}:2: batch_size: invalid literal for int()" in capsys.readouterr().err
 
 
-def test_evaluate_bad_instance_line_exits_naming_it(tmp_path, capsys):
+def _tiny_model(tmp_path, instance_lines):
+    """A starank checkpoint over 2 features and an instance file; their paths."""
     from arrangerank.model import ModelDims, init_params
     from arrangerank.training import save_model
 
@@ -198,8 +204,13 @@ def test_evaluate_bad_instance_line_exits_naming_it(tmp_path, capsys):
     ckpt = tmp_path / "ckpt.txt"
     save_model(init_params("starank", dims, 0), ckpt, "starank", dims)
     inst = tmp_path / "test.txt"
-    inst.write_text("q0|0.5,0.5||10:2:0.1,0.2;11:1:0.3,0.4|\n"
-                    "q1|0.5,0.5||10:2:0.1,nan;11:1:0.3,0.4|\n")
+    inst.write_text("".join(line + "\n" for line in instance_lines))
+    return ckpt, inst
+
+
+def test_evaluate_bad_instance_line_exits_naming_it(tmp_path, capsys):
+    ckpt, inst = _tiny_model(tmp_path, ["q0|0.5,0.5||10:2:0.1,0.2;11:1:0.3,0.4|",
+                                        "q1|0.5,0.5||10:2:0.1,nan;11:1:0.3,0.4|"])
     assert _run("evaluate", "--checkpoint", str(ckpt), "--instances", str(inst),
                 "--out", str(tmp_path / "ev")) == 1
     assert f"error: {inst}:2: " in capsys.readouterr().err
@@ -216,6 +227,43 @@ def test_checkpoint_with_a_bad_meta_line_exits_naming_it(tmp_path, capsys, comma
     assert _run(command, "--checkpoint", str(ckpt), "--instances", str(inst), *extra,
                 "--out", str(tmp_path / "out")) == 1
     assert f"error: {ckpt}:2: meta line " in capsys.readouterr().err
+
+
+def test_evaluate_click_config_replaces_the_column_of_its_kind(tmp_path):
+    ckpt, inst = _tiny_model(tmp_path, [
+        "q0|0.5,0.5|0:0:0.1,0.9|10:2:0.1,0.2;11:4:0.3,0.4;12:1:0.8,0.1|",
+        "q1|0.2,0.7||10:3:0.5,0.2;11:0:0.3,0.6;12:4:0.1,0.1|"])
+    tables = {}
+    for kind in (None, "pbm", "ubm"):
+        extra = []
+        if kind:
+            cfg = tmp_path / f"{kind}.cfg"
+            cfg.write_text(f"kind = {kind}\ntau = 0\n")
+            extra = ["--click-config", str(cfg)]
+        out = tmp_path / f"ev_{kind}"
+        assert _run("evaluate", "--checkpoint", str(ckpt), "--instances", str(inst), "--k", "2",
+                    *extra, "--out", str(out)) == 0
+        head, values = (out / "metrics.csv").read_text().splitlines()
+        tables[kind] = dict(zip(head.split(","), values.split(",")))
+    assert list(tables[None]) == ["N@2", "M@2", "P@2", "U@2"]
+    for kind, column in (("pbm", "P@2"), ("ubm", "U@2")):
+        changed = {c for c in tables[None] if tables[kind][c] != tables[None][c]}
+        assert changed == {column}
+
+
+def test_oracle_metric_conflicting_with_the_click_config_kind_exits(tmp_path):
+    click = tmp_path / "click.cfg"
+    click.write_text("kind = pbm\n")
+    with pytest.raises(SystemExit, match=f"--metric ubm conflicts with {click} \\(kind pbm\\)"):
+        _run("oracle", "--split-dir", str(tmp_path / "s"), "--metric", "ubm",
+             "--click-config", str(click), "--out", str(tmp_path / "o"))
+
+
+def test_inspect_unknown_query_id_exits(tmp_path, capsys):
+    ckpt, inst = _tiny_model(tmp_path, ["q0|0.5,0.5||10:2:0.1,0.2;11:1:0.3,0.4|"])
+    assert _run("inspect", "--checkpoint", str(ckpt), "--instances", str(inst),
+                "--query-ids", "q0", "q9", "--out", str(tmp_path / "out")) == 1
+    assert "error: no instance with query id 'q9'" in capsys.readouterr().err
 
 
 def test_bench_reports_exponent(tmp_path, capsys):

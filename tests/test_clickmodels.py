@@ -80,6 +80,8 @@ def test_examination_explicit_tables():
     table[2, 1] = 0.7
     spec = _ubm(examination_table=table)
     assert examination_prob(spec, 3, 1) == 0.7
+    with pytest.raises(ValueError, match=r"no entry for \(4, 1\)"):
+        examination_prob(spec, 4, 1)
 
 
 def test_spec_validation():
@@ -88,9 +90,15 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         _pbm(tau=-1.0)
     with pytest.raises(ValueError):
+        _pbm(tau=float("nan"))
+    with pytest.raises(ValueError):
         _pbm(examination_table=[1.0, 1.5])
     with pytest.raises(ValueError):
+        _ubm(examination_table=[[1.0, 0.0], [float("nan"), 0.5]])
+    with pytest.raises(ValueError):
         _pbm(relevance_map={0: -0.1})
+    with pytest.raises(ValueError, match="ubm examination table must be 2-D"):
+        _ubm(examination_table=[1.0, 0.5])
 
 
 # --------------------------------------------------------------- relevance
@@ -104,6 +112,8 @@ def test_relevance_defaults_and_overrides():
     assert relevance_prob(spec, 1) == 0.9
     with pytest.raises(ValueError):
         relevance_prob(spec, 2)
+    with pytest.raises(ValueError, match=r"grade 5 outside \[0, 4\]"):
+        relevance_prob(_pbm(), 5)
 
 
 # ------------------------------------------------------------------- r_cm
@@ -405,6 +415,8 @@ def test_oracle_empty_label_set_raises_value_error():
             oracle_permutation({}, metric, seed=0)
         with pytest.raises(ValueError, match="empty candidate set"):
             oracle_position_groups({}, metric)
+    with pytest.raises(ValueError, match="metric must be 'ndcg' or a ClickModelSpec"):
+        oracle_permutation({0: 1}, "pbm", seed=0)
 
 
 def test_perm_table_is_itertools_order_and_read_only():
@@ -563,6 +575,15 @@ def test_metric_fingerprint_distinguishes_configs():
            ["ndcg", _pbm(), _pbm(tau=2.0), _ubm(), _pbm(relevance_map={0: 0.0, 1: 1.0}),
             _pbm(examination_table=[1.0, 0.5])]}
     assert len(fps) == 6
+
+
+def test_metric_fingerprint_keys_on_every_cell_and_the_shape():
+    # two tables that differ only in their third cell
+    assert (metric_fingerprint(_pbm(examination_table=[1.0, 0.5, 0.3]))
+            != metric_fingerprint(_pbm(examination_table=[1.0, 0.5, 0.9])))
+    # the same bytes laid out as 1 x 4 and as 2 x 2
+    assert (metric_fingerprint(_ubm(examination_table=[[1.0, 0.0, 0.5, 0.25]]))
+            != metric_fingerprint(_ubm(examination_table=[[1.0, 0.0], [0.5, 0.25]])))
 
 
 def test_load_click_spec_round_trip(tmp_path):

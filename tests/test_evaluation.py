@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from arrangerank.clickmodels import ClickModelSpec, oracle_permutation
-from arrangerank.evaluation import (EmptyEvaluationError, accuracy_at_position, evaluate,
-                                    export_attention, map_at_k)
+from arrangerank.evaluation import (EmptyEvaluationError, MetricTable, accuracy_at_position,
+                                    evaluate, export_attention, map_at_k)
 from arrangerank.model import rank_instance
 from arrangerank.permutation import Permutation
 
@@ -34,6 +34,14 @@ def test_evaluate_oracle_replayer_perfect():
     assert table.means["N@5"] == 1.0
     assert table.means["N@10"] == 1.0
     assert table.means["M@5"] == 1.0
+
+
+def test_metric_table_text_keeps_every_column_apart():
+    table = evaluate(None, "oracle_replay", _instances(), ks=(5, 10))
+    values = [f"{table.means[c]:.4f}" for c in table.columns]
+    assert table.to_text().split() == table.columns + values
+    wide = MetricTable(columns=["N@5", "P@10"], means={"N@5": 0.4872, "P@10": 10.0})
+    assert wide.to_text().split() == ["N@5", "P@10", "0.4872", "10.0000"]
 
 
 def test_evaluate_random_on_equal_labels_degenerate():
@@ -71,6 +79,8 @@ def test_evaluate_metric_ranges_and_purity():
 def test_evaluate_rejects_empty():
     with pytest.raises(EmptyEvaluationError):
         evaluate(None, "oracle_replay", [])
+    with pytest.raises(EmptyEvaluationError):
+        accuracy_at_position(None, "oracle_replay", [])
 
 
 def test_evaluate_rejects_grades_above_r_max_naming_the_query():

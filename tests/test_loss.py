@@ -4,7 +4,7 @@ import pytest
 from arrangerank.arranger import permutation_log_prob
 from arrangerank.autodiff import grad_check
 from arrangerank.clickmodels import oracle_permutation
-from arrangerank.loss import listwise_loss, pointwise_summation_loss
+from arrangerank.loss import listwise_loss, sequence_loss
 from arrangerank.model import init_params, instance_loss, read_instance
 from arrangerank.permutation import BijectionError, Permutation
 from arrangerank.training import TrainConfig, train
@@ -88,7 +88,7 @@ def test_gradient_check_mlp_variants():
 
 def test_pointwise_summation_loss_base_cases():
     rout, params, _ = _setup(n=1)
-    rep = pointwise_summation_loss(rout, params, Permutation(rout.ids))
+    rep = sequence_loss(rout, params, np.arange(len(rout.ids)), "summation")
     assert rep.total == 0.0
     listw = listwise_loss(rout, params, Permutation(rout.ids))
     assert rep.total == listw.total
@@ -98,7 +98,7 @@ def test_pointwise_summation_loss_ignores_masking():
     # full-support softmax at every position: terms can exceed the masked ones
     rout, params, _ = _setup(seed=5, n=4)
     pi = Permutation(rout.ids)
-    summation = pointwise_summation_loss(rout, params, pi)
+    summation = sequence_loss(rout, params, np.arange(4), "summation")
     assert len(summation.per_position) == 4
     assert summation.per_position[-1] > 0.0  # masked loss would be exactly 0 here
     masked = listwise_loss(rout, params, pi)

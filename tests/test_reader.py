@@ -128,6 +128,10 @@ def test_empty_candidate_set_error():
     params = _params()
     with pytest.raises(EmptyInputError):
         encode_candidates(CandidateSet([]), Tensor(np.zeros(6)), params)
+    with pytest.raises(EmptyInputError):
+        encode_candidates_mlp(CandidateSet([]), Tensor(np.zeros(6)), _params("starank_pi_mlp"))
+    with pytest.raises(ValueError, match="feature_dim is required"):
+        UserContext(np.zeros(6), [])
 
 
 def test_mlp_candidates_identical_items_and_order_independence():
