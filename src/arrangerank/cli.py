@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from .clickmodels import ClickModelSpec, load_click_spec
+from .clickmodels import ClickModelSpec, load_click_spec, metric_fingerprint
 from .data import (ParseError, generate_synthetic, parse_value, read_dataset, read_instances,
                    read_key_values, temporal_split, write_dataset, write_instances)
 from .evaluation import evaluate, export_attention, export_attention_weights
@@ -116,7 +116,8 @@ def _cmd_split(args) -> int:
 def _cmd_oracle(args) -> int:
     out = _out_dir(args.out)
     metric = _metric_arg(args.metric, args.tau, args.r_max, args.click_config)
-    inputs, outputs = [], []
+    inputs = [Path(args.click_config)] if args.click_config else []
+    outputs = []
     t0 = time.perf_counter()
     n = 0
     for name in ("train", "validation", "test"):
@@ -130,8 +131,8 @@ def _cmd_oracle(args) -> int:
         write_instances(instances, path)
         outputs.append(path)
     took = time.perf_counter() - t0
-    _echo_config(out, {"metric": args.metric, "tau": args.tau, "seed": args.seed,
-                       "r_max": args.r_max})
+    _echo_config(out, {"metric": metric_fingerprint(metric), "seed": args.seed,
+                       "r_max": getattr(metric, "r_max", args.r_max)})  # a click model's own
     _write_manifest(out, "oracle", {"seed": args.seed}, inputs, outputs)
     print(f"computed {n} oracle permutations in {took:.2f}s")
     return 0
@@ -152,7 +153,7 @@ def _cmd_train(args) -> int:
     log_path = out / "training_log.csv"
     write_training_log(log, log_path)
     _echo_config(out, {**{f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
-                       "model": args.model, "metric": args.metric})
+                       "model": args.model, "metric": metric_fingerprint(metric)})
     _write_manifest(out, "train", {"seed": cfg.seed},
                     [Path(args.split_dir) / "train.txt"], [ckpt, log_path])
     print(f"final epoch mean loss {log[-1]['mean_loss']:.4f}; checkpoint at {ckpt}")
@@ -175,9 +176,10 @@ def _cmd_evaluate(args) -> int:
     txt_path = out / "metrics.txt"
     txt_path.write_text(table.to_text())
     _echo_config(out, {"checkpoint": args.checkpoint, "instances": args.instances,
-                       "k": args.k, "tau": args.tau, "r_max": args.r_max})
-    _write_manifest(out, "evaluate", {}, [Path(args.checkpoint), Path(args.instances)],
-                    [csv_path, txt_path])
+                       "k": args.k, "r_max": args.r_max,
+                       **{name: metric_fingerprint(spec) for name, spec in specs.items()}})
+    inputs = [args.checkpoint, args.instances] + ([args.click_config] if args.click_config else [])
+    _write_manifest(out, "evaluate", {}, list(map(Path, inputs)), [csv_path, txt_path])
     print(table.to_text(), end="")
     return 0
 

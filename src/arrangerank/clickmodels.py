@@ -10,9 +10,10 @@ Two simulated users are supported:
 
 A ranking's simulation score is the expected number of clicks: the sum over
 positions of P(examined) * P(perceived relevant). For the browsing model the
-conditioning on earlier clicks is marginalized exactly by dynamic
-programming over the last-click position, never by Monte Carlo, so the
-metric is deterministic.
+conditioning on earlier clicks is marginalized exactly, never by Monte Carlo,
+by a dynamic program over the last-click position. Its one step scores a
+batch of served lists (a single list is a batch of one) and the enumeration
+oracle's arrangements alike.
 
 The oracle permutation maximizes a chosen metric over all arrangements,
 drawing one seeded index into the lexicographically ordered list of tied
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -120,46 +120,84 @@ def relevance_prob(spec: ClickModelSpec, grade: int) -> float:
     return (2.0 ** grade - 1.0) / (2.0 ** spec.r_max - 1.0)
 
 
-def _relevance_vector(spec: ClickModelSpec, pi: Permutation, labels: dict[int, int]) -> np.ndarray:
-    pi.validate_against(labels.keys())
-    return np.array([relevance_prob(spec, labels[d]) for d in pi])
+def served_grades(served: list[tuple[Permutation, dict[int, int]]]) -> np.ndarray:
+    """(B, n) grades of equal-length arrangements, each a bijection onto its labels' ids."""
+    for pi, labels in served:
+        pi.validate_against(labels.keys())
+    return np.array([[labels[d] for d in pi] for pi, labels in served], dtype=np.int64)
+
+
+def cutoff_depth(k: int | None, n: int) -> int:
+    """How many of n positions a cutoff k scores (all for None); a cutoff below 1 is an error."""
+    if k is not None and k < 1:
+        raise ValueError(f"cutoff k must be >= 1, got {k}")
+    return n if k is None else min(k, n)
+
+
+def _examination(spec: ClickModelSpec, n: int):
+    """examination_prob at positions 1..n: one float each for a position-based user; for a
+    browsing user, per position i an (i,) array indexed by the last click."""
+    if spec.kind == PBM:
+        return [examination_prob(spec, i) for i in range(1, n + 1)]
+    return [np.array([examination_prob(spec, i, j) for j in range(i)]) for i in range(1, n + 1)]
+
+
+def _browse_step(q: np.ndarray, i: int, gam: np.ndarray, values: np.ndarray, items: np.ndarray,
+                 bufs) -> np.ndarray:
+    """Browsing-model position i for the first P = len(items) rows of ``q``, q[:, j] being
+    P(last click at j) and ``values[items]`` the value each row places at i: returns the
+    clicks (in ``bufs``) and updates q unless i is its last column."""
+    (dots, rel, spare), P = bufs, len(items)
+    # OpenBLAS's gemv can sum a call's last (rows mod 4) rows in another order, and numpy sends
+    # a one-row product to its dot routine: 4k rows give a row the same bits in every batch
+    m = -(-P // 4) * 4
+    dot = np.matmul(q[:m, :i], gam, out=dots[:m])[:P]
+    click = np.multiply(dot, np.take(values, items, out=rel[:P], mode="clip"), out=dots[:P])
+    if i < q.shape[1]:  # q[:, j] *= 1 - gam[j] * value for j < i, taken per value; later * 1
+        factors = np.ones((len(values), q.shape[1]))
+        factors[:, :i] = 1.0 - values[:, None] * gam
+        q[:P] *= np.take(factors, items, axis=0, out=spare[:P], mode="clip")
+        q[:P, i] = click
+    return click
+
+
+def click_rows(spec: ClickModelSpec, grades: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Expected clicks at the first k positions of each row of served grades, (B, min(k, n)):
+    one product for a position-based user, one ``_browse_step`` per position for a browsing one."""
+    depth = cutoff_depth(k, grades.shape[1])
+    distinct, at = np.unique(grades, return_inverse=True)
+    values = np.array([relevance_prob(spec, g) for g in distinct.tolist()])
+    at, exam = at.reshape(grades.shape)[:, :depth], _examination(spec, depth)
+    if spec.kind == PBM:
+        return np.multiply(exam, values[at])
+    rows = -(-len(at) // 4) * 4
+    q, clicks = np.tile(np.eye(1, depth), (rows, 1)), np.empty(at.shape)  # no click yet
+    bufs = np.zeros(rows), np.zeros(rows), np.zeros((rows, depth))
+    for i, gam in enumerate(exam, start=1):
+        clicks[:, i - 1] = _browse_step(q, i, gam, values, at[:, i - 1], bufs)
+    return clicks
 
 
 def r_cm(pi: Permutation, labels: dict[int, int], spec: ClickModelSpec,
          k: int | None = None) -> MetricScore:
     """Expected clicks down the list (optionally truncated at position k)."""
-    rel = _relevance_vector(spec, pi, labels)
-    n = len(rel)
-    kk = n if k is None else min(k, n)
-    contribs = []
-    if spec.kind == PBM:
-        for i in range(kk):
-            contribs.append(examination_prob(spec, i + 1) * rel[i])
-    else:
-        # exact marginalization over click histories: q[j] = P(last click so far at j)
-        q = np.zeros(n + 1)
-        q[0] = 1.0
-        for i in range(1, kk + 1):
-            gam = np.array([examination_prob(spec, i, j) for j in range(i)])
-            click = float(q[:i] @ gam) * rel[i - 1]
-            contribs.append(click)
-            q[:i] *= 1.0 - gam * rel[i - 1]
-            q[i] = click
-    return MetricScore(value=float(np.sum(contribs)), per_position_contributions=contribs)
+    clicks = click_rows(spec, served_grades([(pi, labels)]), k)
+    return MetricScore(float(clicks.sum(axis=1)[0]), clicks[0].tolist())
+
+
+def ndcg_rows(grades: np.ndarray, k: int | None = None) -> np.ndarray:
+    """N@k of each row of served grades; 0 for a row in which no item gains."""
+    kk = cutoff_depth(k, grades.shape[1])
+    gains, discounts = np.ldexp(1.0, grades) - 1.0, 1.0 / np.log2(np.arange(2, kk + 2))[:, None]
+    # a (1, kk) @ (kk, 1) product per row runs numpy's 1-D dot, whose bits a gemv does not keep
+    dcg, idcg = (np.matmul(g[:, None, :kk], discounts)[:, 0, 0]
+                 for g in (gains, -np.sort(-gains, axis=1)))
+    return np.divide(dcg, idcg, out=np.zeros(len(grades)), where=idcg != 0.0)
 
 
 def r_ndcg(pi: Permutation, labels: dict[int, int], k: int | None = None) -> float:
     """Discounted cumulative gain at k over its ideal value; 0 when no item gains."""
-    pi.validate_against(labels.keys())
-    n = len(pi)
-    kk = n if k is None else min(k, n)
-    discounts = 1.0 / np.log2(np.arange(2, kk + 2))
-    gains = np.array([2.0 ** labels[d] - 1.0 for d in pi])[:kk]
-    ideal = -np.sort(-np.array([2.0 ** g - 1.0 for g in labels.values()]))[:kk]
-    idcg = float(ideal @ discounts)
-    if idcg == 0.0:
-        return 0.0
-    return float(gains @ discounts) / idcg
+    return float(ndcg_rows(served_grades([(pi, labels)]), k)[0])
 
 
 def ndcg_reduction_check(pi: Permutation, labels: dict[int, int]) -> tuple[float, float]:
@@ -169,22 +207,15 @@ def ndcg_reduction_check(pi: Permutation, labels: dict[int, int]) -> tuple[float
     perceives relevance with (2^r - 1)/N_r, where N_o * N_r is the ideal
     DCG; both factor tables stay inside [0, 1].
     """
-    pi.validate_against(labels.keys())
-    n = len(pi)
-    ndcg = r_ndcg(pi, labels)
+    ndcg, n = r_ndcg(pi, labels), len(pi)  # r_ndcg checks pi against the labels
     gains = {r: 2.0 ** r - 1.0 for r in set(labels.values())}
-    max_gain = max(gains.values())
-    if max_gain == 0.0:
+    n_r = max(gains.values())
+    if n_r == 0.0:
         return 0.0, 0.0
-    ideal = -np.sort(-np.array([gains[labels[d]] for d in labels]))
-    idcg = float(ideal @ (1.0 / np.log2(np.arange(2, n + 2))))
-    n_r = max_gain
-    n_o = idcg / n_r
-    spec = ClickModelSpec(
-        kind=PBM,
-        examination_table=(1.0 / n_o) / np.log2(np.arange(2, n + 2)),
-        relevance_map={r: g / n_r for r, g in gains.items()},
-    )
+    ideal = -np.sort(-np.array([gains[g] for g in labels.values()]))
+    n_o = float(ideal @ (1.0 / np.log2(np.arange(2, n + 2)))) / n_r
+    spec = ClickModelSpec(kind=PBM, examination_table=(1.0 / n_o) / np.log2(np.arange(2, n + 2)),
+                          relevance_map={r: g / n_r for r, g in gains.items()})
     return ndcg, r_cm(pi, labels, spec).value
 
 
@@ -195,7 +226,7 @@ def simulate_clicks(pi: Permutation, labels: dict[int, int], spec: ClickModelSpe
     Two uniform draws are consumed per position regardless of the outcome,
     so the stream layout is stable under a fixed seed.
     """
-    rel = _relevance_vector(spec, pi, labels)
+    rel = [relevance_prob(spec, g) for g in served_grades([(pi, labels)])[0].tolist()]
     rng = np.random.default_rng(seed)
     clicks = np.zeros(len(rel), dtype=bool)
     last = 0
@@ -287,7 +318,7 @@ def _position_weights(metric, values: list[float]) -> list[float] | None:
     if metric == "ndcg":
         return (1.0 / np.log2(np.arange(2, n + 2))).tolist()
     if metric.kind == PBM:
-        return [examination_prob(metric, i) for i in range(1, n + 1)]
+        return _examination(metric, n)
     if metric.examination_table is None:
         return [float(n - p) if metric.tau > 0.0 else 1.0 for p in range(n)]
     return [1.0] * n if min(values) == max(values) else None
@@ -364,20 +395,18 @@ def _perm_table(n: int) -> np.ndarray:
 
 def _browse(table: np.ndarray, values: np.ndarray, gams: list[np.ndarray], q: np.ndarray,
             score: float, bufs) -> tuple[np.ndarray, np.ndarray]:
-    """Browsing-model DP through the next positions of one placed prefix, for every row of
-    ``table``.
+    """Browsing-model DP through the next positions of one placed prefix, per row of ``table``.
 
     ``values`` are the items not yet placed, so the prefix holds the other
-    ``start = len(gams) - len(values)``; ``q`` (n,) and ``score`` are its state, q[j] being
-    P(last click at position j). ``table`` (R, L) lists in lexicographic order every way
-    to fill positions start + 1 .. start + L with indices into ``values``, so the distinct
-    i-prefixes of its rows are rows ``::R // P_i``. Each is scored once: position i repeats
-    the P_{i-1} states over the k items that can take it, then applies the float operations
-    the per-row DP applies to each row (examination sum, click, score add, then q except after
-    position n). The returned (R, n) and (R,) states live in the reused ``bufs``.
+    ``start = len(gams) - len(values)``; ``q`` (n,) and ``score`` are its state. ``table``
+    (R, L) lists in lexicographic order every way to fill positions start + 1 .. start + L
+    with indices into ``values``, so the distinct i-prefixes of its rows are rows
+    ``::R // P_i``. Each is scored once: position i repeats the P_{i-1} states over the k
+    items that can take it, then runs one ``_browse_step`` and adds its clicks to the scores.
+    The returned (R, n) and (R,) states live in the reused ``bufs``.
     """
     n = len(gams)
-    (q_in, q_out), (s_in, s_out, dots, rel, clicks) = bufs
+    (q_in, q_out), (s_in, s_out, dots, rel) = bufs
     P, R, start = 1, len(table), n - len(values)
     q_in[0], s_in[0] = q, score
     for col in range(table.shape[1]):
@@ -389,21 +418,8 @@ def _browse(table: np.ndarray, values: np.ndarray, gams: list[np.ndarray], q: np
             np.take(s_in, parent, out=s_out[:P * k], mode="clip")
             q_in, q_out, s_in, s_out = q_out, q_in, s_out, s_in
             P *= k
-        items = table[::R // P, col]
-        # OpenBLAS's gemv can sum a call's last (rows mod 4) rows in another order, and numpy
-        # sends a one-row product to its dot routine: padding the row count to a multiple of 4,
-        # as the per-row DP's n! or 8! rows are from 4 items on, keeps each row's bits
-        m = -(-P // 4) * 4
-        dot = np.matmul(q_in[:m, :i], gams[i - 1], out=dots[:m])[:P]
-        click = np.multiply(dot, np.take(values, items, out=rel[:P], mode="clip"), out=clicks[:P])
-        np.add(s_in[:P], click, out=s_in[:P])
-        if i < n:
-            # q[:, j] *= 1 - gam[j] * rel for j < i, taken per item; later columns times 1
-            factors = np.ones((len(values), n))
-            factors[:, :i] = 1.0 - values[:, None] * gams[i - 1]
-            np.multiply(q_in[:P], np.take(factors, items, axis=0, out=q_out[:P], mode="clip"),
-                        out=q_in[:P])
-            q_in[:P, i] = click
+        s_in[:P] += _browse_step(q_in, i, gams[i - 1], values, table[::R // P, col],
+                                 (dots, rel, q_out))  # q_out is spare now
     return q_in[:P], s_in[:P]
 
 
@@ -415,10 +431,9 @@ def _browsing_scores(values: np.ndarray, metric, tail: np.ndarray):
     ``scores`` is overwritten by the next block.
     """
     n = len(values)
-    gams = [np.array([examination_prob(metric, i, j) for j in range(i)])
-            for i in range(1, n + 1)]
+    gams = _examination(metric, n)
     rows = -(-len(tail) // 4) * 4
-    bufs = np.zeros((2, rows, n)), np.zeros((5, rows))
+    bufs = np.zeros((2, rows, n)), np.zeros((4, rows))
     # each fixed prefix of the first n - 8 positions (only the empty one up to 8 items), in
     # lexicographic order, with the ascending indices left for ``tail`` to arrange
     prefixes = [(p, np.array([j for j in range(n) if j not in p], dtype=np.int8))

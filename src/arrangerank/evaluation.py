@@ -1,9 +1,9 @@
 """Evaluation harness: ranking metrics at cutoffs, per-position accuracy, exports.
 
 For every instance the model under evaluation produces one permutation
-(greedy decode for arranger kinds, score-sort for the baseline; instances
-sharing history length and slate size are ranked as one batch); the harness
-reports the mean over instances of:
+(greedy decode for arranger kinds, score-sort for the baseline). Instances
+sharing history length and slate size are ranked and then scored as one
+batch of arrays; the harness reports the mean over instances of:
 
 * N@K   gain-discount ranking quality against the ideal order
 * M@K   average precision at K with labels binarized at ceil(r_max / 2)
@@ -11,7 +11,7 @@ reports the mean over instances of:
   simulated user
 
 Everything here is pure: the same parameters and instances always produce
-the identical table (fixed summation order).
+the identical table (instances are summed in order).
 """
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arranger import greedy_step_probs
-from .clickmodels import ClickModelSpec, oracle_position_groups, r_cm, r_ndcg
+from .clickmodels import ClickModelSpec, click_rows, cutoff_depth, ndcg_rows, served_grades
 from .data import Instance, check_grades
-from .model import rank_instances, read_instance
+from .model import rank_instances, read_instance, shape_groups
 from .permutation import Permutation
 
 
@@ -31,20 +31,20 @@ class EmptyEvaluationError(ValueError):
     """No instances to evaluate."""
 
 
+def map_rows(grades: np.ndarray, k: int, threshold: int) -> np.ndarray:
+    """Average precision at k of each row of served grades binarized at ``threshold``; 0 for a
+    row with nothing relevant."""
+    kk, rel = cutoff_depth(k, grades.shape[1]), grades >= threshold
+    # the precision at each relevant rank, added in rank order
+    precision = np.where(rel[:, :kk], np.cumsum(rel[:, :kk], axis=1) / np.arange(1, kk + 1), 0.0)
+    n_rel = rel.sum(axis=1)
+    return np.divide(np.cumsum(precision, axis=1)[:, -1], np.minimum(k, n_rel),
+                     out=np.zeros(len(grades)), where=n_rel > 0)
+
+
 def map_at_k(pi: Permutation, labels: dict[int, int], k: int, threshold: int) -> float:
     """Average precision at k, labels binarized at ``threshold``; 0 if nothing relevant."""
-    rel = [labels[d] >= threshold for d in pi]
-    n_rel = sum(1 for g in labels.values() if g >= threshold)
-    if n_rel == 0:
-        return 0.0
-    kk = min(k, len(rel))
-    hits = 0
-    ap = 0.0
-    for i in range(kk):
-        if rel[i]:
-            hits += 1
-            ap += hits / (i + 1)
-    return ap / min(k, n_rel)
+    return float(map_rows(served_grades([(pi, labels)]), k, threshold)[0])
 
 
 @dataclass
@@ -76,43 +76,41 @@ def evaluate(params, model_kind: str, instances: list[Instance],
     if click_specs is None:
         click_specs = {"P": ClickModelSpec(kind="pbm", r_max=r_max),
                        "U": ClickModelSpec(kind="ubm", r_max=r_max)}
+    cutoff_depth(min(ks), 1)  # a cutoff below 1 fails before the decode
     check_grades(instances, r_max)
     for spec in click_specs.values():
         check_grades(instances, spec.r_max, spec.relevance_map)
     threshold = math.ceil(r_max / 2)
     columns = [f"{name}@{k}" for name in ["N", "M", *click_specs] for k in ks]
-    sums = {c: 0.0 for c in columns}
-    for inst, pi in zip(instances, rank_instances(model_kind, params, instances)):
-        for k in ks:
-            sums[f"N@{k}"] += r_ndcg(pi, inst.labels, k)
-            sums[f"M@{k}"] += map_at_k(pi, inst.labels, k, threshold)
-        for name, spec in click_specs.items():
+    values = np.empty((len(instances), len(columns)))
+    ranked = rank_instances(model_kind, params, instances)
+    for positions in shape_groups(instances):
+        grades = served_grades([(ranked[p], instances[p].labels) for p in positions])
+        cols = [ndcg_rows(grades, k) for k in ks] + [map_rows(grades, k, threshold) for k in ks]
+        for spec in click_specs.values():
             # one DP down to the deepest cutoff; a cutoff's value is a prefix sum
-            contribs = r_cm(pi, inst.labels, spec, max(ks)).per_position_contributions
-            for k in ks:
-                sums[f"{name}@{k}"] += float(np.sum(contribs[:k]))
-    means = {c: sums[c] / len(instances) for c in columns}
-    return MetricTable(columns=columns, means=means, n_instances=len(instances))
+            clicks = click_rows(spec, grades, max(ks))
+            cols += [clicks[:, :k].sum(axis=1) for k in ks]
+        values[positions] = np.stack(cols, axis=1)
+    means = np.cumsum(values, axis=0)[-1] / len(instances)
+    return MetricTable(columns, dict(zip(columns, means.tolist())), len(instances))
 
 
 def accuracy_at_position(params, model_kind: str, instances: list[Instance]) -> np.ndarray:
     """Mean exact-match indicator per position against the NDCG oracle tie sets.
 
-    A position counts as correct when the placed item appears at that
-    position in some NDCG-maximizing arrangement, so label ties never
-    punish an equally-good choice.
+    A position counts as correct when the placed item appears there in some
+    NDCG-maximizing arrangement, that is when its grade is the position's grade in
+    grade-descending order, so label ties never punish an equally-good choice.
     """
     if not instances:
         raise EmptyEvaluationError("no instances to evaluate")
-    max_n = max(len(inst.cands.ids) for inst in instances)
-    hits = np.zeros(max_n)
-    counts = np.zeros(max_n)
-    for inst, pi in zip(instances, rank_instances(model_kind, params, instances)):
-        groups = oracle_position_groups(inst.labels, "ndcg")
-        for i, item in enumerate(pi):
-            counts[i] += 1
-            if item in groups[i]:
-                hits[i] += 1
+    hits, counts = np.zeros((2, max(len(inst.cands) for inst in instances)))
+    ranked = rank_instances(model_kind, params, instances)
+    for positions in shape_groups(instances):
+        grades = served_grades([(ranked[p], instances[p].labels) for p in positions])
+        hits[:grades.shape[1]] += np.sum(grades == -np.sort(-grades, axis=1), axis=0)
+        counts[:grades.shape[1]] += len(positions)
     return hits / np.maximum(counts, 1)
 
 

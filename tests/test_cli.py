@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -5,7 +6,10 @@ from fractions import Fraction
 import pytest
 
 from arrangerank.cli import main
-from arrangerank.clickmodels import examination_prob, load_click_spec, relevance_prob
+from arrangerank.clickmodels import (ClickModelSpec, examination_prob, load_click_spec,
+                                     metric_fingerprint, relevance_prob)
+from arrangerank.data import read_instances
+from arrangerank.training import ensure_oracles
 
 
 def _run(*argv):
@@ -216,6 +220,15 @@ def test_evaluate_bad_instance_line_exits_naming_it(tmp_path, capsys):
     assert f"error: {inst}:2: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["0", "-1", "5,0"])
+def test_evaluate_cutoff_below_one_exits_naming_it(tmp_path, capsys, k):
+    ckpt, inst = _tiny_model(tmp_path, ["q0|0.5,0.5||10:2:0.1,0.2;11:1:0.3,0.4|"])
+    assert _run("evaluate", "--checkpoint", str(ckpt), "--instances", str(inst), "--k", k,
+                "--out", str(tmp_path / "ev")) == 1
+    assert f"error: cutoff k must be >= 1, got {min(map(int, k.split(',')))}" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["evaluate", "inspect"])
 @pytest.mark.parametrize("meta", ["[1, 2]", '{"dims": {}}'])
 def test_checkpoint_with_a_bad_meta_line_exits_naming_it(tmp_path, capsys, command, meta):
@@ -249,6 +262,51 @@ def test_evaluate_click_config_replaces_the_column_of_its_kind(tmp_path):
     for kind, column in (("pbm", "P@2"), ("ubm", "U@2")):
         changed = {c for c in tables[None] if tables[kind][c] != tables[None][c]}
         assert changed == {column}
+
+
+def test_click_config_is_hashed_into_the_manifest_and_its_spec_echoed(tmp_path):
+    ckpt, inst = _tiny_model(tmp_path, ["q0|0.5,0.5||10:2:0.1,0.2;11:3:0.3,0.4;12:1:0.8,0.1|"])
+    cfg = tmp_path / "ubm.cfg"
+    cfg.write_text("kind = ubm\ntau = 0.25\nr_max = 3\n")
+    spec = load_click_spec(cfg)
+    split = tmp_path / "s"
+    split.mkdir()
+    (split / "test.txt").write_text(inst.read_text())
+    for command, extra in (("oracle", ["--split-dir", str(split), "--metric", "ubm"]),
+                           ("evaluate", ["--checkpoint", str(ckpt), "--instances", str(inst)])):
+        out = tmp_path / command
+        assert _run(command, *extra, "--click-config", str(cfg), "--tau", "3",
+                    "--out", str(out)) == 0
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs[str(cfg)] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+        echo = (out / "config.echo.txt").read_text().splitlines()
+        assert not any(line.startswith("tau") for line in echo)  # the file's tau wins
+        key = "metric" if command == "oracle" else "U"
+        assert f"{key} = {metric_fingerprint(spec)}" in echo
+        # the oracle's r_max is the click model's; evaluate's own r_max binarizes M@K
+        assert f"r_max = {3 if command == 'oracle' else 4}" in echo
+    assert f"P = {metric_fingerprint(ClickModelSpec(kind='pbm', tau=3.0))}" in echo
+
+
+def test_parametric_click_metrics_reach_oracle_and_train(tmp_path):
+    data, split = tmp_path / "d", tmp_path / "s"
+    _run("gen-data", "--users", "5", "--history-len", "4", "--r-max", "3", "--out", str(data))
+    _run("split", "--data", str(data / "dataset.txt"), "--out", str(split))
+    assert _run("oracle", "--split-dir", str(split), "--metric", "ubm", "--tau", "0.5",
+                "--r-max", "3", "--seed", "2", "--out", str(tmp_path / "o")) == 0
+    spec = ClickModelSpec("ubm", tau=0.5, r_max=3)
+    for name in ("train", "validation", "test"):
+        want = read_instances(split / f"{name}.txt")
+        ensure_oracles(want, spec, 2, 3)
+        got = read_instances(tmp_path / "o" / f"{name}.txt")
+        assert [inst.oracle.order for inst in got] == [inst.oracle.order for inst in want]
+    echo = (tmp_path / "o" / "config.echo.txt").read_text()
+    assert f"metric = {metric_fingerprint(spec)}" in echo
+    run = tmp_path / "run"
+    assert _run("train", "--split-dir", str(split), "--metric", "pbm", "--tau", "0.5",
+                "--r-max", "3", "--epochs", "1", "--embedding-dim", "4", "--out", str(run)) == 0
+    echo = (run / "config.echo.txt").read_text()
+    assert f"metric = {metric_fingerprint(ClickModelSpec('pbm', tau=0.5, r_max=3))}" in echo
 
 
 def test_oracle_metric_conflicting_with_the_click_config_kind_exits(tmp_path):
