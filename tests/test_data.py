@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import tempfile
@@ -99,6 +100,57 @@ def test_generator_determinism_bytes(tmp_path):
     write_dataset(logs1, p1)
     write_dataset(logs2, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# sha256 of the files a seeded generation writes, taken before the generator and the
+# file formatting were vectorised: the data path must keep every byte.
+_GOLDEN = {
+    "context-off": (dict(context_strength=0.0, seed=21), {
+        "dataset": "27bbde94212cc9be03115d0892658e8e0697ab4ba51d7e6da571462784b1e4ae",
+        "train": "c0b5451b13c72f3efc55e4de1ca14d0f461f9c205bbb80dd9639fedcc94ab9c8",
+        "validation": "a3b82a97eef3c806d3713e83c6882daf67819fa6c8fa732dfd2824abeb4ab531",
+        "test": "b598ed4906d4fc7780db194e6e413aca9fe78338391cade17ae526f9eec5fb4a"}),
+    "context-1.5": (dict(context_strength=1.5, seed=22), {
+        "dataset": "7ee337bf4da8919bfa2e2a15044102cc651cec67041e44563998392ecfc91f7e",
+        "train": "7535219ae6ce605daf85e3b342ece78d4ca6c1781a8582597215781d7ad0b1d8",
+        "validation": "cc06fc7e5144deeeb8d014b0ee7dc4349c0edec114875061633ee7e1bd3d1a9d",
+        "test": "4ce39e0e2f062cb21e8e50e25e498402a63d855af16d3ae32eefd5cc19df3d77"}),
+    "no-history": (dict(history_len=0, seed=23), {
+        "dataset": "f47a9259c044233bb05d5b0e730dc57b6e4c1c33314cefdd1f9b226fa7eb8c04",
+        "train": "bdf76a5711fd70b46283086c0bfd6864e276d4707dea86fd3b4a719a412da9e6",
+        "validation": "ca64f4407605068bc51da7af5ec8f46115ce721378242265ebb9537985361933",
+        "test": "231db06a6043396a1acf314562981ecc3cf5cd5c4afd13b9032a69ef23b42ed3"}),
+    "7-candidates": (dict(n_candidates=7, history_len=12, seed=24), {
+        "dataset": "c874f87cb00bee33c1b43666deaf804ffd3dc02855d31588f4a9f520eeefb7c6",
+        "train": "bfcf8774153fc9851d90a2dd3246ae9243049e8cb5b6ed616792d0e96e047403",
+        "validation": "02db2873ac7825393f26c745788720f7e5dcdc3487c1dbb40bf49c43f2d8fd6f",
+        "test": "045923248dec958bfb3232100953b55376cce02a703db13df189fa72831bdb67"}),
+    "20-candidates": (dict(n_candidates=20, seed=25), {
+        "dataset": "6750f0a60b326f9b416aa29c40d528e4a23cd316959e7f0ac04e1a6cdc18a524",
+        "train": "da94f3abc23ccbb1044c00a194faa394b48c2c49fbd844b44bf915880deba815",
+        "validation": "d2293812acdcb6a6414e4e63ef69abb552a15e230eabc2885440e2880c74d15e",
+        "test": "e37bed54a8056dc0bb0bfc913afbd6c159c6d8d795c8b296425dba394f963c79"}),
+    "feature-dim-3": (dict(feature_dim=3, seed=26), {
+        "dataset": "4dc3b55bbaa6ecb07e737005aafe07c18db197f7967ddd2bf049a9e7a4806eec",
+        "train": "c0becb999585ce50e9a439c9ef4c087694becad63c53a4a39fea07a11d2508a0",
+        "validation": "9d6da5f7bbc0fb5f514a205c45f2aa392cb8cba8b580b1d8591a542d04a0d2fc",
+        "test": "c8046f4490312cc1ea4d892bd6f3f7767add1ebe63e56d2d629125e1e0d00976"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_generated_files_match_their_golden_digests(tmp_path, case):
+    kwargs, want = _GOLDEN[case]
+    logs = generate_synthetic(5, **kwargs)
+    write_dataset(logs, tmp_path / "dataset.txt")
+    split = temporal_split(logs)
+    inst = split.train[0]  # one oracle, so the fifth field is written too
+    inst.oracle = Permutation(sorted(inst.labels, key=lambda i: (-inst.labels[i], i)))
+    for part in ("train", "validation", "test"):
+        write_instances(getattr(split, part), tmp_path / f"{part}.txt")
+    got = {name: hashlib.sha256((tmp_path / f"{name}.txt").read_bytes()).hexdigest()
+           for name in want}
+    assert got == want
 
 
 def test_generator_composes_with_split():
