@@ -86,20 +86,6 @@ class DatasetSplit:
                 f"validation {len(self.validation)}, test {len(self.test)}")
 
 
-def _instance(log: UserLog, name: str, hist: list[LogItem], cands: list[LogItem],
-              feature_dim: int) -> Instance:
-    ids = [it.item_id for it in cands]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"user {log.user_id}: the {name} candidate window repeats an item id: "
-                         f"{ids}")
-    return Instance(
-        query_id=f"{log.user_id}:{name}",
-        ctx=UserContext(log.profile, [it.features for it in hist], feature_dim=feature_dim),
-        cands=CandidateSet((it.item_id, it.features) for it in cands),
-        labels={it.item_id: it.grade for it in cands},
-    )
-
-
 def temporal_split(user_logs: list[UserLog]) -> DatasetSplit:
     """Index-arithmetic split on the time axis; drops users with T < 30."""
     split = DatasetSplit()
@@ -109,11 +95,19 @@ def temporal_split(user_logs: list[UserLog]) -> DatasetSplit:
             split.dropped_users += 1
             continue
         split.kept_users += 1
-        fdim = log.items[0].features.shape[0]
-        it = log.items
-        split.train.append(_instance(log, "train", it[: t - 30], it[t - 30 : t - 20], fdim))
-        split.validation.append(_instance(log, "val", it[: t - 20], it[t - 20 : t - 10], fdim))
-        split.test.append(_instance(log, "test", it[: t - 10], it[t - 10 : t], fdim))
+        feats = np.array([it.features for it in log.items], dtype=np.float64)  # instances slice it
+        for part, name, start in ((split.train, "train", t - 30),
+                                  (split.validation, "val", t - 20), (split.test, "test", t - 10)):
+            window = log.items[start:start + 10]
+            ids = [it.item_id for it in window]
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"user {log.user_id}: the {name} candidate window repeats an "
+                                 f"item id: {ids}")
+            part.append(Instance(
+                query_id=f"{log.user_id}:{name}",
+                ctx=UserContext(log.profile, feats[:start], feature_dim=feats.shape[1]),
+                cands=CandidateSet.from_rows(ids, feats[start:start + 10]),
+                labels={it.item_id: it.grade for it in window}))
     return split
 
 
@@ -130,29 +124,34 @@ def slate_grades(taste: np.ndarray, features: np.ndarray, context_strength: floa
     near-duplicates adds little, so the weaker one loses grades. With
     ``context_strength`` 0 the grade depends on (taste, item) alone.
     """
-    affinity = features @ taste
-    n = features.shape[0]
-    penalty = np.zeros(n)
-    if context_strength > 0.0 and n > 1:
-        sims = features @ features.T
-        for d in range(n):
-            better = affinity > affinity[d]
-            if better.any():
-                sat = max(0.0, float(sims[d, better].max()) - 0.85) / 0.15
-                penalty[d] = sat
-    score = affinity - 0.45 * context_strength * penalty
+    score = features @ taste
+    if context_strength > 0.0 and features.shape[0] > 1:
+        # row d: the closest strictly-better mate's similarity, -inf when none is better
+        better = score[None, :] > score[:, None]
+        closest = np.where(better, features @ features.T, -np.inf).max(axis=1)
+        score = score - 0.45 * context_strength * (np.maximum(closest - 0.85, 0.0) / 0.15)
+    return _grade_scale(score, r_max)
+
+
+def _grade_scale(score: np.ndarray, r_max: int) -> np.ndarray:
     return np.clip(np.floor(score / 0.75 * (r_max + 1)), 0, r_max).astype(int)
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / max(float(np.linalg.norm(v)), 1e-12)
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """Each row over its norm, floored at 1e-12: np.linalg.norm's 1-D sqrt(x . x), row by row."""
+    return m / np.array([max(math.sqrt(x.dot(x)), 1e-12) for x in m])[:, None]
 
 
-def _taste_mix(taste: np.ndarray, alpha: float, rng: np.random.Generator) -> np.ndarray:
-    """Unit vector at affinity ~alpha to taste, noise in the orthogonal complement."""
-    g = rng.normal(size=taste.shape[0])
-    g -= (g @ taste) * taste
-    return _unit(alpha * taste + np.sqrt(max(1e-12, 1.0 - alpha * alpha)) * _unit(g))
+def _taste_mix(taste: np.ndarray, low: float, high: float, n: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """n unit vectors, each at affinity ~alpha ~ U(low, high) to taste with noise in the
+    orthogonal complement; draws alpha and then its noise, one vector at a time."""
+    draws = [(rng.uniform(low, high), rng.normal(size=taste.shape[0])) for _ in range(n)]
+    alpha = np.array([a for a, _ in draws])[:, None]
+    g = np.array([x for _, x in draws]).reshape(n, taste.shape[0])
+    g -= np.array([x.dot(taste) for x in g])[:, None] * taste
+    mix = alpha * taste + np.sqrt(np.maximum(1e-12, 1.0 - alpha * alpha)) * _unit_rows(g)
+    return _unit_rows(mix)
 
 
 def generate_synthetic(n_users: int, history_len: int = 10, n_candidates: int = 10,
@@ -169,28 +168,22 @@ def generate_synthetic(n_users: int, history_len: int = 10, n_candidates: int = 
     if n_users <= 0 or history_len < 0 or n_candidates <= 0 or feature_dim <= 1:
         raise ValueError("sizes must be positive (feature_dim at least 2)")
     rng = np.random.default_rng(seed)
+    n_proto = max(2, n_candidates // 2)
     logs = []
     for u in range(n_users):
-        taste = _unit(rng.normal(size=feature_dim))
+        taste = _unit_rows(rng.normal(size=(1, feature_dim)))[0]
         profile = taste + 0.1 * rng.normal(size=feature_dim)
-        items: list[LogItem] = []
-        next_id = u * 1_000_000
-        for _ in range(history_len):
-            x = _taste_mix(taste, rng.uniform(0.3, 0.9), rng)
-            grade = int(slate_grades(taste, x[None, :], 0.0, r_max)[0])
-            items.append(LogItem(next_id, x, grade))
-            next_id += 1
+        feats = list(_taste_mix(taste, 0.3, 0.9, history_len, rng))
+        # a browsed item is graded as a one-item slate, whose (1, d) @ (d,) is this 1-D dot
+        grades = _grade_scale(np.array([x.dot(taste) for x in feats]), r_max).tolist()
         for _slate in range(3):
-            n_proto = max(2, n_candidates // 2)
-            protos = [_taste_mix(taste, rng.uniform(0.0, 0.8), rng) for _ in range(n_proto)]
-            feats = np.stack([
-                _unit(protos[int(rng.integers(n_proto))] + 0.1 * rng.normal(size=feature_dim))
-                for _ in range(n_candidates)
-            ])
-            grades = slate_grades(taste, feats, context_strength, r_max)
-            for k in range(n_candidates):
-                items.append(LogItem(next_id, feats[k], int(grades[k])))
-                next_id += 1
+            protos = _taste_mix(taste, 0.0, 0.8, n_proto, rng)
+            picks, noise = zip(*[(int(rng.integers(n_proto)), rng.normal(size=feature_dim))
+                                 for _ in range(n_candidates)])
+            slate = _unit_rows(protos[list(picks)] + 0.1 * np.array(noise))
+            feats += list(slate)
+            grades += slate_grades(taste, slate, context_strength, r_max).tolist()
+        items = [LogItem(u * 1_000_000 + k, x, g) for k, (x, g) in enumerate(zip(feats, grades))]
         logs.append(UserLog(user_id=u, profile=profile, items=items))
     return logs
 
@@ -198,62 +191,86 @@ def generate_synthetic(n_users: int, history_len: int = 10, n_candidates: int = 
 # ------------------------------------------------------------------ file IO
 
 
-def _fmt_floats(v: np.ndarray) -> str:
-    return ",".join(repr(float(x)) for x in v)
+def _rows(matrix) -> list[str]:
+    """Each row of a float matrix as the shortest round-trip ``repr`` of its values."""
+    return [",".join(map(repr, row)) for row in np.asarray(matrix, dtype=np.float64).tolist()]
 
 
-def _fmt_item(it: LogItem) -> str:
-    return f"{it.item_id}:{it.grade}:{_fmt_floats(it.features)}"
-
-
-def _parse_floats(text: str, where: str, what: str) -> np.ndarray:
+def _floats(rows: list[str], where: str, what: str) -> np.ndarray:
+    """Every value of the comma-separated float ``rows``, flat, from one ``float`` pass. A
+    bad value names the first row holding one, an unparseable before a non-finite one."""
+    values, error = [], None
     try:
-        values = [float(x) for x in text.split(",")]
+        values.extend(map(float, ",".join(rows).split(",") if rows else ()))
     except ValueError as e:
-        raise ParseError(f"{where}: {e}") from None
-    if not all(map(math.isfinite, values)):  # a fifth of np.isfinite's cost on short rows
-        raise ParseError(f"{where}: non-finite {what} value in {text[:40]!r}")
-    return np.array(values)
+        error = e  # values holds the floats before the bad one
+    flat = np.array(values)
+    finite = np.isfinite(flat)
+    if error is None and finite.all():
+        return flat
+    first_nonfinite = len(values) if finite.all() else int(np.argmin(finite))
+    ends = np.cumsum([row.count(",") + 1 for row in rows])
+    nonfinite_row, error_row = np.searchsorted(ends, [first_nonfinite, len(values)], "right")
+    if error is None or nonfinite_row < error_row:
+        raise ParseError(f"{where}: non-finite {what} value in {rows[nonfinite_row][:40]!r}")
+    raise ParseError(f"{where}: {error}")
 
 
-def _parse_item(tok: str, where: str) -> LogItem:
-    parts = tok.split(":")
-    if len(parts) != 3:
-        raise ParseError(f"{where}: malformed item record {tok[:40]!r}")
-    try:
-        item_id, grade = int(parts[0]), int(parts[1])
-    except ValueError as e:
-        raise ParseError(f"{where}: {e}") from None
-    if grade < 0:
-        raise ParseError(f"{where}: negative grade {grade} for item {item_id}")
-    return LogItem(item_id, _parse_floats(parts[2], where, "feature"), grade)
+def _parse_items(field: str, where: str):
+    """Ids, grades, flat feature values and per-item widths of a ';'-separated item field."""
+    ids, grades, rows = [], [], []
+    for tok in filter(None, field.split(";")):
+        parts = tok.split(":")
+        try:
+            if len(parts) != 3:
+                raise ValueError(f"malformed item record {tok[:40]!r}")
+            ids.append(int(parts[0]))
+            grades.append(int(parts[1]))
+            if grades[-1] < 0:
+                raise ValueError(f"negative grade {grades[-1]} for item {ids[-1]}")
+        except ValueError as e:
+            _floats(rows, where, "feature")  # a bad value of an earlier item is met first
+            raise ParseError(f"{where}: {e}") from None
+        rows.append(parts[2])
+    return ids, grades, _floats(rows, where, "feature"), [row.count(",") + 1 for row in rows]
 
 
-def _parse_items(field: str, where: str) -> list[LogItem]:
-    return [_parse_item(tok, where) for tok in field.split(";") if tok]
-
-
-def _check_feature_dims(items: list[LogItem], where: str) -> None:
-    dims = sorted({it.features.shape[0] for it in items})
+def _feature_width(widths: list[int], where: str) -> int:
+    dims = sorted(set(widths))
     if len(dims) > 1:
         raise ParseError(f"{where}: feature vectors of different lengths {dims}")
+    return dims[0] if dims else 0
+
+
+def _same_widths(first: dict[str, int], where: str, **widths: int) -> None:
+    """Reject a line whose profile or feature width differs from the earlier lines of its
+    file; a line without items has feature width 0 and sets nothing."""
+    for what, width in widths.items():
+        if width and first.setdefault(what, width) != width:
+            raise ParseError(f"{where}: {what} width {width} differs from {first[what]} "
+                             f"earlier in the file")
 
 
 def write_dataset(logs: list[UserLog], path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for log in logs:
-            items = ";".join(_fmt_item(it) for it in log.items)
-            fh.write(f"{log.user_id}|{_fmt_floats(log.profile)}|{items}\n")
+            items = ";".join(f"{it.item_id}:{it.grade}:{row}" for it, row in
+                             zip(log.items, _rows([it.features for it in log.items])))
+            fh.write(f"{log.user_id}|{_rows([log.profile])[0]}|{items}\n")
 
 
 def _records(path, n_fields: int):
     """(``file:line``, its '|' fields) for every non-empty line of a record file."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             where = f"{path}:{lineno}"
+            if not line.isascii():  # each undecodable byte arrives as a lone surrogate
+                col = next(k for k, ch in enumerate(line) if not ch.isascii())
+                raise ParseError(f"{where}: byte {ord(line[col]) - 0xDC00:#x} at column "
+                                 f"{col + 1} is not ASCII")
             fields = line.split("|")
             if len(fields) != n_fields:
                 raise ParseError(f"{where}: expected {n_fields} '|' fields, got {len(fields)}")
@@ -261,48 +278,46 @@ def _records(path, n_fields: int):
 
 
 def read_dataset(path) -> list[UserLog]:
-    logs = []
+    logs, first = [], {}
     for where, fields in _records(path, 3):
         try:
             uid = int(fields[0])
         except ValueError as e:
             raise ParseError(f"{where}: {e}") from None
-        profile = _parse_floats(fields[1], where, "profile")
-        items = _parse_items(fields[2], where)
-        _check_feature_dims(items, where)
-        logs.append(UserLog(uid, profile, items))
+        profile = _floats([fields[1]], where, "profile")
+        ids, grades, values, widths = _parse_items(fields[2], where)
+        feats = values.reshape(len(ids), _feature_width(widths, where))
+        _same_widths(first, where, profile=len(profile), feature=feats.shape[1])
+        logs.append(UserLog(uid, profile, [LogItem(*item) for item in zip(ids, feats, grades)]))
     return logs
 
 
 def write_instances(instances: list[Instance], path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for inst in instances:
-            hist = ";".join(
-                f"0:0:{_fmt_floats(row)}" for row in inst.ctx.history)
-            cands = ";".join(
-                f"{i}:{inst.labels[i]}:{_fmt_floats(inst.cands.features[k])}"
-                for k, i in enumerate(inst.cands.ids))
+            hist = ";".join("0:0:" + row for row in _rows(inst.ctx.history))
+            cands = ";".join(f"{i}:{inst.labels[i]}:{row}" for i, row in
+                             zip(inst.cands.ids, _rows(inst.cands.features)))
             oracle = ",".join(str(i) for i in inst.oracle) if inst.oracle else ""
-            fh.write(f"{inst.query_id}|{_fmt_floats(inst.ctx.profile)}|{hist}|{cands}|{oracle}\n")
+            fh.write(f"{inst.query_id}|{_rows([inst.ctx.profile])[0]}|{hist}|{cands}|{oracle}\n")
 
 
 def read_instances(path) -> list[Instance]:
-    out = []
+    out, first = [], {}
     for where, fields in _records(path, 5):
-        profile = _parse_floats(fields[1], where, "profile")
-        hist_items = _parse_items(fields[2], where)
-        cand_items = _parse_items(fields[3], where)
-        if not cand_items:
+        profile = _floats([fields[1]], where, "profile")
+        _, _, hist, hist_widths = _parse_items(fields[2], where)
+        ids, grades, feats, widths = _parse_items(fields[3], where)
+        if not ids:
             raise ParseError(f"{where}: instance has no candidate items")
-        _check_feature_dims(hist_items + cand_items, where)
-        labels = {it.item_id: it.grade for it in cand_items}
-        if len(labels) != len(cand_items):
+        width = _feature_width(hist_widths + widths, where)
+        labels = dict(zip(ids, grades))
+        if len(labels) != len(ids):
             raise ParseError(f"{where}: duplicate candidate item ids")
         inst = Instance(
             query_id=fields[0],
-            ctx=UserContext(profile, [it.features for it in hist_items],
-                            feature_dim=cand_items[0].features.shape[0]),
-            cands=CandidateSet((it.item_id, it.features) for it in cand_items),
+            ctx=UserContext(profile, hist.reshape(-1, width), feature_dim=width),
+            cands=CandidateSet.from_rows(ids, feats.reshape(-1, width)),
             labels=labels,
         )
         if fields[4]:
@@ -311,6 +326,7 @@ def read_instances(path) -> list[Instance]:
                 inst.oracle.validate_against(labels)
             except ValueError as e:
                 raise ParseError(f"{where}: oracle: {e}") from None
+        _same_widths(first, where, profile=len(profile), feature=width)
         out.append(inst)
     return out
 

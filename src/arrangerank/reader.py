@@ -46,10 +46,8 @@ class UserContext:
 
     def __init__(self, profile, history, feature_dim: int | None = None):
         self.profile = np.asarray(profile, dtype=np.float64)
-        rows = [np.asarray(r, dtype=np.float64) for r in history]
-        if rows:
-            self.history = np.stack(rows)
-        else:
+        self.history = np.asarray(history, dtype=np.float64)  # a (T, d) array is not copied
+        if not len(self.history):
             if feature_dim is None:
                 raise ValueError("feature_dim is required for an empty history")
             self.history = np.zeros((0, feature_dim))
@@ -63,13 +61,21 @@ class CandidateSet:
     """
 
     def __init__(self, items: Iterable[tuple[int, Sequence[float]]]):
-        pairs = sorted(((int(i), np.asarray(x, dtype=np.float64)) for i, x in items),
-                       key=lambda p: p[0])
-        ids = [i for i, _ in pairs]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate item ids in candidate set: {ids}")
-        self.ids: tuple[int, ...] = tuple(ids)
-        self.features: np.ndarray = np.stack([x for _, x in pairs]) if pairs else np.zeros((0, 0))
+        pairs = list(items)
+        canonical = CandidateSet.from_rows([i for i, _ in pairs], [x for _, x in pairs])
+        self.ids, self.features = canonical.ids, canonical.features
+
+    @classmethod
+    def from_rows(cls, ids: Sequence[int], features) -> "CandidateSet":
+        """Item ``ids[k]`` with feature row ``features[k]``, from one (n, d) array."""
+        order = sorted(range(len(ids)), key=lambda k: int(ids[k]))
+        cands = cls.__new__(cls)
+        cands.ids: tuple[int, ...] = tuple(int(ids[k]) for k in order)
+        if len(set(cands.ids)) != len(cands.ids):
+            raise ValueError(f"duplicate item ids in candidate set: {list(cands.ids)}")
+        cands.features: np.ndarray = (np.asarray(features, dtype=np.float64)[order] if order
+                                      else np.zeros((0, 0)))
+        return cands
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -52,6 +52,18 @@ def test_split_repeated_candidate_id_names_user_and_window(tmp_path, capsys):
     assert err.startswith(f"error: user {user}: the test candidate window repeats an item id")
 
 
+def test_split_undecodable_byte_exits_naming_file_and_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    _run("gen-data", "--users", "3", "--history-len", "4", "--out", str(data))
+    lines = (data / "dataset.txt").read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b"|", "|\u00e9".encode(), 1)  # 0xc3 0xa9 opens the profile
+    (data / "dataset.txt").write_bytes(b"\n".join(lines))
+    assert _run("split", "--data", str(data / "dataset.txt"), "--out", str(tmp_path / "s")) == 1
+    col = lines[1].index(b"|") + 2
+    assert capsys.readouterr().err == (f"error: {data / 'dataset.txt'}:2: byte 0xc3 at column "
+                                       f"{col} is not ASCII\n")
+
+
 def test_full_recipe_and_artifacts(tmp_path):
     data, split, oracle = tmp_path / "d", tmp_path / "s", tmp_path / "o"
     run, ev, ins = tmp_path / "run", tmp_path / "eval", tmp_path / "inspect"

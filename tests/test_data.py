@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import re
 import tempfile
@@ -91,6 +92,38 @@ def test_slate_grades_context_changes_some_grade():
             hit = True
             break
     assert hit
+
+
+def _slate_grades_reference(taste, features, context_strength, r_max=4):
+    """The per-item saturation loop that slate_grades replaced with one masked max."""
+    affinity = features @ taste
+    n = features.shape[0]
+    penalty = np.zeros(n)
+    if context_strength > 0.0 and n > 1:
+        sims = features @ features.T
+        for d in range(n):
+            better = affinity > affinity[d]
+            if better.any():
+                penalty[d] = max(0.0, float(sims[d, better].max()) - 0.85) / 0.15
+    score = affinity - 0.45 * context_strength * penalty
+    return np.clip(np.floor(score / 0.75 * (r_max + 1)), 0, r_max).astype(int)
+
+
+def test_slate_grades_equal_the_per_item_loop():
+    rng = np.random.default_rng(12)
+    for trial in range(600):
+        n, dim = int(rng.integers(1, 13)), int(rng.integers(2, 9))
+        taste = rng.normal(size=dim)
+        taste /= np.linalg.norm(taste)
+        protos = rng.normal(size=(max(1, n // 3), dim))  # clustered rows, so mates nearly repeat
+        feats = protos[rng.integers(len(protos), size=n)] + 0.05 * rng.normal(size=(n, dim))
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        if trial % 5 == 0 and n > 1:
+            feats[-1] = feats[0]  # an exact tie in affinity
+        for strength in (0.0, 0.5, 1.0, 2.5):
+            for r_max in (1, 4):
+                assert np.array_equal(slate_grades(taste, feats, strength, r_max),
+                                      _slate_grades_reference(taste, feats, strength, r_max))
 
 
 def test_generator_determinism_bytes(tmp_path):
@@ -289,13 +322,13 @@ def _user_logs(draw):
 
 @st.composite
 def _instances(draw):
-    dim = draw(st.integers(1, 4))
+    dim, profile_dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))  # one of each per file
     out = []
     for k in range(draw(st.integers(0, 4))):
         ids = draw(st.lists(st.integers(0, 10 ** 12), min_size=1, max_size=5, unique=True))
         inst = Instance(
             query_id=draw(st.sampled_from([f"{k}:train", f"u{k}:test", f"q {k}"])),
-            ctx=UserContext(draw(_vector(draw(st.integers(1, 4)))),
+            ctx=UserContext(draw(_vector(profile_dim)),
                             draw(st.lists(_vector(dim), max_size=3)), feature_dim=dim),
             cands=CandidateSet((i, draw(_vector(dim))) for i in ids),
             labels={i: draw(_grade) for i in ids})
@@ -376,6 +409,188 @@ def test_one_corrupted_line_is_rejected_naming_file_and_line(case, corruption, d
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"^{re.escape(path)}:{bad + 1}: "):
             read(path)
+
+
+def _three_line_files(tmp_path):
+    """A 3-user dataset.txt and its train.txt, as lists of lines; features are 8 wide."""
+    logs = generate_synthetic(3, history_len=4, seed=9)
+    write_dataset(logs, tmp_path / "dataset.txt")
+    write_instances(temporal_split(logs).train, tmp_path / "train.txt")
+    return ((tmp_path / "dataset.txt").read_text().splitlines(),
+            (tmp_path / "train.txt").read_text().splitlines())
+
+
+def _cut_profile(line, n):
+    fields = line.split("|")
+    fields[1] = ",".join(fields[1].split(",")[:n])
+    return "|".join(fields)
+
+
+def _cut_features(field, n):
+    """Every item of a ';'-separated item field keeps its first n feature values."""
+    items = [tok.rsplit(":", 1) for tok in field.split(";") if tok]
+    return ";".join(f"{head}:{','.join(feats.split(',')[:n])}" for head, feats in items)
+
+
+@pytest.mark.parametrize("reader, what", [(read_dataset, "profile"), (read_dataset, "feature"),
+                                          (read_instances, "profile"),
+                                          (read_instances, "feature")])
+def test_readers_reject_a_width_that_differs_from_earlier_lines(tmp_path, reader, what):
+    dataset, train = _three_line_files(tmp_path)
+    lines, name = (dataset, "dataset.txt") if reader is read_dataset else (train, "train.txt")
+    fields = lines[1].split("|")
+    if what == "profile":
+        lines[1] = _cut_profile(lines[1], 3)
+    else:  # every item field of the line, so the line alone is consistent
+        items = (2,) if reader is read_dataset else (2, 3)
+        lines[1] = "|".join(_cut_features(f, 3) if k in items else f for k, f in enumerate(fields))
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:2: {what} width 3 differs "
+                                         rf"from 8 earlier in the file$"):
+        reader(path)
+    path.write_text(lines[1] + "\n")  # the same line alone is a valid file
+    assert len(reader(path)) == 1
+
+
+def test_dataset_feature_width_is_set_by_the_first_line_with_items(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text("1|0.5,0.5|\n2|0.5,0.5|11:1:0.1\n3|0.5,0.5|\n4|0.5,0.5|12:1:0.1,0.2\n")
+    with pytest.raises(ParseError, match=r"data\.txt:4: feature width 2 differs from 1 earlier"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("reader, good", [(read_dataset, "1|0.5,0.5|10:2:0.1,0.2"),
+                                          (read_instances, _GOOD_INSTANCE)],
+                         ids=["dataset", "instances"])
+def test_undecodable_byte_is_rejected_naming_file_and_line(tmp_path, reader, good):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(f"{good}\n".encode() + good.replace("0.5", "0.\xe9", 1).encode() + b"\n")
+    with pytest.raises(ParseError, match=r"bad\.txt:2: byte 0xc3 at column \d+ is not ASCII$"):
+        reader(path)
+
+
+def _token_cases(tok, what):
+    """(reader, line, the row the reader returns that holds ``tok``, that row's text) with
+    ``tok`` as a profile or an item feature value of each format; the rest is valid."""
+    if what == "profile":
+        return [(read_dataset, f"1|{tok},0.5|10:2:0.1,0.2", lambda r: r.profile, f"{tok},0.5"),
+                (read_instances, f"q|{tok},0.5||10:2:0.1,0.2|", lambda r: r.ctx.profile,
+                 f"{tok},0.5")]
+    return [(read_dataset, f"1|0.5,0.5|10:2:0.1,0.2;11:1:{tok},0.4",
+             lambda r: r.items[1].features, f"{tok},0.4"),
+            (read_instances, f"q|0.5,0.5|0:0:0.3,{tok}|10:2:0.1,0.2|", lambda r: r.ctx.history[0],
+             f"0.3,{tok}")]
+
+
+@pytest.mark.parametrize("tok", ["1_0", " 2.5", "-0.0", "1e-320"])
+@pytest.mark.parametrize("what", ["profile", "feature"])
+def test_readers_accept_every_token_float_accepts(tmp_path, tok, what):
+    path = tmp_path / "ok.txt"
+    for reader, line, row_of, text in _token_cases(tok, what):
+        path.write_text(line + "\n")
+        [record] = reader(path)
+        assert _bits(row_of(record)) == _bits([float(x) for x in text.split(",")])
+
+
+@pytest.mark.parametrize("tok, message", [
+    ("nan", "non-finite {what} value in {text!r}"),
+    ("inf", "non-finite {what} value in {text!r}"),
+    ("1e400", "non-finite {what} value in {text!r}"),
+    ("0x1p3", "could not convert string to float: '0x1p3'"),
+    ("", "could not convert string to float: ''"),
+])
+@pytest.mark.parametrize("what", ["profile", "feature"])
+def test_readers_reject_every_token_float_rejects_or_reads_as_non_finite(tmp_path, tok, message,
+                                                                         what):
+    path = tmp_path / "bad.txt"
+    for reader, line, _, text in _token_cases(tok, what):
+        path.write_text(line + "\n")
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}:1: " + message.format(what=what, text=text)
+
+
+def _reference_floats(text, where, what):
+    """The row-at-a-time float parse that the readers once ran; it pins their error order."""
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError as e:
+        raise ParseError(f"{where}: {e}") from None
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"{where}: non-finite {what} value in {text[:40]!r}")
+    return values
+
+
+def _reference_items(field, where):
+    rows = []
+    for tok in field.split(";"):
+        if not tok:
+            continue
+        parts = tok.split(":")
+        if len(parts) != 3:
+            raise ParseError(f"{where}: malformed item record {tok[:40]!r}")
+        try:
+            item_id, grade = int(parts[0]), int(parts[1])
+        except ValueError as e:
+            raise ParseError(f"{where}: {e}") from None
+        if grade < 0:
+            raise ParseError(f"{where}: negative grade {grade} for item {item_id}")
+        rows.append(_reference_floats(parts[2], where, "feature"))
+    return rows
+
+
+_TOKEN = st.sampled_from(["0.5", "-1.25", "1e-320", "1_0", " 2", "-0.0"] * 3 +
+                         ["nan", "-inf", "1e400", "x", "", "0x1p3"])
+_FLOAT_TEXT = st.lists(_TOKEN, min_size=1, max_size=3).map(",".join)
+
+
+@st.composite
+def _item_field(draw):
+    items = []
+    for k in range(draw(st.integers(0, 4))):
+        parts = [draw(st.sampled_from([str(k)] * 4 + ["x"])),
+                 draw(st.sampled_from(["0", "3"] * 3 + ["-2", "g"])), draw(_FLOAT_TEXT)]
+        n_parts = draw(st.sampled_from([3] * 6 + [2, 4]))  # a record of 2 or 4 parts is malformed
+        items.append(":".join((parts + ["9"])[:n_parts]))
+    return ";".join(items)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.booleans(), _FLOAT_TEXT, _item_field(), _item_field())
+def test_a_bad_line_fails_with_the_message_a_row_by_row_parse_gives(instances, profile, hist,
+                                                                    cands):
+    line = f"q|{profile}|{hist}|{cands}|" if instances else f"7|{profile}|{cands}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.txt")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(line + "\n")
+        where = f"{path}:1"
+        try:
+            want_profile = _reference_floats(profile, where, "profile")
+            want_hist = _reference_items(hist, where) if instances else []
+            want_cands = _reference_items(cands, where)
+            expected = None
+        except ParseError as e:
+            expected = str(e)
+        try:
+            [row] = (read_instances if instances else read_dataset)(path)
+        except ParseError as e:
+            got = str(e)
+        else:
+            got = None
+    if expected is not None or got is None:
+        assert got == expected
+    else:  # the row-by-row checks pass; a later check of the whole line may still fail
+        assert re.match(r".*: (feature vectors of different lengths|duplicate candidate item"
+                        r"|instance has no candidate items)", got)
+    if got is None:
+        profile_got = row.ctx.profile if instances else row.profile
+        hist_got = row.ctx.history if instances else []
+        cands_got = row.cands.features if instances else [it.features for it in row.items]
+        assert _bits(profile_got) == _bits(want_profile)
+        assert _bits(hist_got) == _bits(want_hist)
+        assert _bits(cands_got) == _bits(want_cands)
 
 
 def test_oracle_seed_stability():
