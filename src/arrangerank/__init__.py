@@ -4,7 +4,7 @@ click-model simulation metrics with exact permutation oracles."""
 
 from .arranger import arrange_greedy, arrange_sample, permutation_log_prob, step_scores
 from .autodiff import Tape, Tensor, grad_check
-from .baseline import rank_by_sort, score_all
+from .baseline import score_all
 from .clickmodels import (ClickModelSpec, MetricScore, examination_prob, load_click_spec,
                           ndcg_reduction_check, oracle_permutation, r_cm, r_ndcg,
                           relevance_prob, simulate_clicks)

@@ -81,6 +81,7 @@ def _decode(rout: ReaderOutput, params: ParamStore,
 
 
 def _masked_argmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Highest-scoring unarranged index; an exact tie picks the first, the smallest id."""
     return np.argmax(np.where(mask, logits, -np.inf), axis=-1)
 
 
@@ -95,17 +96,9 @@ def target_indices(ids, pi: Permutation) -> list[int]:
     return [index_of[item] for item in pi]
 
 
-def greedy_orders(rout: ReaderOutput, params: ParamStore) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy placement order (..., n) and the per-step pointing distribution (..., n, n)."""
-    probs = []
-
-    def choose(logits, mask):
-        _, e, s = ad._masked_exp(logits, mask, "greedy decode")
-        probs.append(e / s[..., None])
-        return probs[-1].argmax(axis=-1)  # exact ties: first index = smallest id
-
-    order = _decode(rout, params, choose)
-    return order, np.stack(probs, axis=-2)
+def greedy_orders(rout: ReaderOutput, params: ParamStore) -> np.ndarray:
+    """Greedy placement order (..., n): every step places the highest-scoring unplaced item."""
+    return _decode(rout, params, _masked_argmax)
 
 
 def step_scores(rout: ReaderOutput, params: ParamStore) -> dict[int, float]:
@@ -117,7 +110,7 @@ def step_scores(rout: ReaderOutput, params: ParamStore) -> dict[int, float]:
 
 
 def arrange_greedy(rout: ReaderOutput, params: ParamStore) -> Permutation:
-    return greedy_step_probs(rout, params)[0]
+    return _as_permutation(rout.ids, greedy_orders(rout, params))
 
 
 def greedy_step_probs(rout: ReaderOutput, params: ParamStore) -> tuple[Permutation, np.ndarray]:
@@ -126,8 +119,15 @@ def greedy_step_probs(rout: ReaderOutput, params: ParamStore) -> tuple[Permutati
     Row i holds P(position i+1 takes item j | choices so far); entries of
     already-arranged items are exactly 0.
     """
-    order, probs = greedy_orders(rout, params)
-    return _as_permutation(rout.ids, order), probs
+    probs = []
+
+    def choose(logits, mask):
+        _, e, s = ad._masked_exp(logits, mask, "greedy decode")
+        probs.append(e / s[..., None])
+        return _masked_argmax(logits, mask)
+
+    order = _decode(rout, params, choose)
+    return _as_permutation(rout.ids, order), np.stack(probs, axis=-2)
 
 
 def arrange_sample(rout: ReaderOutput, params: ParamStore, seed: int) -> tuple[Permutation, float]:
@@ -185,8 +185,7 @@ def summation_log_probs(rout: ReaderOutput, params: ParamStore, targets: np.ndar
     decoded untaped, then fed to the decoder like forced targets, so one pass
     scores every position.
     """
-    picks = _decode(rout, params, _masked_argmax)
-    logits = _forced_logits(rout, params, picks[..., :-1])
+    logits = _forced_logits(rout, params, greedy_orders(rout, params)[..., :-1])
     return ad.masked_log_prob(logits, np.ones(logits.values.shape, dtype=bool), targets)
 
 

@@ -14,7 +14,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .loss import LossReport
 from .params import ParamStore
-from .permutation import Permutation
 from .reader import CandidateSet, Group
 
 
@@ -24,11 +23,6 @@ def score_all(cands: CandidateSet | Group, user_vec: Tensor, params: ParamStore)
     u_part = ad.add(ad.matvec(params["pw.W1u"], user_vec), params["pw.b1"])
     hid = ad.tanh(ad.add_rows(ad.matmul(x, params["pw.W1x"]), u_part))
     return ad.add(ad.matvec(hid, params["pw.w2"]), params["pw.b2"])
-
-
-def rank_by_sort(scores: dict[int, float]) -> Permutation:
-    """Descending by score; exact ties broken by ascending item id."""
-    return Permutation(sorted(scores, key=lambda i: (-scores[i], i)))
 
 
 def grade_loss(cands: CandidateSet | Group, user_vec: Tensor, params: ParamStore,

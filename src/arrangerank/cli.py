@@ -50,7 +50,9 @@ def _build_config(args) -> TrainConfig:
     for key in file_values:
         if key not in fields:
             raise ParseError(f"{args.config}:{file_values[key][1]}: unknown config key {key!r}")
-        merged[key] = parse_value(args.config, file_values, key, type(fields[key]))
+        # checked as it joins, so a rejected value names its own line
+        merged[key] = parse_value(args.config, file_values, key,
+                                  lambda raw: TrainConfig.checked(key, type(fields[key])(raw)))
     for key in fields:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -114,20 +116,21 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    out = _out_dir(args.out)
     metric = _metric_arg(args.metric, args.tau, args.r_max, args.click_config)
+    sources = [Path(args.split_dir) / f"{name}.txt" for name in ("train", "validation", "test")]
+    sources = [src for src in sources if src.exists()]
+    if not sources:
+        raise FileNotFoundError(f"{args.split_dir}: no train.txt, validation.txt or test.txt")
+    out = _out_dir(args.out)
     inputs = [Path(args.click_config)] if args.click_config else []
     outputs = []
     t0 = time.perf_counter()
     n = 0
-    for name in ("train", "validation", "test"):
-        src = Path(args.split_dir) / f"{name}.txt"
-        if not src.exists():
-            continue
+    for src in sources:
         inputs.append(src)
         instances = read_instances(src)
         n += ensure_oracles(instances, metric, args.seed, args.r_max)
-        path = out / f"{name}.txt"
+        path = out / src.name
         write_instances(instances, path)
         outputs.append(path)
     took = time.perf_counter() - t0
@@ -147,13 +150,15 @@ def _cmd_train(args) -> int:
     split = DatasetSplit(
         train=read_instances(Path(args.split_dir) / "train.txt"),
         validation=[], test=[])
+    from_split = sum(inst.oracle is not None for inst in split.train)  # not made by the metric
     params, log = train(args.model, split, metric, cfg)
     ckpt = out / "checkpoint.txt"
     save_model(params, ckpt, args.model.replace("-", "_"), dims_for(cfg, split.train[0]), cfg)
     log_path = out / "training_log.csv"
     write_training_log(log, log_path)
     _echo_config(out, {**{f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
-                       "model": args.model, "metric": metric_fingerprint(metric)})
+                       "model": args.model, "metric": metric_fingerprint(metric),
+                       "oracles_from_split": from_split})
     _write_manifest(out, "train", {"seed": cfg.seed},
                     [Path(args.split_dir) / "train.txt"], [ckpt, log_path])
     print(f"final epoch mean loss {log[-1]['mean_loss']:.4f}; checkpoint at {ckpt}")

@@ -76,7 +76,9 @@ def evaluate(params, model_kind: str, instances: list[Instance],
     if click_specs is None:
         click_specs = {"P": ClickModelSpec(kind="pbm", r_max=r_max),
                        "U": ClickModelSpec(kind="ubm", r_max=r_max)}
-    cutoff_depth(min(ks), 1)  # a cutoff below 1 fails before the decode
+    cutoff_depth(min(ks), 1)  # a cutoff below 1, or a repeated one, fails before the decode
+    if len(set(ks)) < len(ks):
+        raise ValueError(f"cutoff k repeats: {', '.join(map(str, ks))}")
     check_grades(instances, r_max)
     for spec in click_specs.values():
         check_grades(instances, spec.r_max, spec.relevance_map)

@@ -222,12 +222,10 @@ def rank_instances(kind: str, params, instances: list[Instance]) -> list[Permuta
         if kind == "pointwise_baseline":
             ctx, cands = _inputs(group)
             scores = baseline.score_all(cands, encode_history(ctx, params), params).values
-            rows = [baseline.rank_by_sort(dict(zip(inst.cands.ids, s.tolist())))
-                    for inst, s in zip(group, np.reshape(scores, (len(group), -1)))]
+            # candidates are stored by ascending id, so exact ties go to the smallest id
+            order = np.argsort(-scores, axis=-1, kind="stable")
         else:
-            order, _ = greedy_orders(read_group(kind, params, group), params)
-            rows = [Permutation([inst.cands.ids[k] for k in row])
-                    for inst, row in zip(group, np.reshape(order, (len(group), -1)))]
-        for p, pi in zip(positions, rows):
-            ranked[p] = pi
+            order = greedy_orders(read_group(kind, params, group), params)
+        for p, inst, row in zip(positions, group, np.reshape(order, (len(group), -1))):
+            ranked[p] = Permutation([inst.cands.ids[k] for k in row])
     return ranked

@@ -46,12 +46,26 @@ class TrainConfig:
     loss_variant: str = "listwise"  # "summation" = diagnostic per-position loss
 
     def __post_init__(self):
-        if self.lr_final > self.lr_initial:
+        for key in self.__dataclass_fields__:
+            self.checked(key, getattr(self, key))
+        if not self.lr_final <= self.lr_initial:  # NaN fails too
             raise ValueError(f"lr_final {self.lr_final} exceeds lr_initial {self.lr_initial}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+
+    @staticmethod
+    def checked(key: str, value):
+        """``value`` if it is in range for field ``key``; otherwise a ValueError naming it.
+        The cross-field lr check waits for the whole config."""
+        if key in ("epochs", "batch_size", "embedding_dim", "max_list_len") and value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
+        if key == "lr_final" and not value > 0:
+            raise ValueError(f"lr_final must be > 0, got {value}")
+        if key == "dropout_rate" and not 0 <= value < 1:
+            raise ValueError(f"dropout_rate must lie in [0, 1), got {value}")
+        if key == "l2_weight" and not value >= 0:
+            raise ValueError(f"l2_weight must be >= 0, got {value}")
+        if key == "optimizer" and value not in ("sgd", "adam"):
+            raise ValueError(f"optimizer must be 'sgd' or 'adam', got {value!r}")
+        return value
 
 
 def learning_rate(cfg: TrainConfig, epoch: int) -> float:

@@ -66,11 +66,10 @@ def test_step_scores_run_one_decoder_step_equal_to_the_first_greedy_step():
 
     def greedy_choose(logits, mask):  # greedy_orders' pick, keeping the logits it sees
         first.append(logits.copy())
-        _, e, s = ad._masked_exp(logits, mask, "greedy decode")
-        return (e / s[..., None]).argmax(axis=-1)
+        return np.argmax(np.where(mask, logits, -np.inf), axis=-1)
 
     with mock.patch.object(ad, "_cell_step", wraps=ad._cell_step) as cell:
-        assert np.array_equal(_decode(rout, params, greedy_choose), greedy_orders(rout, params)[0])
+        assert np.array_equal(_decode(rout, params, greedy_choose), greedy_orders(rout, params))
         assert cell.call_count == 2 * 6
         scores = step_scores(rout, params)
         assert cell.call_count == 2 * 6 + 1

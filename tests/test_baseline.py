@@ -2,10 +2,10 @@ import numpy as np
 
 from arrangerank import autodiff as ad
 from arrangerank.autodiff import Tensor, grad_check
-from arrangerank.baseline import grade_loss, rank_by_sort, score_all
-from arrangerank.model import init_params, rank_instance
+from arrangerank.baseline import grade_loss, score_all
+from arrangerank.model import init_params, rank_instance, rank_instances
 from arrangerank.permutation import Permutation
-from arrangerank.reader import CandidateSet
+from arrangerank.reader import CandidateSet, encode_history
 
 from conftest import make_instance, tiny_dims
 
@@ -60,18 +60,50 @@ def test_pointwise_loss_gradient_check():
     assert grad_check(f, params, eps=1e-5) < 1e-4
 
 
-def test_rank_by_sort_examples():
-    assert rank_by_sort({1: 0.2, 2: 0.9, 3: 0.5}).order == (2, 3, 1)
-    assert rank_by_sort({7: 1.0, 3: 1.0, 5: 1.0}).order == (3, 5, 7)
+def _pointwise_orders(params, instances):
+    return [pi.order for pi in rank_instances("pointwise_baseline", params, instances)]
 
 
-def test_rank_by_sort_input_order_and_monotone_invariance():
+def _by_score(params, inst):
+    """Ids by descending ``score_all`` score, exact ties by ascending id."""
+    scores = score_all(inst.cands, encode_history(inst.ctx, params), params).values
+    by_id = dict(zip(inst.cands.ids, scores.tolist()))
+    return tuple(sorted(by_id, key=lambda i: (-by_id[i], i)))
+
+
+def test_pointwise_ranking_examples():
+    params = init_params("pointwise_baseline", tiny_dims(), 0)
+    for name in params.names():
+        params[name].values[...] = 0.0
+    params["pw.W1x"].values[0, 0] = params["pw.w2"].values[0] = 1.0  # score = tanh(feature 0)
+    inst = make_instance(seed=0, n=3, ids=[1, 2, 3])
+    inst.cands.features[:, 0] = [0.2, 0.9, 0.5]
+    assert _pointwise_orders(params, [inst]) == [(2, 3, 1)]
+    params["pw.W1x"].values[0, 0] = 0.0  # every score equal: ascending ids, in a group too
+    tied = [make_instance(seed=1, n=3, ids=[7, 3, 5]), make_instance(seed=2, n=3, ids=[9, 1, 4])]
+    assert _pointwise_orders(params, tied) == [(3, 5, 7), (1, 4, 9)]
+
+
+def test_pointwise_ranking_is_the_descending_score_order_whatever_the_storage_order():
+    params = init_params("pointwise_baseline", tiny_dims(), 5)
     rng = np.random.default_rng(5)
-    scores = {int(i): float(rng.normal()) for i in rng.permutation(20)[:8]}
-    base = rank_by_sort(scores)
-    assert rank_by_sort(dict(reversed(list(scores.items())))).order == base.order
-    squashed = {i: np.tanh(s) + 5 for i, s in scores.items()}  # strictly increasing map
-    assert rank_by_sort(squashed).order == base.order
+    pool = []
+    for k in range(12):
+        ids = rng.permutation(20)[:int(rng.integers(2, 9))].tolist()
+        inst = make_instance(seed=k, n=len(ids), ids=ids)
+        if k % 3 == 0:
+            inst.cands.features[-1] = inst.cands.features[0]  # an exact tie, smallest id first
+        pool.append(inst)
+    base = _pointwise_orders(params, pool)
+    assert base == [_by_score(params, inst) for inst in pool]
+    for inst, order in zip(pool[::3], base[::3]):
+        assert order.index(inst.cands.ids[0]) < order.index(inst.cands.ids[-1])
+    for inst in pool:  # the same candidates supplied largest id first
+        inst.cands = CandidateSet(zip(inst.cands.ids[::-1], inst.cands.features[::-1]))
+    assert _pointwise_orders(params, pool) == base
+    params["pw.w2"].values *= 4.0  # a strictly increasing map of every score
+    params["pw.b2"].values = params["pw.b2"].values * 4.0 + 0.5
+    assert _pointwise_orders(params, pool) == base
 
 
 def test_rank_instance_pointwise_uses_sort():

@@ -58,3 +58,28 @@ def test_every_keyword_the_benchmark_passes_is_accepted():
                 if kw.arg is not None and kw.arg not in params:
                     rejected.append(f"perfbench/{source}:{node.lineno}: {name}({kw.arg}=...)")
     assert not rejected, rejected
+
+
+def test_every_call_the_benchmark_makes_binds_to_its_signature():
+    unbound, count = [], 0
+    for source, tree in _trees():
+        imported = _imported(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in imported):
+                continue
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(kw.arg is None for kw in node.keywords)):
+                continue  # a starred call's argument count is not in the source
+            module, name = imported[node.func.id]
+            target = getattr(importlib.import_module(module), name, None)
+            if target is None:
+                continue  # reported by the import test
+            count += 1
+            try:
+                inspect.signature(target).bind(*[None] * len(node.args),
+                                               **{kw.arg: None for kw in node.keywords})
+            except TypeError as e:
+                unbound.append(f"perfbench/{source}:{node.lineno}: {name}: {e}")
+    assert count >= 80, "the parse found too few calls; has perfbench moved?"
+    assert not unbound, unbound

@@ -211,6 +211,60 @@ def test_bad_train_config_value_names_file_and_line(tmp_path, capsys):
     assert f"error: {cfg}:2: batch_size: invalid literal for int()" in capsys.readouterr().err
 
 
+def test_out_of_range_train_config_value_names_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 1\nbatch_size = 0\n")
+    assert _run("train", "--split-dir", str(tmp_path / "s"), "--config", str(cfg),
+                "--out", str(tmp_path / "r")) == 1
+    assert f"error: {cfg}:2: batch_size: batch_size must be >= 1, got 0" in \
+        capsys.readouterr().err
+
+
+def test_train_zero_epochs_exits_before_training(tmp_path, capsys):
+    data, split = tmp_path / "d", tmp_path / "s"
+    _run("gen-data", "--users", "5", "--history-len", "4", "--out", str(data))
+    _run("split", "--data", str(data / "dataset.txt"), "--out", str(split))
+    run = tmp_path / "run"
+    assert _run("train", "--split-dir", str(split), "--epochs", "0", "--out", str(run)) == 1
+    assert "error: epochs must be >= 1, got 0" in capsys.readouterr().err
+    assert not (run / "checkpoint.txt").exists()
+
+
+def test_train_config_file_keys_join_in_any_order(tmp_path):
+    # lr_initial alone would fall below the default lr_final; the pair is valid
+    data, split = tmp_path / "d", tmp_path / "s"
+    _run("gen-data", "--users", "5", "--history-len", "4", "--out", str(data))
+    _run("split", "--data", str(data / "dataset.txt"), "--out", str(split))
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("lr_initial = 1e-7\nlr_final = 1e-8\nepochs = 1\nembedding_dim = 4\n")
+    run = tmp_path / "run"
+    assert _run("train", "--model", "pointwise", "--split-dir", str(split), "--config", str(cfg),
+                "--out", str(run)) == 0
+    assert "lr_final = 1e-08" in (run / "config.echo.txt").read_text()
+
+
+def test_oracle_without_split_files_exits_naming_the_directory(tmp_path, capsys):
+    missing, out = tmp_path / "nonexistent", tmp_path / "o"
+    assert _run("oracle", "--split-dir", str(missing), "--out", str(out)) == 1
+    assert capsys.readouterr().err == \
+        f"error: {missing}: no train.txt, validation.txt or test.txt\n"
+    assert not out.exists()
+
+
+def test_train_echoes_how_many_oracles_came_from_the_split(tmp_path):
+    data, split, filled = tmp_path / "d", tmp_path / "s", tmp_path / "o"
+    _run("gen-data", "--users", "5", "--history-len", "4", "--out", str(data))
+    _run("split", "--data", str(data / "dataset.txt"), "--out", str(split))
+    assert _run("oracle", "--split-dir", str(split), "--metric", "pbm", "--out", str(filled)) == 0
+    n_train = len(read_instances(split / "train.txt"))
+    for split_dir, want in ((split, 0), (filled, n_train)):
+        run = tmp_path / f"run_{want}"
+        assert _run("train", "--split-dir", str(split_dir), "--metric", "ndcg", "--epochs", "1",
+                    "--embedding-dim", "4", "--out", str(run)) == 0
+        echo = (run / "config.echo.txt").read_text().splitlines()
+        assert f"oracles_from_split = {want}" in echo and "metric = ndcg" in echo
+
+
 def _tiny_model(tmp_path, instance_lines):
     """A starank checkpoint over 2 features and an instance file; their paths."""
     from arrangerank.model import ModelDims, init_params
@@ -239,6 +293,15 @@ def test_evaluate_cutoff_below_one_exits_naming_it(tmp_path, capsys, k):
                 "--out", str(tmp_path / "ev")) == 1
     assert f"error: cutoff k must be >= 1, got {min(map(int, k.split(',')))}" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["5,5", "5,10,5"])
+def test_evaluate_repeated_cutoff_exits_naming_it(tmp_path, capsys, k):
+    ckpt, inst = _tiny_model(tmp_path, ["q0|0.5,0.5||10:2:0.1,0.2;11:1:0.3,0.4|"])
+    assert _run("evaluate", "--checkpoint", str(ckpt), "--instances", str(inst), "--k", k,
+                "--out", str(tmp_path / "ev")) == 1
+    assert f"error: cutoff k repeats: {k.replace(',', ', ')}" in capsys.readouterr().err
+    assert not (tmp_path / "ev" / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "inspect"])

@@ -20,12 +20,29 @@ from conftest import make_instance, separable_rank_split, tiny_dims
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(lr_initial=1e-4, lr_final=1e-2)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="lion")
+    for bad, named in [
+        ({"lr_initial": 1e-4, "lr_final": 1e-2}, "lr_final 0.01 exceeds lr_initial 0.0001"),
+        ({"lr_initial": float("nan")}, "exceeds lr_initial nan"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"optimizer": "lion"}, "optimizer must be 'sgd' or 'adam', got 'lion'"),
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ({"epochs": -1}, "epochs must be >= 1, got -1"),
+        ({"max_list_len": 0}, "max_list_len must be >= 1, got 0"),
+        ({"embedding_dim": 0}, "embedding_dim must be >= 1, got 0"),
+        ({"lr_initial": -1.0, "lr_final": -2.0}, "lr_final must be > 0, got -2.0"),
+        ({"lr_final": 0.0}, "lr_final must be > 0, got 0.0"),
+        ({"dropout_rate": 1.0}, "dropout_rate must lie in [0, 1), got 1.0"),
+        ({"dropout_rate": -0.1}, "dropout_rate must lie in [0, 1), got -0.1"),
+        ({"l2_weight": -1e-5}, "l2_weight must be >= 0, got -1e-05"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            TrainConfig(**bad)
+
+
+def test_config_accepts_the_edges_of_every_range():
+    cfg = TrainConfig(epochs=1, batch_size=1, embedding_dim=1, max_list_len=1, lr_initial=1e-9,
+                      lr_final=1e-9, dropout_rate=0.0, l2_weight=0.0, optimizer="sgd")
+    assert cfg.dropout_rate == 0.0 and cfg.lr_final == cfg.lr_initial
 
 
 def test_learning_rate_schedule_endpoints():
