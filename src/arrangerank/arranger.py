@@ -18,9 +18,11 @@ in one cell call and score every position in one pass; the summation foil
 decodes its greedy picks first, then is scored that way. Both run a single
 reader output, or a group of equal-shape instances along a leading batch
 axis. Orders are rows of candidate indices; candidates are stored by
-ascending item id, so greedy decoding breaks exact ties by smallest item
-id, never by storage position, and results are invariant to candidate
-storage order.
+ascending item id, so greedy decoding gives bitwise-equal scores to the
+smallest item id, never to a storage position, and results are invariant
+to candidate storage order. Candidates with identical features need not
+score bitwise equal: a row's bits in the ``reprs @ W`` products depend on
+its position, so their scores can differ by 1-2 ulp, and the higher wins.
 """
 from __future__ import annotations
 
@@ -81,7 +83,7 @@ def _decode(rout: ReaderOutput, params: ParamStore,
 
 
 def _masked_argmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Highest-scoring unarranged index; an exact tie picks the first, the smallest id."""
+    """Highest-scoring unarranged index; bitwise-equal scores pick the first, the smallest id."""
     return np.argmax(np.where(mask, logits, -np.inf), axis=-1)
 
 
@@ -156,9 +158,8 @@ def _forced_logits(rout: ReaderOutput, params: ParamStore, inputs: np.ndarray) -
     if n == 0:
         raise ValueError("cannot arrange an empty candidate set")
     placed = [params["dec.start"], ad.row(reprs, inputs)]
-    hs, _, _ = ad.gated_cell(params["dec.W"], params["dec.b"],
-                             [placed, Tensor(_onehots(params, np.arange(n)))],
-                             rout.user_vec, Tensor(np.zeros(rout.user_vec.values.shape)))
+    hs = ad.gated_cell(params["dec.W"], params["dec.b"],
+                       [placed, Tensor(_onehots(params, np.arange(n)))], rout.user_vec)
     w2h, w = ad.matmul(reprs, params["ptr.W2"]), ad.matvec(params["ptr.P"], rout.user_vec)
     ctx = ad.add(ad.matvec(params["ptr.W3"], hs), params["ptr.b2"])  # one product, all steps
     return ad.pointer_logits(w2h, ctx, w)

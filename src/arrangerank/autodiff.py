@@ -2,8 +2,8 @@
 
 The ranker only needs a handful of primitives (matrix products, a few
 elementwise maps, reductions, a fused recurrent cell and a masked softmax),
-so the engine is a flat tape: every primitive appends one backward closure,
-and ``Tape.backward`` replays the closures in exact reverse execution order.
+so the engine is a flat tape: every primitive appends its one output with a
+backward closure, and ``Tape.backward`` replays them in exact reverse order.
 
 Primitives take one instance, or a batch of equal-shape instances on leading
 axes (batch axis first); shape checks are strict on the trailing dimensions.
@@ -87,12 +87,7 @@ class Tape:
         self._spent = True
         out.grad = np.ones((), dtype=np.float64)
         for result, pull in reversed(self._steps):
-            if type(result) is tuple:  # multi-output primitive
-                if any(r.grad is not None for r in result):
-                    pull(tuple(r.grad for r in result))
-                for r in result:
-                    r.grad = None
-            elif result.grad is not None:
+            if result.grad is not None:
                 pull(result.grad)
                 result.grad = None  # intermediate buffers are single-use
 
@@ -426,24 +421,22 @@ def _cell_step(wv: np.ndarray, bv: np.ndarray, zv: np.ndarray, cv: np.ndarray) -
     return gates, gg, cv, gates[..., 2 * hdim:] * np.tanh(cv)
 
 
-def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor, c: Tensor
-               ) -> tuple[Tensor, Tensor, Tensor]:
+def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor) -> Tensor:
     """LSTM-style recurrence over T steps, fused into a single tape entry.
 
     Step t joins its input parts and the previous hidden state into
     z = [parts_t..., h]; ``w @ z + b`` stacks the four gate pre-activations
-    (input, forget, output, candidate – each ``len(c)`` rows, in that order)::
+    (input, forget, output, candidate – each ``len(h)`` rows, in that order)::
 
         c' = sigmoid(f)*c + sigmoid(i)*tanh(g),  h' = sigmoid(o)*tanh(c')
 
-    Returns (hs, h_T, c_T): the hidden state after every step (..., T,
-    hidden) and the last h and c (..., hidden). w and b are shared; h and c
-    are (..., hidden). A part is (..., T, width) with its step axis, or
-    (width,), shared by every step; a list of parts is laid end to end along
-    the step axis, a (width,) piece filling one step (the decoder's start
-    vector, then the targets it is forced along). A part without the
-    leading (batch) axes joins every instance and its gradient sums over
-    them.
+    The cell state c starts at zero. Returns the hidden state after every
+    step (..., T, hidden). w and b are shared; h is (..., hidden). A part is
+    (..., T, width) with its step axis, or a list of such pieces laid end to
+    end along the step axis, a (width,) piece filling one step (the
+    decoder's start vector, then the targets it is forced along). A part
+    without the leading (batch) axes joins every instance and its gradient
+    sums over them.
 
     Every step computes the same joined input and matrix-vector product as
     a lone step (``_cell_step``, which the untaped decode calls directly),
@@ -452,57 +445,49 @@ def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor, c: Tensor
     gradient from one product over all steps; the finite-difference tests
     cover the hand-derived backward.
     """
-    hv, cv, wv, bv = h.values, c.values, w.values, b.values
-    pieces, offsets, T = [], [0], 0  # (piece, first column, first step, steps or None: all)
-    leads = {hv.shape[:-1], cv.shape[:-1]}
+    hv, wv, bv = h.values, w.values, b.values
+    pieces, offsets, T = [], [0], 0  # (piece, first column, first step, steps)
+    leads = {hv.shape[:-1]}
     for part in parts:
-        if type(part) is Tensor and part.values.ndim == 1:
-            pieces.append((part, offsets[-1], 0, None))
-            leads.add(())
-        else:
-            first = 0
-            for piece in ((part,) if type(part) is Tensor else part):
-                v = piece.values
-                steps = 1 if v.ndim == 1 else v.shape[-2]
-                pieces.append((piece, offsets[-1], first, steps))
-                leads.add(v.shape[:-2])
-                first += steps
-            if not first or T and first != T:
-                raise ShapeError(f"gated_cell parts cover different or no step counts: "
-                                 f"{T} and {first}")
-            T = first
+        first = 0
+        for piece in ((part,) if type(part) is Tensor else part):
+            v = piece.values
+            steps = 1 if v.ndim == 1 else v.shape[-2]
+            pieces.append((piece, offsets[-1], first, steps))
+            leads.add(v.shape[:-2])
+            first += steps
+        if not first or T and first != T:
+            raise ShapeError(f"gated_cell parts cover different or no step counts: "
+                             f"{T} and {first}")
+        T = first
         offsets.append(offsets[-1] + pieces[-1][0].values.shape[-1])
-    T, zin, hdim = T or 1, offsets[-1], cv.shape[-1]
+    zin, hdim = offsets[-1], hv.shape[-1]
     if len(leads) > 1:  # a shared part meets batched ones
         leads.discard(())
         if len(leads) > 1:
             raise ShapeError(f"gated_cell batch shapes do not agree: input parts "
-                             f"{[p.values.shape for p, _, _, _ in pieces]}, "
-                             f"state {hv.shape} / {cv.shape}")
+                             f"{[p.values.shape for p, _, _, _ in pieces]}, state {hv.shape}")
     lead = leads.pop()
-    if hv.shape[-1] != hdim or wv.shape != (4 * hdim, zin + hdim) or bv.shape != (4 * hdim,):
+    if wv.shape != (4 * hdim, zin + hdim) or bv.shape != (4 * hdim,):
         raise ShapeError(f"gated_cell shapes do not agree: {wv.shape} vs input width {zin}, "
-                         f"state {hv.shape} / {cv.shape}")
-    tracing = _ACTIVE is not None and _tracing(w, b, h, c, *[p for p, _, _, _ in pieces])
+                         f"state {hv.shape}")
+    tracing = _tracing(w, b, h, *[p for p, _, _, _ in pieces])
     z = np.empty(lead + (T, zin + hdim))  # every step's input, joined; h goes in step by step
-    for p, col, first, steps in pieces:  # a shared part broadcasts into every instance
-        stop = T if steps is None else first + steps
-        z[..., first:stop, col:col + p.values.shape[-1]] = p.values
-    hs = np.empty(lead + (T, hdim))
+    for p, col, first, steps in pieces:  # a shared piece broadcasts into every instance
+        z[..., first:first + steps, col:col + p.values.shape[-1]] = p.values
+    hs, cv = np.empty(lead + (T, hdim)), np.zeros(lead + (hdim,))
     if tracing:
-        acts, cs = np.empty(lead + (T, 4 * hdim)), np.empty(lead + (T + 1, hdim))
-        cs[..., 0, :] = cv
+        acts, cs = np.empty(lead + (T, 4 * hdim)), np.zeros(lead + (T + 1, hdim))
     for t in range(T):
         z[..., t, zin:] = hv
         gates, gg, cv, hv = _cell_step(wv, bv, z[..., t, :], cv)
         hs[..., t, :] = hv
         if tracing:
             acts[..., t, :3 * hdim], acts[..., t, 3 * hdim:], cs[..., t + 1, :] = gates, gg, cv
-    hs_out, h_out, c_out = Tensor(hs), Tensor(hv), Tensor(cv)
+    out = Tensor(hs)
     if tracing:
 
-        def pull(grads, w=w, b=b, h=h, c=c, pieces=pieces, z=z, acts=acts, cs=cs):
-            ghs, gh, gc = grads
+        def pull(ghs, w=w, b=b, h=h, pieces=pieces, z=z, acts=acts, cs=cs):
             gi, gf = acts[..., :hdim], acts[..., hdim:2 * hdim]
             go, gg = acts[..., 2 * hdim:3 * hdim], acts[..., 3 * hdim:]
             tc = np.tanh(cs[..., 1:, :])  # recomputed: one array less on the tape
@@ -512,13 +497,11 @@ def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor, c: Tensor
             coef[..., hdim:2 * hdim] = cs[..., :-1, :] * gf * (1.0 - gf)
             coef[..., 2 * hdim:3 * hdim] = tc * go * (1.0 - go)
             coef[..., 3 * hdim:] = gi * (1.0 - gg * gg)
-            gh = np.zeros(lead + (hdim,)) if gh is None else gh
-            gc = np.zeros(lead + (hdim,)) if gc is None else gc
+            gh, gc = np.zeros(lead + (hdim,)), np.zeros(lead + (hdim,))
             wh = w.values[:, zin:]  # the columns that read the fed-back h
             gpre = np.empty(acts.shape)
             for t in reversed(range(T)):  # through time
-                if ghs is not None:
-                    gh = gh + ghs[..., t, :]
+                gh = gh + ghs[..., t, :]
                 gc = gc + gh * dc[..., t, :]
                 np.multiply(coef[..., t, :], np.concatenate((gc, gc, gh, gc), axis=-1),
                             out=gpre[..., t, :])
@@ -531,20 +514,15 @@ def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor, c: Tensor
                 b._accum(flat.sum(axis=0))
             if h.requires_grad:
                 h._accum(_unbroadcast(gh, h.values.shape))
-            if c.requires_grad:
-                c._accum(_unbroadcast(gc, c.values.shape))
             if any(p.requires_grad for p, _, _, _ in pieces):
                 gz = gpre @ w.values[:, :zin]
                 for p, col, first, steps in pieces:
                     if p.requires_grad:
-                        g = gz[..., first:first + (T if steps is None else steps),
-                               col:col + p.values.shape[-1]]
+                        g = gz[..., first:first + steps, col:col + p.values.shape[-1]]
                         p._accum(_unbroadcast(g, p.values.shape))
 
-        for out in (hs_out, h_out, c_out):
-            out.requires_grad = True
-        _ACTIVE._steps.append(((hs_out, h_out, c_out), pull))
-    return hs_out, h_out, c_out
+        _record(out, pull)
+    return out
 
 
 def masked_log_prob(logits: Tensor, mask: np.ndarray, index) -> Tensor:

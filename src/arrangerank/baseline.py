@@ -3,7 +3,7 @@
 The classic pipeline the arranger is measured against: each candidate gets
 an independent score from concat(item features, user vector), trained with
 squared error against grade / r_max, and the ranking is a stable descending
-sort with ties broken by item id. No cross-candidate information flows
+sort with bitwise-equal scores broken by item id. No cross-candidate information flows
 anywhere, which is exactly the limitation the comparison is about.
 """
 from __future__ import annotations

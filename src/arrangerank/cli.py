@@ -81,11 +81,11 @@ def _out_dir(path: str) -> Path:
 
 
 def _cmd_gen_data(args) -> int:
-    out = _out_dir(args.out)
     logs = generate_synthetic(args.users, history_len=args.history_len,
                               n_candidates=args.candidates, feature_dim=args.dim,
                               context_strength=args.context_strength, seed=args.seed,
                               r_max=args.r_max)
+    out = _out_dir(args.out)
     data_path = out / "dataset.txt"
     write_dataset(logs, data_path)
     _echo_config(out, {k: getattr(args, k) for k in
@@ -97,9 +97,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    split = temporal_split(read_dataset(args.data))
     out = _out_dir(args.out)
-    logs = read_dataset(args.data)
-    split = temporal_split(logs)
     outputs = []
     for name, instances in (("train", split.train), ("validation", split.validation),
                             ("test", split.test)):
@@ -142,7 +141,6 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    out = _out_dir(args.out)
     cfg = _build_config(args)
     metric = _metric_arg(args.metric, args.tau, cfg.r_max)
     from .data import DatasetSplit
@@ -152,6 +150,7 @@ def _cmd_train(args) -> int:
         validation=[], test=[])
     from_split = sum(inst.oracle is not None for inst in split.train)  # not made by the metric
     params, log = train(args.model, split, metric, cfg)
+    out = _out_dir(args.out)
     ckpt = out / "checkpoint.txt"
     save_model(params, ckpt, args.model.replace("-", "_"), dims_for(cfg, split.train[0]), cfg)
     log_path = out / "training_log.csv"
@@ -166,7 +165,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    out = _out_dir(args.out)
     params, kind, _dims = load_model(args.checkpoint)
     instances = read_instances(args.instances)
     ks = tuple(int(k) for k in args.k.split(","))
@@ -176,6 +174,7 @@ def _cmd_evaluate(args) -> int:
         custom = load_click_spec(args.click_config)
         specs["P" if custom.kind == "pbm" else "U"] = custom
     table = evaluate(params, kind, instances, ks=ks, click_specs=specs, r_max=args.r_max)
+    out = _out_dir(args.out)
     csv_path = out / "metrics.csv"
     csv_path.write_text(table.to_csv())
     txt_path = out / "metrics.txt"
@@ -190,14 +189,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    out = _out_dir(args.out)
     params, kind, _dims = load_model(args.checkpoint)
     instances = {inst.query_id: inst for inst in read_instances(args.instances)}
-    outputs = []
     for qid in args.query_ids:
         if qid not in instances:
-            print(f"error: no instance with query id {qid!r}", file=sys.stderr)
-            return 1
+            raise ValueError(f"no instance with query id {qid!r}")
+    out = _out_dir(args.out)
+    outputs = []
+    for qid in args.query_ids:
         path = out / f"attention_{qid.replace(':', '_')}.csv"
         export_attention(params, instances[qid], path, model_kind=kind)
         outputs.append(path)
@@ -213,10 +212,10 @@ def _cmd_inspect(args) -> int:
 def _cmd_bench(args) -> int:
     from .experiments import decode_scaling
 
-    out = _out_dir(args.out)
     sizes = tuple(int(s) for s in args.sizes.split(","))
     times, exponent = decode_scaling(sizes, repeats=args.repeats, width=args.width,
                                      seed=args.seed)
+    out = _out_dir(args.out)
     csv_path = out / "bench.csv"
     with open(csv_path, "w") as fh:
         fh.write("candidates,seconds\n")

@@ -222,7 +222,7 @@ def rank_instances(kind: str, params, instances: list[Instance]) -> list[Permuta
         if kind == "pointwise_baseline":
             ctx, cands = _inputs(group)
             scores = baseline.score_all(cands, encode_history(ctx, params), params).values
-            # candidates are stored by ascending id, so exact ties go to the smallest id
+            # candidates are stored by ascending id, so equal scores go to the smallest id
             order = np.argsort(-scores, axis=-1, kind="stable")
         else:
             order = greedy_orders(read_group(kind, params, group), params)

@@ -130,8 +130,8 @@ def encode_history(ctx: UserContext | Group, params: ParamStore,
         if ctx.history.shape[-1] != expect:
             raise ad.ShapeError(
                 f"history feature dim {ctx.history.shape[-1]} does not match configured {expect}")
-        _, h, _ = ad.gated_cell(params["hist.W"], params["hist.b"], [Tensor(ctx.history)], h,
-                                Tensor(np.zeros(h.values.shape)))
+        hs = ad.gated_cell(params["hist.W"], params["hist.b"], [Tensor(ctx.history)], h)
+        h = ad.row(hs, np.full(h.values.shape[:-1], steps - 1))  # the state after the last item
     if drop is not None:
         h = ad.dropout(h, drop.rate, drop.rng)
     return h

@@ -68,25 +68,27 @@ def separable_rank_split(n_users: int, n: int = 6, n_features: int = 8, seed: in
 def taped_decode(rout, params, choose):
     """Reference decode built from the public tape primitives, one step per call.
 
-    Each step runs ``gated_cell`` with T = 1 and ``pointer_logits`` on Tensors;
-    ``choose(logits, mask)`` gets the (..., 1, n) logits Tensor and mask and names
-    the index (..., 1) each instance places next, which ``row`` feeds back.
+    Step i runs ``gated_cell`` over the start vector and the i items placed so far,
+    takes its last state with ``row`` and scores it with ``pointer_logits`` on
+    Tensors; ``choose(logits, mask)`` gets the (..., 1, n) logits Tensor and mask and
+    names the index (..., 1) each instance places next, which ``row`` feeds back.
     """
-    reprs, h = rout.reprs, rout.user_vec
+    reprs, u = rout.reprs, rout.user_vec
     lead, n = reprs.values.shape[:-2], reprs.values.shape[-2]
     rows, cols = params["dec.W"].values.shape
     onehots = np.eye(cols - rows // 2)
-    w2h, w = ad.matmul(reprs, params["ptr.W2"]), ad.matvec(params["ptr.P"], h)
-    c, placed = Tensor(np.zeros(h.values.shape)), params["dec.start"]
+    w2h, w = ad.matmul(reprs, params["ptr.W2"]), ad.matvec(params["ptr.P"], u)
+    placed = [params["dec.start"]]
     mask = np.ones(lead + (1, n), dtype=bool)
     order = []
     for i in range(n):
-        hs, h, c = ad.gated_cell(params["dec.W"], params["dec.b"],
-                                 [placed, Tensor(onehots[min(i, len(onehots) - 1)])], h, c)
-        ctx = ad.add(ad.matvec(params["ptr.W3"], hs), params["ptr.b2"])
+        positions = Tensor(onehots[np.minimum(np.arange(i + 1), len(onehots) - 1)])
+        hs = ad.gated_cell(params["dec.W"], params["dec.b"], [placed, positions], u)
+        last = ad.row(hs, np.full(lead + (1,), i))
+        ctx = ad.add(ad.matvec(params["ptr.W3"], last), params["ptr.b2"])
         chosen = choose(ad.pointer_logits(w2h, ctx, w), mask)
         order.append(chosen)
-        placed = ad.row(reprs, chosen)
+        placed.append(ad.row(reprs, chosen))
         mask = mask.copy()  # the tape keeps the previous step's mask
         np.put_along_axis(mask, chosen[..., None], False, axis=-1)
     return np.concatenate(order, axis=-1)

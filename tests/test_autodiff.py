@@ -273,25 +273,20 @@ def test_pointer_logits_steps_equal_single_steps_bitwise():
 @pytest.mark.parametrize("case", range(8))
 def test_gated_cell_gradients_against_finite_differences(case):
     rng = np.random.default_rng(300 + case)
-    params = _store(rng, w=(12, 8), b=(12,), z1=(5,), h=(3,), c=(3,))
-
-    def build(p):
-        hs, h, c = ad.gated_cell(p["w"], p["b"], [p["z1"]], p["h"], p["c"])
-        return ad.add(ad.add(ad.sum_all(ad.tanh(hs)), ad.sum_all(ad.tanh(h))),
-                      ad.sum_all(ad.tanh(c)))
-
-    _fd_check(build, params)
+    params = _store(rng, w=(12, 8), b=(12,), z1=(2, 5), h=(3,))
+    _fd_check(lambda p: ad.sum_all(ad.tanh(ad.gated_cell(p["w"], p["b"], [p["z1"]], p["h"]))),
+              params)
 
 
 def test_gated_cell_chain_gradients():
-    # both outputs feed the next call, exercising the three-output pull
+    # the first call's last state starts the second, as the history encoder's user vector
+    # starts the decoder
     rng = np.random.default_rng(42)
-    params = _store(rng, w=(12, 8), b=(12,), z1=(5,), z2=(5,), c=(3,))
+    params = _store(rng, w=(12, 8), b=(12,), z1=(2, 5), z2=(2, 5), h=(3,))
 
     def build(p):
-        _, h, c = ad.gated_cell(p["w"], p["b"], [p["z1"]], p["c"], p["c"])
-        hs, _, _ = ad.gated_cell(p["w"], p["b"], [p["z2"]], h, c)
-        return ad.sum_all(hs)
+        first = ad.gated_cell(p["w"], p["b"], [p["z1"]], p["h"])
+        return ad.sum_all(ad.gated_cell(p["w"], p["b"], [p["z2"]], ad.row(first, np.array(1))))
 
     _fd_check(build, params)
 
@@ -302,105 +297,89 @@ def test_gated_cell_sequence_gradients_against_finite_differences(case):
     and a part laid out as a shared first step followed by per-instance steps."""
     rng = np.random.default_rng(330 + case)
     params = _store(rng, w=(16, 4 + 3 + 2 + 4), b=(16,), x=(3, 5, 4), s=(2,), r=(3, 4, 2),
-                    h=(3, 4), c=(3, 4))
+                    h=(3, 4))
     onehots = Tensor(np.eye(5)[[0, 1, 2, 2, 2]][:, :3])
 
     def build(p):
-        hs, h, c = ad.gated_cell(p["w"], p["b"], [p["x"], onehots, [p["s"], p["r"]]],
-                                 p["h"], p["c"])
-        return ad.add(ad.add(ad.sum_all(ad.tanh(hs)), ad.sum_all(ad.tanh(h))),
-                      ad.sum_all(ad.tanh(c)))
+        return ad.sum_all(ad.tanh(ad.gated_cell(p["w"], p["b"],
+                                                [p["x"], onehots, [p["s"], p["r"]]], p["h"])))
 
     _fd_check(build, params)
 
 
-def _cell_run(w, b, parts, h, c):
+def _cell_run(w, b, parts, h):
     """Forward values and every leaf gradient of one cell call under a tanh readout."""
-    leaves = [Tensor(t, requires_grad=True) for t in (w, b, h, c, *parts)]
+    leaves = [Tensor(t, requires_grad=True) for t in (w, b, h, *parts)]
     with Tape() as t:
-        hs, h_new, c_new = ad.gated_cell(leaves[0], leaves[1], leaves[4:], leaves[2], leaves[3])
-        out = ad.add(ad.sum_all(ad.tanh(hs)), ad.sum_all(ad.tanh(c_new)))
+        hs = ad.gated_cell(leaves[0], leaves[1], leaves[3:], leaves[2])
+        out = ad.sum_all(ad.tanh(hs))
     t.backward(out)
-    return hs.values, c_new.values, [leaf.grad for leaf in leaves]
+    return hs.values, [leaf.grad for leaf in leaves]
 
 
 def test_gated_cell_parts_equal_their_concatenation_bitwise():
     rng = np.random.default_rng(61)
     w, b = rng.uniform(-2, 2, (12, 8)), rng.uniform(-2, 2, 12)
-    a, y, h, c = (rng.uniform(-2, 2, k) for k in (3, 2, 3, 3))
-    h2, c2, (gw2, gb2, gh2, gc2, ga, gy) = _cell_run(w, b, [a, y], h, c)
-    h1, c1, (gw1, gb1, gh1, gc1, gay) = _cell_run(w, b, [np.concatenate([a, y])], h, c)
-    for two, one in ((h2, h1), (c2, c1), (gw2, gw1), (gb2, gb1), (gh2, gh1), (gc2, gc1),
-                     (np.concatenate([ga, gy]), gay)):
+    a, y, h = (rng.uniform(-2, 2, k) for k in ((2, 3), (2, 2), 3))
+    hs2, (gw2, gb2, gh2, ga, gy) = _cell_run(w, b, [a, y], h)
+    hs1, (gw1, gb1, gh1, gay) = _cell_run(w, b, [np.concatenate([a, y], axis=-1)], h)
+    for two, one in ((hs2, hs1), (gw2, gw1), (gb2, gb1), (gh2, gh1),
+                     (np.concatenate([ga, gy], axis=-1), gay)):
         assert two.tobytes() == one.tobytes()
 
 
 def test_gated_cell_steps_equal_single_steps_bitwise():
-    """A T-step call makes each step's calls: its states equal T one-step calls bitwise."""
+    """A T-step call makes each step's calls: every state equals the one that chained
+    ``_cell_step`` calls from a zero cell state reach, as in the untaped decode."""
     rng = np.random.default_rng(63)
-    w, b = Tensor(rng.uniform(-2, 2, (16, 9))), Tensor(rng.uniform(-2, 2, 16))
-    x, start = Tensor(rng.uniform(-2, 2, (3, 4, 5))), Tensor(rng.uniform(-2, 2, 5))
-    h0, c0 = Tensor(rng.uniform(-2, 2, (3, 4))), Tensor(rng.uniform(-2, 2, (3, 4)))
-    hs, h_last, c_last = ad.gated_cell(w, b, [[start, x]], h0, c0)
-    assert hs.values.shape == (3, 5, 4)
-    h, c = h0, c0
+    w, b = rng.uniform(-2, 2, (16, 9)), rng.uniform(-2, 2, 16)
+    x, start, h = rng.uniform(-2, 2, (3, 4, 5)), rng.uniform(-2, 2, 5), rng.uniform(-2, 2, (3, 4))
+    hs = ad.gated_cell(Tensor(w), Tensor(b), [[Tensor(start), Tensor(x)]], Tensor(h)).values
+    assert hs.shape == (3, 5, 4)
+    z, c = np.empty((3, 9)), np.zeros((3, 4))
     for t in range(5):
-        step = start if t == 0 else Tensor(x.values[:, t - 1:t])
-        one, h, c = ad.gated_cell(w, b, [step], h, c)
-        assert one.values.shape == (3, 1, 4)
-        assert one.values[:, 0].tobytes() == hs.values[:, t].tobytes()
-    assert h.values.tobytes() == h_last.values.tobytes()
-    assert c.values.tobytes() == c_last.values.tobytes()
+        z[:, :5], z[:, 5:] = start if t == 0 else x[:, t - 1], h
+        _, _, c, h = ad._cell_step(w, b, z, c)
+        assert h.tobytes() == hs[:, t].tobytes()
 
 
 def test_gated_cell_batch_with_a_shared_part():
     rng = np.random.default_rng(62)
-    params = _store(rng, w=(16, 9), b=(16,), x=(3, 1, 2), s=(3,), h=(3, 4), c=(3, 4))
-
-    def build(p):
-        hs, h, c = ad.gated_cell(p["w"], p["b"], [p["x"], p["s"]], p["h"], p["c"])
-        return ad.add(ad.sum_all(ad.tanh(hs)), ad.sum_all(ad.tanh(c)))
-
-    _fd_check(build, params)
-    hs, h, c = ad.gated_cell(params["w"], params["b"], [params["x"], params["s"]],
-                             params["h"], params["c"])
+    params = _store(rng, w=(16, 9), b=(16,), x=(3, 2, 2), s=(2, 3), h=(3, 4))
+    _fd_check(lambda p: ad.sum_all(ad.tanh(ad.gated_cell(p["w"], p["b"], [p["x"], p["s"]],
+                                                         p["h"]))), params)
+    hs = ad.gated_cell(params["w"], params["b"], [params["x"], params["s"]], params["h"])
     for i in range(3):
-        hsi, hi, ci = ad.gated_cell(params["w"], params["b"],
-                                    [Tensor(params["x"].values[i]), params["s"]],
-                                    Tensor(params["h"].values[i]), Tensor(params["c"].values[i]))
-        assert np.array_equal(hs.values[i], hsi.values) and np.array_equal(c.values[i], ci.values)
+        hsi = ad.gated_cell(params["w"], params["b"], [Tensor(params["x"].values[i]), params["s"]],
+                            Tensor(params["h"].values[i]))
+        assert np.array_equal(hs.values[i], hsi.values)
 
 
 def test_gated_cell_broadcasts_only_a_shared_part():
     w, b = Tensor(np.ones((8, 5))), Tensor(np.zeros(8))
-    single, _, _ = ad.gated_cell(w, b, [Tensor(np.ones(3))], Tensor(np.ones(2)), Tensor(np.ones(2)))
-    batched, _, _ = ad.gated_cell(w, b, [Tensor(np.ones((4, 1, 3)))], Tensor(np.ones((4, 2))),
-                                  Tensor(np.ones((4, 2))))
+    single = ad.gated_cell(w, b, [Tensor(np.ones((1, 3)))], Tensor(np.ones(2)))
+    batched = ad.gated_cell(w, b, [Tensor(np.ones((4, 1, 3)))], Tensor(np.ones((4, 2))))
     # a single request stays unbatched; parts that already share the batch keep it
     assert single.values.shape == (1, 2) and batched.values.shape == (4, 1, 2)
     assert all(np.array_equal(row, single.values) for row in batched.values)
-    shared = Tensor(np.arange(3.0))
-    hs, _, _ = ad.gated_cell(w, b, [shared], Tensor(np.ones((4, 2))), Tensor(np.ones((4, 2))))
-    assert hs.values.shape == (4, 1, 2)
-    copied, _, _ = ad.gated_cell(w, b, [Tensor(np.tile(shared.values, (4, 1, 1)))],
-                                 Tensor(np.ones((4, 2))), Tensor(np.ones((4, 2))))
+    shared = Tensor(np.arange(6.0).reshape(2, 3))
+    hs = ad.gated_cell(w, b, [shared], Tensor(np.ones((4, 2))))
+    assert hs.values.shape == (4, 2, 2)
+    copied = ad.gated_cell(w, b, [Tensor(np.tile(shared.values, (4, 1, 1)))],
+                           Tensor(np.ones((4, 2))))
     assert hs.values.tobytes() == copied.values.tobytes()  # every instance reads the part
 
 
 def test_gated_cell_batch_shape_errors():
     w, b = Tensor(np.zeros((8, 5))), Tensor(np.zeros(8))
     with pytest.raises(ShapeError, match="input parts"):
-        ad.gated_cell(w, b, [Tensor(np.zeros((3, 1, 3)))], Tensor(np.zeros((4, 2))),
-                      Tensor(np.zeros((4, 2))))
-    with pytest.raises(ShapeError, match="state"):
-        ad.gated_cell(w, b, [Tensor(np.zeros((3, 1, 3)))], Tensor(np.zeros((3, 2))),
-                      Tensor(np.zeros((4, 2))))
+        ad.gated_cell(w, b, [Tensor(np.zeros((3, 1, 3)))], Tensor(np.zeros((4, 2))))
     with pytest.raises(ShapeError, match="step counts"):
         ad.gated_cell(Tensor(np.zeros((8, 6))), b, [Tensor(np.zeros((2, 3))),
                                                     Tensor(np.zeros((3, 1)))],
-                      Tensor(np.zeros(2)), Tensor(np.zeros(2)))
+                      Tensor(np.zeros(2)))
     with pytest.raises(ShapeError, match="step counts"):  # a part covering no step
-        ad.gated_cell(w, b, [Tensor(np.zeros((0, 3)))], Tensor(np.zeros(2)), Tensor(np.zeros(2)))
+        ad.gated_cell(w, b, [Tensor(np.zeros((0, 3)))], Tensor(np.zeros(2)))
 
 
 def test_grad_check_contract_examples():

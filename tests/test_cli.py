@@ -399,6 +399,34 @@ def test_inspect_unknown_query_id_exits(tmp_path, capsys):
     assert "error: no instance with query id 'q9'" in capsys.readouterr().err
 
 
+_REJECTED = {  # arguments that fail each command's checks, and the message they give
+    "train --epochs 0": (["train", "--split-dir", "{split}", "--epochs", "0"],
+                         "epochs must be >= 1, got 0"),
+    "evaluate --k 5,5": (["evaluate", "--checkpoint", "{ckpt}", "--instances", "{inst}",
+                          "--k", "5,5"], "cutoff k repeats: 5, 5"),
+    "gen-data --users 0": (["gen-data", "--users", "0"], "sizes must be positive"),
+    "split malformed": (["split", "--data", "{bad}"], "{bad}:1: "),
+    "inspect unknown id": (["inspect", "--checkpoint", "{ckpt}", "--instances", "{inst}",
+                            "--query-ids", "q0", "q9"], "no instance with query id 'q9'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_a_rejected_command_makes_no_out_path(tmp_path, capsys, case):
+    """Every command checks its arguments and inputs before it makes ``--out``; inspect
+    checks every query id before it writes the first attention file."""
+    ckpt, inst = _tiny_model(tmp_path, ["q0|0.5,0.5||10:2:0.1,0.2;11:1:0.3,0.4|"])
+    split, bad, out = tmp_path / "s", tmp_path / "bad.txt", tmp_path / "out"
+    split.mkdir()
+    (split / "train.txt").write_text(inst.read_text())
+    bad.write_text("u0|0.5,0.5\n")
+    paths = {"split": split, "ckpt": ckpt, "inst": inst, "bad": bad}
+    argv, message = _REJECTED[case]
+    assert _run(*[arg.format(**paths) for arg in argv], "--out", str(out)) == 1
+    assert f"error: {message.format(**paths)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_reports_exponent(tmp_path, capsys):
     out = tmp_path / "bench"
     assert _run("bench", "--sizes", "4,8", "--repeats", "2", "--width", "64",
