@@ -60,7 +60,8 @@ class Tape:
     """Ordered record of executed primitives for one forward pass.
 
     Use as a context manager; primitives executed inside the block whose
-    inputs require grad are recorded. ``backward`` may run exactly once.
+    inputs require grad are recorded. ``backward`` may run exactly once; it
+    empties the tape as it goes.
     """
 
     def __init__(self):
@@ -86,7 +87,8 @@ class Tape:
             raise ShapeError(f"backward needs a scalar output, got shape {out.values.shape}")
         self._spent = True
         out.grad = np.ones((), dtype=np.float64)
-        for result, pull in reversed(self._steps):
+        while self._steps:  # each entry leaves the tape once pulled, freeing the arrays it kept
+            result, pull = self._steps.pop()
             if result.grad is not None:
                 pull(result.grad)
                 result.grad = None  # intermediate buffers are single-use
@@ -285,17 +287,18 @@ def sum_all(x: Tensor) -> Tensor:
 def row(m: Tensor, index) -> Tensor:
     """Select rows of m[..., n, k] along the n axis.
 
-    ``index`` holds one row per instance (shape ``m.shape[:-2]``, giving
-    [..., k]) or one per step (that shape plus a step axis T, giving
-    [..., T, k]).
+    ``index`` is one int, the same row for every instance (giving [..., k]),
+    or holds one row per instance (shape ``m.shape[:-2]``, giving [..., k])
+    or one per step (that shape plus a step axis T, giving [..., T, k]).
     """
     lead = m.values.shape[:-2]
     shape = np.shape(index)
-    if m.values.ndim < 2 or shape[:len(lead)] != lead or len(shape) - len(lead) not in (0, 1):
+    if m.values.ndim < 2 or shape and (shape[:len(lead)] != lead
+                                       or len(shape) - len(lead) not in (0, 1)):
         raise ShapeError(f"row expects a [..., n, k] tensor and one index per instance or step, "
                          f"got shape {m.values.shape} and index shape {shape}")
-    sel = _per_instance(index, len(lead))
-    out = Tensor(m.values[sel])
+    sel = _per_instance(index, len(lead)) if shape else (..., index, slice(None))
+    out = Tensor(m.values[sel] if shape else m.values[sel].copy())  # a basic index is a view
     if _tracing(m):
         shp = m.values.shape
 
@@ -370,14 +373,19 @@ def _pointer_scores(mv: np.ndarray, cv: np.ndarray, wv: np.ndarray) -> np.ndarra
     return _mv(t, wv if wv.ndim == 1 else wv[..., None, :])
 
 
+# Instances per block of pointer_logits' backward, which recomputes a (block, T, n, a) tanh
+POINTER_BLOCK = 10
+
+
 def pointer_logits(m: Tensor, ctx: Tensor, w: Tensor) -> Tensor:
     """Pointer scores tanh(m_row + ctx_t) . w of every row at every step, fused.
 
     m is (..., n, a); ctx (..., T, a) holds one context per step, always with
     the step axis; w is (..., a). Returns (..., T, n). The decoder passes
-    w = P u, fixed for a whole decode. One tape entry; backward recomputes
-    the tanh from m and ctx instead of keeping a (T, n, a) array alive on
-    the tape.
+    w = P u, fixed for a whole decode. One tape entry. The forward scores a
+    step at a time, as a decode does; backward recomputes the tanh in blocks
+    of ``POINTER_BLOCK`` instances, each gradient per instance before any sum
+    over a shared operand, so no (..., T, n, a) array is built and no bit moves.
     """
     mv, cv, wv = m.values, ctx.values, w.values
     if (mv.ndim < 2 or cv.ndim < 2 or cv.shape[-1:] != mv.shape[-1:]
@@ -385,26 +393,37 @@ def pointer_logits(m: Tensor, ctx: Tensor, w: Tensor) -> Tensor:
             or not _lead_agree(mv.shape[:-2], cv.shape[:-2], wv.shape[:-1])):
         raise ShapeError(
             f"pointer_logits shapes do not agree: m {mv.shape}, ctx {cv.shape}, w {wv.shape}")
-    out = Tensor(_pointer_scores(mv, cv, wv))
+    lead = np.broadcast_shapes(mv.shape[:-2], cv.shape[:-2], wv.shape[:-1])
+    scores = np.empty(lead + cv.shape[-2:-1] + mv.shape[-2:-1])
+    for t in range(cv.shape[-2]):
+        scores[..., t:t + 1, :] = _pointer_scores(mv, cv[..., t:t + 1, :], wv)
+    out = Tensor(scores)
     if _tracing(m, ctx, w):
 
         def pull(g, m=m, ctx=ctx, w=w):
-            mv, cv, wv = m.values, ctx.values, w.values
-            t = mv[..., None, :, :] + cv[..., :, None, :]
-            np.tanh(t, out=t)
-            if w.requires_grad:  # sum over steps and rows of g t, as one product
-                rows = t.reshape(t.shape[:-3] + (-1, mv.shape[-1]))
-                gw = g.reshape(g.shape[:-2] + (1, -1)) @ rows
-                w._accum(_unbroadcast(gw[..., 0, :], wv.shape))
-            if m.requires_grad or ctx.requires_grad:
-                t *= t  # in place from here on: g (1 - t^2), with w factored out of the sums
-                np.subtract(1.0, t, out=t)
-                t = np.multiply(t, g[..., None], out=t if t.ndim > g.ndim else None)
-                if m.requires_grad:
-                    m._accum(_unbroadcast(t.sum(axis=-3) * wv[..., None, :], mv.shape))
-                if ctx.requires_grad:
-                    ctx._accum(_unbroadcast((np.ones(t.shape[-2]) @ t) * wv[..., None, :],
-                                            cv.shape))
+            mv, cv, wv = (np.broadcast_to(x.values, lead + x.values.shape[-k:])
+                          for x, k in ((m, 2), (ctx, 2), (w, 1)))
+            gm, gc, gw = (np.empty(v.shape) if x.requires_grad else None
+                          for v, x in ((mv, m), (cv, ctx), (wv, w)))
+            for blk in ([np.s_[lo:lo + POINTER_BLOCK] for lo in range(0, lead[0], POINTER_BLOCK)]
+                        if lead else [...]):
+                t = mv[blk][..., None, :, :] + cv[blk][..., :, None, :]
+                np.tanh(t, out=t)
+                gb, wb = g[blk], wv[blk][..., None, :]
+                if gw is not None:  # sum over steps and rows of g t, as one product
+                    rows = t.reshape(t.shape[:-3] + (-1, t.shape[-1]))
+                    gw[blk] = (gb.reshape(gb.shape[:-2] + (1, -1)) @ rows)[..., 0, :]
+                if gm is not None or gc is not None:
+                    t *= t  # in place from here on: g (1 - t^2), with w factored out of the sums
+                    np.subtract(1.0, t, out=t)
+                    np.multiply(t, gb[..., None], out=t)
+                    if gm is not None:
+                        gm[blk] = t.sum(axis=-3) * wb
+                    if gc is not None:
+                        gc[blk] = (np.ones(t.shape[-2]) @ t) * wb
+            for x, gx in ((m, gm), (ctx, gc), (w, gw)):
+                if gx is not None:
+                    x._accum(_unbroadcast(gx, x.values.shape))
 
         _record(out, pull)
     return out
@@ -492,22 +511,22 @@ def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor) -> Tensor:
             go, gg = acts[..., 2 * hdim:3 * hdim], acts[..., 3 * hdim:]
             tc = np.tanh(cs[..., 1:, :])  # recomputed: one array less on the tape
             dc = go * (1.0 - tc * tc)     # c gradient per unit h gradient
-            coef = np.empty(acts.shape)   # pre-activation gradient per unit c (i, f, g) or h (o)
-            coef[..., :hdim] = gg * gi * (1.0 - gi)
-            coef[..., hdim:2 * hdim] = cs[..., :-1, :] * gf * (1.0 - gf)
-            coef[..., 2 * hdim:3 * hdim] = tc * go * (1.0 - go)
-            coef[..., 3 * hdim:] = gi * (1.0 - gg * gg)
+            # in place in acts: pre-activation gradient per unit c (i, f, g) or h (o), then itself
+            cg, gf = gi * (1.0 - gg * gg), gf.copy()  # read before their slots are written
+            acts[..., :hdim] = gg * gi * (1.0 - gi)
+            acts[..., hdim:2 * hdim] = cs[..., :-1, :] * gf * (1.0 - gf)
+            acts[..., 2 * hdim:3 * hdim] = tc * go * (1.0 - go)
+            acts[..., 3 * hdim:] = cg
             gh, gc = np.zeros(lead + (hdim,)), np.zeros(lead + (hdim,))
             wh = w.values[:, zin:]  # the columns that read the fed-back h
-            gpre = np.empty(acts.shape)
             for t in reversed(range(T)):  # through time
                 gh = gh + ghs[..., t, :]
                 gc = gc + gh * dc[..., t, :]
-                np.multiply(coef[..., t, :], np.concatenate((gc, gc, gh, gc), axis=-1),
-                            out=gpre[..., t, :])
+                gpre = acts[..., t, :]
+                gpre *= np.concatenate((gc, gc, gh, gc), axis=-1)
                 gc = gc * gf[..., t, :]  # carried to the previous step's c
-                gh = gpre[..., t, :] @ wh  # and to its h
-            flat = gpre.reshape(-1, 4 * hdim)
+                gh = gpre @ wh  # and to its h
+            flat = acts.reshape(-1, 4 * hdim)
             if w.requires_grad:
                 w._accum(flat.T @ z.reshape(-1, z.shape[-1]))
             if b.requires_grad:
@@ -515,7 +534,7 @@ def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor) -> Tensor:
             if h.requires_grad:
                 h._accum(_unbroadcast(gh, h.values.shape))
             if any(p.requires_grad for p, _, _, _ in pieces):
-                gz = gpre @ w.values[:, :zin]
+                gz = acts @ w.values[:, :zin]
                 for p, col, first, steps in pieces:
                     if p.requires_grad:
                         g = gz[..., first:first + steps, col:col + p.values.shape[-1]]

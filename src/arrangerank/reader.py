@@ -131,7 +131,7 @@ def encode_history(ctx: UserContext | Group, params: ParamStore,
             raise ad.ShapeError(
                 f"history feature dim {ctx.history.shape[-1]} does not match configured {expect}")
         hs = ad.gated_cell(params["hist.W"], params["hist.b"], [Tensor(ctx.history)], h)
-        h = ad.row(hs, np.full(h.values.shape[:-1], steps - 1))  # the state after the last item
+        h = ad.row(hs, steps - 1)  # the state after the last item
     if drop is not None:
         h = ad.dropout(h, drop.rate, drop.rng)
     return h

@@ -24,10 +24,10 @@ from .params import CheckpointError, ParamStore, load_checkpoint, save_checkpoin
 from .reader import DropoutPlan
 
 
-# Most instances one tape holds. A tape keeps every step's arrays of its group
-# alive until backward: on 10-item slates at width 16, 40 instances hold about
-# 1.8 MB and 100 hold 5 MB, which raised peak RSS by 9-11%.
-TAPE_GROUP = 40
+# Most instances one tape holds, so a default batch of one shape runs on one tape. On
+# 10-item slates at width 16, 100 instances leave about 3.4 MB on the tape, and backward,
+# which frees each entry's arrays once pulled, peaks at about 4.1 MB (tracemalloc).
+TAPE_GROUP = 100
 
 
 @dataclass

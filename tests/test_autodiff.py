@@ -266,8 +266,33 @@ def test_pointer_logits_steps_equal_single_steps_bitwise():
     for t in range(3):
         one = ad.pointer_logits(Tensor(m), Tensor(ctx[:, t:t + 1]), Tensor(w)).values
         assert one.tobytes() == steps[:, t:t + 1].tobytes()
+    assert steps.tobytes() == ad._pointer_scores(m, ctx, w).tobytes()  # all steps in one pass
     with pytest.raises(ShapeError):  # a context without its step axis
         ad.pointer_logits(Tensor(m[0]), Tensor(ctx[0, 0]), Tensor(w[0]))
+
+
+def _pointer_grads(m, ctx, w, g):
+    """Gradients of m, ctx and w, in that order, under the upstream gradient g."""
+    ts = [Tensor(v, requires_grad=True) for v in (m, ctx, w)]
+    with Tape() as tape:
+        out = ad.sum_all(ad.mul(ad.pointer_logits(*ts), Tensor(g)))
+    tape.backward(out)
+    return [t.grad for t in ts]
+
+
+def test_pointer_logits_backward_blocks_keep_every_gradient_bit(monkeypatch):
+    rng = np.random.default_rng(530)
+    m, ctx, w = (rng.uniform(-2, 2, shape) for shape in ((37, 6, 5), (37, 4, 5), (37, 5)))
+    g = rng.uniform(-2, 2, (37, 4, 6))
+    monkeypatch.setattr(ad, "POINTER_BLOCK", 8)  # five blocks, the last one short
+    grads = _pointer_grads(m, ctx, w, g)
+    for b in range(37):
+        for got, want in zip(grads, _pointer_grads(m[b], ctx[b], w[b], g[b])):
+            assert got[b].tobytes() == want.tobytes()
+    shared = _pointer_grads(m, ctx, w[0], g)  # a w shared by the group sums over it
+    monkeypatch.setattr(ad, "POINTER_BLOCK", 64)
+    for got, want in zip(shared, _pointer_grads(m, ctx, w[0], g)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case", range(8))

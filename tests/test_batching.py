@@ -1,4 +1,6 @@
 """Grouped (batched) model path against the same instances one at a time."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from arrangerank import autodiff as ad
 from arrangerank.arranger import (arrange_sample, forced_log_probs, greedy_orders,
                                   greedy_step_probs, step_scores, summation_log_probs,
                                   target_indices)
-from arrangerank.autodiff import Tape, Tensor, add, grad_check
+from arrangerank.autodiff import GraphError, Tape, Tensor, add, grad_check
 from arrangerank.clickmodels import ClickModelSpec, oracle_permutation, r_cm
 from arrangerank.data import DatasetSplit
 from arrangerank.evaluation import evaluate
@@ -183,9 +185,10 @@ def _taped_loss(kind, params, group, one_pass, variant="listwise"):
             for t in steps[1:]:
                 total = add(total, ad.sum_all(t))
         loss = ad.mul(total, Tensor(-1.0))
+    recorded = len(tape._steps)  # backward empties the tape
     tape.backward(loss)
     grads = {name: p.grad.copy() for name, p in params.items() if p.grad is not None}
-    return -terms.sum(axis=-1), -terms, grads, len(tape._steps)
+    return -terms.sum(axis=-1), -terms, grads, recorded
 
 
 def _assert_one_pass_equals_per_step(kind, variant):
@@ -212,15 +215,16 @@ def test_one_pass_summation_foil_equals_the_per_step_decode(kind):
     _assert_one_pass_equals_per_step(kind, "summation")
 
 
-def _forty_group(n=10):
-    group = [make_instance(seed=900 + k, n=n, hist_len=8) for k in range(40)]
+def _oracle_group(size=40, n=10, n_features=4):
+    group = [make_instance(seed=900 + k, n=n, n_features=n_features, hist_len=8)
+             for k in range(size)]
     for k, inst in enumerate(group):
         inst.oracle = oracle_permutation(inst.labels, "ndcg", seed=k)
     return group
 
 
 def test_forced_group_records_a_short_tape():
-    group = _forty_group()
+    group = _oracle_group()
     params = init_params("starank", tiny_dims(max_list_len=10), 9)
     *_, steps = _taped_loss("starank", params, group, one_pass=True)
     *_, per_step = _taped_loss("starank", params, group, one_pass=False)
@@ -228,22 +232,51 @@ def test_forced_group_records_a_short_tape():
     for drop, recorded in ((None, 21), (DropoutPlan(0.3, np.random.default_rng(0)), 23)):
         with Tape() as tape:
             rep = batch_loss("starank", params, group, drop=drop)
-        tape.backward(rep.tensor)
         assert len(tape._steps) == recorded
+        tape.backward(rep.tensor)
 
 
 def test_summation_group_records_a_short_tape():
-    group = _forty_group()
+    group = _oracle_group()
     params = init_params("starank", tiny_dims(max_list_len=10), 9)
     with Tape() as tape:
         rep = batch_loss("starank", params, group, drop=DropoutPlan(0.3, np.random.default_rng(0)),
                          loss_variant="summation")
-    tape.backward(rep.tensor)
     assert len(tape._steps) == 23
+    tape.backward(rep.tensor)
+
+
+def test_backward_empties_the_tape_and_runs_once():
+    group = _oracle_group()
+    params = init_params("starank", tiny_dims(max_list_len=10), 9)
+    with Tape() as tape:
+        rep = batch_loss("starank", params, group)
+    tape.backward(rep.tensor)
+    assert tape._steps == [] and params["ptr.P"].grad is not None
+    with pytest.raises(GraphError, match="backward already ran"):
+        tape.backward(rep.tensor)
+
+
+def test_backward_peak_stays_near_what_the_tape_holds():
+    """A 100-instance group's backward frees each entry's arrays once pulled and builds
+    no (..., T, n, a) temporary, so it adds little to what the forward left on the tape."""
+    group = _oracle_group(size=100, n_features=8)
+    params = init_params("starank", tiny_dims(n_features=8, embed=16, max_list_len=10), 9)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            rep = batch_loss("starank", params, group)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tape.backward(rep.tensor)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * held, f"peak {peak} B against {held} B held after the forward"
 
 
 def test_decode_inside_a_tape_records_nothing():
-    group = _forty_group(n=6)
+    group = _oracle_group(n=6)
     params = spread_params("starank", tiny_dims(max_list_len=6), 10)
     with Tape() as tape:
         routs = [read_group("starank", params, group), read_group("starank", params, group[:1])]

@@ -144,29 +144,37 @@ def test_dropout_training_runs_and_is_seeded():
 # sha256 of the checkpoints that tiny seeded runs write, taken with numpy 2.4.6 on
 # OpenBLAS 0.3.31 (scipy-openblas64, DYNAMIC_ARCH, Haswell kernels) before the recurrent
 # cell dropped its cell-state input and its last-state outputs: training keeps every byte.
+# The case with a group size trains one batch of that many equal-shape instances on one
+# tape; its digest was taken once a tape held up to 100 instances.
 # Other BLAS builds may round products differently, and then these digests differ.
 _GOLDEN_CHECKPOINTS = {
-    "starank": ("starank", "listwise",
+    "starank": ("starank", "listwise", None,
         "aece1b8d6766f83846adbb9869532a083fc5a8d7d768ed8f0deeeb1c645ae8e0"),
-    "starank_pi_mlp": ("starank_pi_mlp", "listwise",
+    "starank_pi_mlp": ("starank_pi_mlp", "listwise", None,
         "5f94f42654df4b38d49d6d05972b49e9187f683b4a293ca947e87de724783f18"),
-    "starank_ps_mlp": ("starank_ps_mlp", "listwise",
+    "starank_ps_mlp": ("starank_ps_mlp", "listwise", None,
         "ac0b37a90f0819bfc7e361b5f3a53a0e4eeaf33a9891a6f63a61bf9604792224"),
-    "pointwise_baseline": ("pointwise_baseline", "listwise",
+    "pointwise_baseline": ("pointwise_baseline", "listwise", None,
         "43bf0edffdd3d595f26bc2a66b283827b3186657cefc44823491d14803e01038"),
-    "starank-summation": ("starank", "summation",
+    "starank-summation": ("starank", "summation", None,
         "ae308f87ee45555b50529f43045cc9e5ce52912ceb1f5626961b92b4042d7e34"),
+    "starank-group-48": ("starank", "listwise", 48,
+        "7beca4018e56fc82eed287621e1d13edc3ab816281e74c3814cd6dec27e7abb1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_GOLDEN_CHECKPOINTS))
 def test_trained_checkpoints_match_their_golden_digests(tmp_path, case):
     """Two epochs with dropout 0.3 over slates of 4 and 5 items whose histories hold 0, 1
-    or 2 items, so some groups read an empty history and others run the recurrent cell."""
-    kind, variant, want = _GOLDEN_CHECKPOINTS[case]
-    split = DatasetSplit(train=[make_instance(seed=k, n=4 + k % 2, hist_len=k % 3)
-                                for k in range(18)])
-    cfg = _small_cfg(dropout_rate=0.3, loss_variant=variant)
+    or 2 items, so some groups read an empty history and others run the recurrent cell;
+    or over one batch of ``group`` 5-item instances with 2-item histories."""
+    kind, variant, group, want = _GOLDEN_CHECKPOINTS[case]
+    if group is None:
+        split = DatasetSplit(train=[make_instance(seed=k, n=4 + k % 2, hist_len=k % 3)
+                                    for k in range(18)])
+    else:
+        split = DatasetSplit(train=[make_instance(seed=k, n=5, hist_len=2) for k in range(group)])
+    cfg = _small_cfg(dropout_rate=0.3, loss_variant=variant, batch_size=group or 4)
     params, _ = train(kind, split, "ndcg", cfg)
     path = tmp_path / "model.txt"
     save_model(params, path, kind, dims_for(cfg, split.train[0]), cfg)
