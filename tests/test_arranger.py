@@ -1,12 +1,13 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from arrangerank.arranger import (arrange_greedy, arrange_sample, greedy_step_probs,
-                                  permutation_log_prob, step_scores)
+from arrangerank.arranger import (arrange_greedy, arrange_sample, greedy_orders,
+                                  greedy_step_probs, permutation_log_prob, step_scores)
 from arrangerank.autodiff import Tensor
-from arrangerank.model import init_params, read_instance
+from arrangerank.model import init_params, read_group, read_instance
 from arrangerank.permutation import BijectionError, Permutation
 from arrangerank.reader import CandidateSet, ReaderOutput
 
@@ -235,3 +236,56 @@ def test_position_dependent_consistency_deviation_reported():
         devs.append(abs(marg - np.exp(s[a]) / (np.exp(s[a]) + np.exp(s[b]))))
     print(f"\nposition-dependent pairwise-consistency deviation: "
           f"max {max(devs):.4f}, mean {np.mean(devs):.4f}")
+
+
+def _decode_payloads():
+    """Bytes of every untaped decode entry point on one seeded checkpoint whose position
+    table holds 6 steps: slates of 3, 6 and 9 items (9 runs past the table, where the
+    position one-hot stays on its last column) with histories of 0 and 3 items, each served
+    alone and as a group of 4."""
+    params = spread_params("starank", tiny_dims(max_list_len=6), 31)
+    lone = {"greedy": [], "probs": [], "sample": [], "scores": []}
+    groups = []
+    for n in (3, 6, 9):
+        for hist in (0, 3):
+            pool = [make_instance(seed=100 * n + 10 * hist + k, n=n, hist_len=hist,
+                                  ids=range(5, 5 + 3 * n, 3)) for k in range(4)]
+            groups.append(greedy_orders(read_group("starank", params, pool), params))
+            for inst in pool[:2]:
+                rout = read_instance("starank", params, inst)
+                lone["greedy"].append(greedy_orders(rout, params))
+                pi, probs = greedy_step_probs(rout, params)
+                lone["probs"] += [repr(pi.order).encode(), probs]
+                for seed in range(3):
+                    pi, log_prob = arrange_sample(rout, params, seed)
+                    lone["sample"].append(f"{pi.order}:{log_prob.hex()}".encode())
+                lone["scores"].append(repr({i: s.hex() for i, s in
+                                            step_scores(rout, params).items()}).encode())
+    payloads = {f"lone-{name}": parts for name, parts in lone.items()}
+    payloads["group-greedy"] = groups
+    return payloads
+
+
+# sha256 of the untaped decode's outputs, taken with numpy 2.4.6 on OpenBLAS 0.3.31
+# (scipy-openblas64, DYNAMIC_ARCH, Haswell kernels) before the decode loop was rewritten:
+# every logit and every pick must keep its bits. The taped reference decode shares the
+# cell and scoring kernels with the decode, so only a fixed digest catches a change inside
+# them. Other BLAS builds may round products differently, and then these digests differ.
+_GOLDEN_DECODES = {
+    "group-greedy": "3ce13f5cdfd87df708e79612e7d57659edc582d28d25a8973908e85f708c1bbb",
+    "lone-greedy": "23fc7f916c6541d7a38907a2512b1b58a029cccc2c7a1a2daeb655969448e76b",
+    "lone-probs": "c64ad8e019651de651fcd9fcd9688cc07d476486cda800fb57118f3d2af441c2",
+    "lone-sample": "99a85fa0df07f3cb2638acd8e58114bb8e677858a09df2fa6523ac9e8e722181",
+    "lone-scores": "a4a72e618b7be9b664189c58a45adbb64daf255706f990fc918204ca0e903659",
+}
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("case", sorted(_GOLDEN_DECODES))
+def test_decodes_match_their_golden_digests(case):
+    digest = hashlib.sha256()
+    for part in _decode_payloads()[case]:
+        digest.update(part if isinstance(part, bytes) else
+                      np.ascontiguousarray(part, dtype="<f8" if part.dtype.kind == "f"
+                                           else "<i8").tobytes())
+    assert digest.hexdigest() == _GOLDEN_DECODES[case]

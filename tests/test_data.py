@@ -171,6 +171,7 @@ _GOLDEN = {
 }
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("case", sorted(_GOLDEN))
 def test_generated_files_match_their_golden_digests(tmp_path, case):
     kwargs, want = _GOLDEN[case]

@@ -163,6 +163,7 @@ _GOLDEN_CHECKPOINTS = {
 }
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("case", sorted(_GOLDEN_CHECKPOINTS))
 def test_trained_checkpoints_match_their_golden_digests(tmp_path, case):
     """Two epochs with dropout 0.3 over slates of 4 and 5 items whose histories hold 0, 1
