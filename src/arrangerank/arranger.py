@@ -12,9 +12,10 @@ position indicator to produce the next context vector.
 
 Greedy and sampled decoding choose each step's item from that step's
 scores, so one decode loop runs them step by step, on plain arrays: it
-records nothing on a tape. Teacher forcing fixes every decoder input in
-advance, so the differentiable log-probabilities run the n recurrent steps
-in one cell call and score every position in one pass; the summation foil
+records nothing on a tape and writes its cell inputs, mask and order in
+place. Teacher forcing fixes every decoder input in advance, so the
+differentiable log-probabilities run the n recurrent steps in one cell
+call and score every position in one pass; the summation foil
 decodes its greedy picks first, then is scored that way. Both run a single
 reader output, or a group of equal-shape instances along a leading batch
 axis. Orders are rows of candidate indices; candidates are stored by
@@ -50,41 +51,39 @@ def _decode(rout: ReaderOutput, params: ParamStore,
     """Fill positions 1..n, or the first ``steps``; returns the placement order as candidate
     indices (..., steps).
 
-    At every step ``choose(logits, mask)`` gets the scores of all candidates
-    and the mask of the unarranged ones, both (..., n) arrays, and names the
-    index (...) each instance places next. The placed item's
-    representation, with the one-hot of the next position, advances the
-    context, so the next scores condition on it. Plain arrays throughout:
-    nothing is recorded on a tape, and each instance's cell input row
-    [placed item, position one-hot, h] and the mask are updated in place.
+    At every step ``choose(logits, mask)`` gets the scores of all candidates and the mask
+    of the unarranged ones, both (..., n) arrays, and names the index (...) each instance
+    places next. The placed item's representation, with the one-hot of the next position,
+    advances the context, so the next scores condition on it. Plain arrays throughout:
+    nothing is recorded on a tape, and each instance's cell input row [placed item,
+    position one-hot, h], the mask and the order are allocated once and written in place.
     """
     reprs, h = rout.reprs.values, rout.user_vec.values
     lead, (n, e) = reprs.shape[:-2], reprs.shape[-2:]
     if n == 0:
         raise ValueError("cannot arrange an empty candidate set")
-    onehots = _onehots(params, np.arange(n + 1))
     w2h, w = reprs @ params["ptr.W2"].values, ad._mv(params["ptr.P"].values, h)  # fixed parts
-    cell_w, cell_b = params["dec.W"].values, params["dec.b"].values
-    w3, b2 = params["ptr.W3"].values, params["ptr.b2"].values
-    z = np.empty(lead + (cell_w.shape[1],))
-    z[..., :e], z[..., e:-e], z[..., -e:] = params["dec.start"].values, onehots[0], h
+    cell_w, cell_b, w3, b2 = (params[k].values for k in ("dec.W", "dec.b", "ptr.W3", "ptr.b2"))
+    z = np.zeros(lead + (cell_w.shape[1],))
+    z[..., :e], z[..., e], z[..., -e:] = params["dec.start"].values, 1.0, h  # position 1
     c = np.zeros(h.shape)
     mask = np.ones(lead + (n,), dtype=bool)
+    order = np.empty(lead + (n if steps is None else steps,), dtype=np.intp)
     each = tuple(np.indices(lead, sparse=True))  # instance axes of a per-instance pick
-    order = []
-    for i in range(n if steps is None else steps):
+    for i in range(order.shape[-1]):
         _, _, c, h = ad._cell_step(cell_w, cell_b, z, c)
-        ctx = ad._mv(w3, h) + b2
-        chosen = choose(ad._pointer_scores(w2h, ctx[..., None, :], w)[..., 0, :], mask)
-        order.append(chosen)
+        chosen = choose(ad._pointer_scores(w2h, ad._mv(w3, h) + b2, w), mask)
+        order[..., i] = chosen
         mask[each + (chosen,)] = False
-        z[..., :e], z[..., e:-e], z[..., -e:] = reprs[each + (chosen,)], onehots[i + 1], h
-    return np.stack(order, axis=-1)
+        z[..., :e], z[..., -e:] = reprs[each + (chosen,)], h
+        if i + 1 < z.shape[-1] - 2 * e:  # past the table the last one-hot column stays
+            z[..., e + i], z[..., e + i + 1] = 0.0, 1.0
+    return order
 
 
 def _masked_argmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Highest-scoring unarranged index; bitwise-equal scores pick the first, the smallest id."""
-    return np.argmax(np.where(mask, logits, -np.inf), axis=-1)
+    return np.where(mask, logits, -np.inf).argmax(axis=-1)
 
 
 def _as_permutation(ids, order) -> Permutation:

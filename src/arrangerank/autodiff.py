@@ -367,10 +367,10 @@ def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
 
 
 def _pointer_scores(mv: np.ndarray, cv: np.ndarray, wv: np.ndarray) -> np.ndarray:
-    """Forward of ``pointer_logits`` on plain arrays (a decode step calls it untaped)."""
-    t = mv[..., None, :, :] + cv[..., :, None, :]
-    np.tanh(t, out=t)  # in place: a second (T, n, a) temporary costs page faults
-    return _mv(t, wv if wv.ndim == 1 else wv[..., None, :])
+    """One ``pointer_logits`` step on plain arrays: rows mv (..., n, a), context cv (..., a)."""
+    t = mv + cv[..., None, :]
+    np.tanh(t, out=t)  # in place: no second (..., n, a) temporary
+    return _mv(t, wv)
 
 
 # Instances per block of pointer_logits' backward, which recomputes a (block, T, n, a) tanh
@@ -396,7 +396,7 @@ def pointer_logits(m: Tensor, ctx: Tensor, w: Tensor) -> Tensor:
     lead = np.broadcast_shapes(mv.shape[:-2], cv.shape[:-2], wv.shape[:-1])
     scores = np.empty(lead + cv.shape[-2:-1] + mv.shape[-2:-1])
     for t in range(cv.shape[-2]):
-        scores[..., t:t + 1, :] = _pointer_scores(mv, cv[..., t:t + 1, :], wv)
+        scores[..., t, :] = _pointer_scores(mv, cv[..., t, :], wv)
     out = Tensor(scores)
     if _tracing(m, ctx, w):
 

@@ -81,7 +81,8 @@ def evaluate(params, model_kind: str, instances: list[Instance],
         raise ValueError(f"cutoff k repeats: {', '.join(map(str, ks))}")
     check_grades(instances, r_max)
     for spec in click_specs.values():
-        check_grades(instances, spec.r_max, spec.relevance_map)
+        if spec.relevance_map is not None or spec.r_max != r_max:  # else the scan above repeats
+            check_grades(instances, spec.r_max, spec.relevance_map)
     threshold = math.ceil(r_max / 2)
     columns = [f"{name}@{k}" for name in ["N", "M", *click_specs] for k in ks]
     values = np.empty((len(instances), len(columns)))

@@ -16,7 +16,7 @@ class Permutation:
     order: tuple[int, ...]
 
     def __init__(self, order: Sequence[int]):
-        object.__setattr__(self, "order", tuple(int(i) for i in order))
+        object.__setattr__(self, "order", tuple(map(int, order)))
         if len(set(self.order)) != len(self.order):
             raise BijectionError(f"repeated item id in order {self.order}")
 

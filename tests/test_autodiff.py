@@ -266,7 +266,8 @@ def test_pointer_logits_steps_equal_single_steps_bitwise():
     for t in range(3):
         one = ad.pointer_logits(Tensor(m), Tensor(ctx[:, t:t + 1]), Tensor(w)).values
         assert one.tobytes() == steps[:, t:t + 1].tobytes()
-    assert steps.tobytes() == ad._pointer_scores(m, ctx, w).tobytes()  # all steps in one pass
+    # all steps in one pass, each context scoring every row
+    assert steps.tobytes() == ad._pointer_scores(m[:, None], ctx, w[:, None]).tobytes()
     with pytest.raises(ShapeError):  # a context without its step axis
         ad.pointer_logits(Tensor(m[0]), Tensor(ctx[0, 0]), Tensor(w[0]))
 

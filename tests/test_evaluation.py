@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from arrangerank import evaluation
 from arrangerank.clickmodels import ClickModelSpec, oracle_permutation
 from arrangerank.evaluation import (EmptyEvaluationError, MetricTable, accuracy_at_position,
                                     evaluate, export_attention, map_at_k)
@@ -104,6 +105,24 @@ def test_evaluate_rejects_a_grade_a_relevance_map_lacks():
         evaluate(None, "oracle_replay", [inst], ks=(2,), click_specs=specs)
     specs["Q"].relevance_map[3] = 0.75
     assert evaluate(None, "oracle_replay", [inst], ks=(2,), click_specs=specs).n_instances == 1
+
+
+def test_evaluate_scans_each_grade_bound_once(monkeypatch):
+    scans, check = [], evaluation.check_grades
+
+    def counted(instances, r_max, relevance_map=None):
+        scans.append((r_max, relevance_map))
+        check(instances, r_max, relevance_map)
+
+    monkeypatch.setattr(evaluation, "check_grades", counted)
+    evaluate(None, "oracle_replay", _instances(2), ks=(2,))
+    assert scans == [(4, None)]  # the default P and U specs repeat the table's own bound
+    scans.clear()
+    relevance = {r: r / 4 for r in range(5)}
+    specs = {"P": ClickModelSpec(kind="pbm"), "Q": ClickModelSpec(kind="pbm", r_max=6),
+             "U": ClickModelSpec(kind="ubm", relevance_map=relevance)}
+    evaluate(None, "oracle_replay", _instances(2), ks=(2,), click_specs=specs)
+    assert scans == [(4, None), (6, None), (4, relevance)]
 
 
 def test_tie_choice_does_not_move_label_metrics():
