@@ -90,6 +90,12 @@ def _as_permutation(ids, order) -> Permutation:
     return Permutation([ids[k] for k in order])
 
 
+def _one_request(rout: ReaderOutput, name: str) -> None:
+    """Reject a grouped reader output in a decoder that serves one instance."""
+    if rout.reprs.values.ndim > 2:
+        raise ValueError(f"{name} decodes one instance; got a group of {len(rout.ids)}")
+
+
 def target_indices(ids, pi: Permutation) -> list[int]:
     """Candidate index of each item of ``pi``, in order; ``pi`` must be a bijection of ``ids``."""
     pi.validate_against(ids)
@@ -104,6 +110,7 @@ def greedy_orders(rout: ReaderOutput, params: ParamStore) -> np.ndarray:
 
 def step_scores(rout: ReaderOutput, params: ParamStore) -> dict[int, float]:
     """Placement scores s^1_d of every candidate for position 1 (one decoder step)."""
+    _one_request(rout, "step_scores")
     seen = []
     _decode(rout, params, lambda logits, mask: seen.append(logits) or _masked_argmax(logits, mask),
             steps=1)
@@ -120,6 +127,7 @@ def greedy_step_probs(rout: ReaderOutput, params: ParamStore) -> tuple[Permutati
     Row i holds P(position i+1 takes item j | choices so far); entries of
     already-arranged items are exactly 0.
     """
+    _one_request(rout, "greedy_step_probs")
     probs = []
 
     def choose(logits, mask):
@@ -133,6 +141,7 @@ def greedy_step_probs(rout: ReaderOutput, params: ParamStore) -> tuple[Permutati
 
 def arrange_sample(rout: ReaderOutput, params: ParamStore, seed: int) -> tuple[Permutation, float]:
     """Sample a permutation position by position; returns its log probability."""
+    _one_request(rout, "arrange_sample")
     rng = np.random.default_rng(seed)
     log_prob = 0.0
 

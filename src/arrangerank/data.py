@@ -9,7 +9,9 @@ Split instance files use the same item syntax::
     query_id|p1,p2,...|<history items or empty>|<candidate items>|<oracle ids or empty>
 
 Floats are written with ``repr`` (shortest round-trip), so write-then-read
-reproduces values exactly.
+reproduces values exactly. A user's three split instances share one memo of
+formatted rows keyed by their exact bytes, so a row that recurs in later files
+(history, a candidate that becomes history, the profile) is formatted once.
 
 The temporal split takes the last 30 log positions of every user with at
 least 30 entries: candidates are positions T-29..T-20 for training (history
@@ -56,6 +58,7 @@ class Instance:
     cands: CandidateSet
     labels: dict[int, int]
     oracle: Permutation | None = None
+    row_text: dict | None = field(default=None, repr=False, compare=False)  # row bytes -> text
 
 
 def check_grades(instances, r_max: int, relevance_map: dict | None = None) -> None:
@@ -96,6 +99,7 @@ def temporal_split(user_logs: list[UserLog]) -> DatasetSplit:
             continue
         split.kept_users += 1
         feats = np.array([it.features for it in log.items], dtype=np.float64)  # instances slice it
+        row_text = {}
         for part, name, start in ((split.train, "train", t - 30),
                                   (split.validation, "val", t - 20), (split.test, "test", t - 10)):
             window = log.items[start:start + 10]
@@ -107,7 +111,7 @@ def temporal_split(user_logs: list[UserLog]) -> DatasetSplit:
                 query_id=f"{log.user_id}:{name}",
                 ctx=UserContext(log.profile, feats[:start], feature_dim=feats.shape[1]),
                 cands=CandidateSet.from_rows(ids, feats[start:start + 10]),
-                labels={it.item_id: it.grade for it in window}))
+                labels={it.item_id: it.grade for it in window}, row_text=row_text))
     return split
 
 
@@ -191,9 +195,18 @@ def generate_synthetic(n_users: int, history_len: int = 10, n_candidates: int = 
 # ------------------------------------------------------------------ file IO
 
 
-def _rows(matrix) -> list[str]:
-    """Each row of a float matrix as the shortest round-trip ``repr`` of its values."""
-    return [",".join(map(repr, row)) for row in np.asarray(matrix, dtype=np.float64).tolist()]
+def _rows(matrix, memo: dict | None = None) -> list[str]:
+    """Each row of a float matrix as the shortest round-trip ``repr`` of its values. ``memo``
+    maps a row's exact bytes (so -0.0 is not 0.0) to its text; a row met before is reused."""
+    m = np.ascontiguousarray(matrix, dtype=np.float64)
+    raw, size, memo = m.tobytes(), m.itemsize * m.shape[-1], {} if memo is None else memo
+    out = []
+    for k, row in enumerate(m.tolist()):
+        key = raw[k * size:(k + 1) * size]
+        if key not in memo:
+            memo[key] = ",".join(map(repr, row))
+        out.append(memo[key])
+    return out
 
 
 def _floats(rows: list[str], where: str, what: str) -> np.ndarray:
@@ -295,11 +308,13 @@ def read_dataset(path) -> list[UserLog]:
 def write_instances(instances: list[Instance], path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for inst in instances:
-            hist = ";".join("0:0:" + row for row in _rows(inst.ctx.history))
+            memo = inst.row_text
+            hist = ";".join("0:0:" + row for row in _rows(inst.ctx.history, memo))
             cands = ";".join(f"{i}:{inst.labels[i]}:{row}" for i, row in
-                             zip(inst.cands.ids, _rows(inst.cands.features)))
+                             zip(inst.cands.ids, _rows(inst.cands.features, memo)))
             oracle = ",".join(str(i) for i in inst.oracle) if inst.oracle else ""
-            fh.write(f"{inst.query_id}|{_rows([inst.ctx.profile])[0]}|{hist}|{cands}|{oracle}\n")
+            profile = _rows([inst.ctx.profile], memo)[0]
+            fh.write(f"{inst.query_id}|{profile}|{hist}|{cands}|{oracle}\n")
 
 
 def read_instances(path) -> list[Instance]:

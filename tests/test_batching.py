@@ -289,6 +289,21 @@ def test_decode_inside_a_tape_records_nothing():
     assert len(tape._steps) == recorded
 
 
+@pytest.mark.parametrize("size,n", [(2, 4), (3, 3)])
+def test_single_request_decoders_reject_a_group_naming_it(size, n):
+    params = spread_params("starank", tiny_dims(max_list_len=n), 11)
+    group = [make_instance(seed=40 + k, n=n, hist_len=2) for k in range(size)]
+    rout = read_group("starank", params, group)
+    for name, decode in (("arrange_sample", lambda r: arrange_sample(r, params, seed=0)[0]),
+                         ("greedy_step_probs", lambda r: greedy_step_probs(r, params)[0]),
+                         ("step_scores", lambda r: step_scores(r, params))):
+        with pytest.raises(ValueError, match=rf"^{name} decodes one instance; got a group of "
+                                             rf"{size}$"):
+            decode(rout)
+        got = decode(read_group("starank", params, group[:1]))  # a lone instance still decodes
+        assert sorted(got) == sorted(group[0].labels)
+
+
 def _taped_greedy(rout, params):
     """Taped reference: each step places the highest-scoring unplaced item; the per-step
     softmax is kept beside it."""

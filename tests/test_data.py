@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arrangerank.cli import main
 from arrangerank.data import (Instance, LogItem, ParseError, UserLog, generate_synthetic,
                               oracle_seed, read_dataset, read_instances, slate_grades,
                               temporal_split, write_dataset, write_instances)
@@ -185,6 +186,66 @@ def test_generated_files_match_their_golden_digests(tmp_path, case):
     got = {name: hashlib.sha256((tmp_path / f"{name}.txt").read_bytes()).hexdigest()
            for name in want}
     assert got == want
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_cli_split_files_match_their_golden_digests(tmp_path, case):
+    kwargs, want = _GOLDEN[case]
+    write_dataset(generate_synthetic(5, **kwargs), tmp_path / "dataset.txt")
+    assert main(["split", "--data", str(tmp_path / "dataset.txt"),
+                 "--out", str(tmp_path / "split")]) == 0
+    for part in ("validation", "test"):  # train lacks the oracle the golden split adds
+        got = hashlib.sha256((tmp_path / "split" / f"{part}.txt").read_bytes()).hexdigest()
+        assert got == want[part], part
+
+
+def _row_texts(line: str) -> list[str]:
+    """The profile, history and candidate feature texts of an instance line, in order."""
+    _, profile, hist, cands, _ = line.split("|")
+    return [profile] + [tok.split(":")[2] for tok in f"{hist};{cands}".split(";") if tok]
+
+
+def _repr_rows(inst: Instance) -> list[str]:
+    rows = [inst.ctx.profile, *inst.ctx.history, *inst.cands.features]
+    return [",".join(repr(float(x)) for x in row) for row in rows]
+
+
+def test_split_memo_writes_signed_zeros_as_repr_does(tmp_path):
+    rows = [[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0]]  # equal values, other bytes
+    log = UserLog(7, np.array([-0.0, 0.0]),
+                  [LogItem(k, np.array(rows[k % 4]), k % 5) for k in range(30)])
+    split = temporal_split([log])
+    assert split.train[0].row_text is split.test[0].row_text
+    for part in ("train", "validation", "test"):
+        write_instances(getattr(split, part), tmp_path / f"{part}.txt")
+        [line] = (tmp_path / f"{part}.txt").read_text().splitlines()
+        assert _row_texts(line) == _repr_rows(getattr(split, part)[0])
+    assert {"0.0,1.0", "-0.0,1.0", "0.0,-0.0", "-0.0,-0.0"} <= set(_row_texts(line))
+
+
+def test_split_memo_formats_a_row_edited_between_writes_anew(tmp_path):
+    split = temporal_split([_log(3, 40)])
+    write_instances(split.train, tmp_path / "train.txt")
+    test = split.test[0]
+    assert np.array_equal(test.ctx.history[10], split.train[0].cands.features[0])
+    test.ctx.history[10, 1] = 12.5  # the first train candidate, now test history
+    write_instances(split.test, tmp_path / "test.txt")
+    [line] = (tmp_path / "test.txt").read_text().splitlines()
+    assert _row_texts(line) == _repr_rows(test)
+    assert _row_texts(line)[11].split(",")[1] == "12.5"
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_read_back_instances_write_the_bytes_of_the_split_memo(tmp_path, case):
+    split = temporal_split(generate_synthetic(5, **_GOLDEN[case][0]))
+    for part in ("train", "validation", "test"):
+        write_instances(getattr(split, part), tmp_path / f"{part}.txt")
+        back = read_instances(tmp_path / f"{part}.txt")
+        assert all(inst.row_text is None for inst in back)
+        write_instances(back, tmp_path / f"{part}.again.txt")
+        assert ((tmp_path / f"{part}.again.txt").read_bytes()
+                == (tmp_path / f"{part}.txt").read_bytes())
 
 
 def test_generator_composes_with_split():
