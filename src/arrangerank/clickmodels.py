@@ -70,6 +70,8 @@ class ClickModelSpec:
             raise ValueError(f"unknown click model kind {self.kind!r}")
         if not self.tau >= 0:  # NaN fails too
             raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if self.r_max < 1:
+            raise ValueError(f"r_max must be >= 1, got {self.r_max}")
         if self.examination_table is not None:
             self.examination_table = np.asarray(self.examination_table, dtype=np.float64)
             want = 1 if self.kind == PBM else 2

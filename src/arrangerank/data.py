@@ -171,6 +171,8 @@ def generate_synthetic(n_users: int, history_len: int = 10, n_candidates: int = 
     """
     if n_users <= 0 or history_len < 0 or n_candidates <= 0 or feature_dim <= 1:
         raise ValueError("sizes must be positive (feature_dim at least 2)")
+    if r_max < 1:
+        raise ValueError(f"r_max must be >= 1, got {r_max}")
     rng = np.random.default_rng(seed)
     n_proto = max(2, n_candidates // 2)
     logs = []

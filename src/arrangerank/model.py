@@ -119,17 +119,13 @@ def init_params(kind: str, dims: ModelDims, seed: int) -> ParamStore:
     return params
 
 
-def shape_groups(instances, largest: int | None = None) -> list[list[int]]:
+def shape_groups(instances) -> list[list[int]]:
     """Positions of the instances grouped by (history length, slate size), first seen
-    first; a group longer than ``largest`` splits into near-equal consecutive runs."""
+    first; each group is one run however long, so a caller's batch size bounds it."""
     groups: dict[tuple[int, int], list[int]] = {}
     for pos, inst in enumerate(instances):
         groups.setdefault((inst.ctx.history.shape[0], len(inst.cands)), []).append(pos)
-    runs = []
-    for g in groups.values():
-        parts = -(-len(g) // largest) if largest else 1
-        runs += [g[k * len(g) // parts:(k + 1) * len(g) // parts] for k in range(parts)]
-    return runs
+    return list(groups.values())
 
 
 def _inputs(instances: list[Instance]):

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor
+from .autodiff import Tensor
 
 FORMAT_TAG = "arrangerank-checkpoint"
 FORMAT_VERSION = "v1"
@@ -75,13 +75,10 @@ def _finite_hex(tok: str) -> bool:
         return False
 
 
-def load_checkpoint(path, expect_shapes: dict[str, tuple] | None = None) -> tuple[ParamStore, dict]:
-    """Read a checkpoint; optionally validate parameter shapes against a config.
-
-    Returns (params, meta). Raises CheckpointError, naming ``path:line``, on
-    version/format problems and ShapeError when ``expect_shapes`` disagrees
-    with the file.
-    """
+def load_checkpoint(path) -> tuple[ParamStore, dict]:
+    """Read a checkpoint as (params, meta); CheckpointError names ``path:line`` of a
+    version or format problem. What the meta says of the parameters is the caller's
+    to check (``training.load_model`` does)."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(FORMAT_TAG):
@@ -125,12 +122,4 @@ def load_checkpoint(path, expect_shapes: dict[str, tuple] | None = None) -> tupl
         if name in params.names():
             raise CheckpointError(f"{path}:{lineno}: repeats parameter {name}")
         params.create(name, vals.reshape(shape))
-    if expect_shapes is not None:
-        got = {name: t.values.shape for name, t in params.items()}
-        if got != dict(expect_shapes):
-            missing = sorted(set(expect_shapes) ^ set(got))
-            detail = f"names differ: {missing}" if missing else \
-                f"shapes differ: " + ", ".join(
-                    f"{n} {got[n]} != {expect_shapes[n]}" for n in got if got[n] != expect_shapes[n])
-            raise ShapeError(f"{path}: checkpoint does not match requested architecture ({detail})")
     return params, meta

@@ -19,15 +19,10 @@ from .arranger import target_indices
 from .autodiff import Tape
 from .clickmodels import ClickModelSpec, metric_fingerprint, oracle_permutation
 from .data import DatasetSplit, Instance, check_grades, oracle_seed
-from .model import ModelDims, batch_loss, init_params, normalize_kind, shape_groups
+from .model import (ModelDims, batch_loss, init_params, normalize_kind, param_shapes,
+                    shape_groups)
 from .params import CheckpointError, ParamStore, load_checkpoint, save_checkpoint
 from .reader import DropoutPlan
-
-
-# Most instances one tape holds, so a default batch of one shape runs on one tape. On
-# 10-item slates at width 16, 100 instances leave about 3.4 MB on the tape, and backward,
-# which frees each entry's arrays once pulled, peaks at about 4.1 MB (tracemalloc).
-TAPE_GROUP = 100
 
 
 @dataclass
@@ -55,8 +50,10 @@ class TrainConfig:
     def checked(key: str, value):
         """``value`` if it is in range for field ``key``; otherwise a ValueError naming it.
         The cross-field lr check waits for the whole config."""
-        if key in ("epochs", "batch_size", "embedding_dim", "max_list_len") and value < 1:
+        if key in ("epochs", "batch_size", "embedding_dim", "max_list_len", "r_max") and value < 1:
             raise ValueError(f"{key} must be >= 1, got {value}")
+        if key == "seed" and value < 0:
+            raise ValueError(f"seed must be >= 0, got {value}")
         if key == "lr_final" and not value > 0:
             raise ValueError(f"lr_final must be > 0, got {value}")
         if key == "dropout_rate" and not 0 <= value < 1:
@@ -65,6 +62,8 @@ class TrainConfig:
             raise ValueError(f"l2_weight must be >= 0, got {value}")
         if key == "optimizer" and value not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {value!r}")
+        if key == "loss_variant" and value not in ("listwise", "summation"):
+            raise ValueError(f"loss_variant must be 'listwise' or 'summation', got {value!r}")
         return value
 
 
@@ -188,7 +187,7 @@ def train(model_kind: str, split: DatasetSplit, metric_for_oracle, cfg: TrainCon
         done = 0
         while done < len(order):
             batch = [instances[idx] for idx in order[done : done + cfg.batch_size]]
-            for positions in shape_groups(batch, TAPE_GROUP):
+            for positions in shape_groups(batch):
                 with Tape() as tape:
                     rep = batch_loss(kind, params, [batch[j] for j in positions], cfg.r_max,
                                      drop, cfg.loss_variant,
@@ -215,21 +214,26 @@ def save_model(params: ParamStore, path, model_kind: str, dims: ModelDims,
     save_checkpoint(params, path, meta)
 
 
-def load_model(path, expect_kind: str | None = None, expect_dims: ModelDims | None = None
-               ) -> tuple[ParamStore, str, ModelDims]:
-    from .model import param_shapes
-
-    expect_shapes = None
-    if expect_kind is not None and expect_dims is not None:
-        expect_shapes = param_shapes(expect_kind, expect_dims)
-    params, meta = load_checkpoint(path, expect_shapes=expect_shapes)
+def load_model(path) -> tuple[ParamStore, str, ModelDims]:
+    """A ``save_model`` checkpoint as (params, model kind, dims). Its meta line must name a
+    trainable kind and dims whose ``param_shapes`` are the file's parameter table; any
+    disagreement is a CheckpointError naming that line."""
+    params, meta = load_checkpoint(path)
     missing = [key for key in ("model_kind", "dims") if key not in meta]
     if missing:
         raise CheckpointError(f"{path}:2: meta line lacks {missing}")
     try:
-        return params, meta["model_kind"], ModelDims(**meta["dims"])
-    except TypeError as e:
-        raise CheckpointError(f"{path}:2: meta dims: {e}") from None
+        kind, dims = normalize_kind(str(meta["model_kind"])), ModelDims(**meta["dims"])
+        want = param_shapes(kind, dims)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}:2: meta line: {e}") from None
+    got = {name: t.values.shape for name, t in params.items()}
+    if got != want:
+        odd = [f"{n} {got.get(n)} != {want.get(n)}" for n in sorted(got.keys() | want.keys())
+               if got.get(n) != want.get(n)]
+        raise CheckpointError(f"{path}:2: meta {kind} and its dims do not fit the parameter "
+                              f"table (file shape != meta shape): {', '.join(odd)}")
+    return params, kind, dims
 
 
 def write_training_log(log: list[dict], path) -> None:

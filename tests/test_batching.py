@@ -44,6 +44,8 @@ def mixed_pool(n_inst=48, seed=0, max_n=12, max_hist=5):
 def test_grouped_ranking_equals_batch_of_one(kind):
     pool = mixed_pool()
     assert len(shape_groups(pool)) < len(pool)  # some groups really batch
+    one_shape = [make_instance(seed=k, n=5, hist_len=2) for k in range(250)]
+    assert shape_groups(one_shape) == [list(range(250))]  # one run, however long
     params = spread_params(kind, tiny_dims(max_list_len=12), 3)
     grouped = rank_instances(kind, params, pool)
     assert [pi.order for pi in grouped] == [rank_instance(kind, params, inst).order

@@ -159,6 +159,7 @@ def test_malformed_config_lines_name_file_and_line(tmp_path, capsys):
      "examination_table: examination probabilities must lie in"),
     ("examination_table = 1.0, 0.5; 0.3, 0.2",
      "examination_table: a pbm table is one row, got 2 ';'-separated rows"),
+    ("r_max = 0", "r_max: r_max must be >= 1, got 0"),
 ])
 def test_bad_click_config_values_name_file_and_line(tmp_path, capsys, line, shown):
     click = tmp_path / "click.cfg"
@@ -218,6 +219,15 @@ def test_out_of_range_train_config_value_names_file_line_and_key(tmp_path, capsy
                 "--out", str(tmp_path / "r")) == 1
     assert f"error: {cfg}:2: batch_size: batch_size must be >= 1, got 0" in \
         capsys.readouterr().err
+
+
+def test_unknown_loss_variant_in_a_train_config_names_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 1\nloss_variant = bogus\n")
+    assert _run("train", "--split-dir", str(tmp_path / "s"), "--config", str(cfg),
+                "--out", str(tmp_path / "r")) == 1
+    assert f"error: {cfg}:2: loss_variant: loss_variant must be 'listwise' or 'summation', " \
+        "got 'bogus'" in capsys.readouterr().err
 
 
 def test_train_zero_epochs_exits_before_training(tmp_path, capsys):
@@ -405,6 +415,15 @@ _REJECTED = {  # arguments that fail each command's checks, and the message they
     "evaluate --k 5,5": (["evaluate", "--checkpoint", "{ckpt}", "--instances", "{inst}",
                           "--k", "5,5"], "cutoff k repeats: 5, 5"),
     "gen-data --users 0": (["gen-data", "--users", "0"], "sizes must be positive"),
+    "gen-data --r-max -2": (["gen-data", "--users", "2", "--r-max", "-2"],
+                            "r_max must be >= 1, got -2"),
+    "oracle --metric pbm --r-max 0": (["oracle", "--split-dir", "{split}", "--metric", "pbm",
+                                       "--r-max", "0"], "r_max must be >= 1, got 0"),
+    "train --seed -1": (["train", "--split-dir", "{split}", "--seed", "-1"],
+                        "seed must be >= 0, got -1"),
+    "evaluate oracle_replay meta": (["evaluate", "--checkpoint", "{replay}", "--instances",
+                                     "{inst}"], "{replay}:2: meta line: unknown model kind "
+                                                "'oracle_replay'"),
     "split malformed": (["split", "--data", "{bad}"], "{bad}:1: "),
     "inspect unknown id": (["inspect", "--checkpoint", "{ckpt}", "--instances", "{inst}",
                             "--query-ids", "q0", "q9"], "no instance with query id 'q9'"),
@@ -420,7 +439,10 @@ def test_a_rejected_command_makes_no_out_path(tmp_path, capsys, case):
     split.mkdir()
     (split / "train.txt").write_text(inst.read_text())
     bad.write_text("u0|0.5,0.5\n")
-    paths = {"split": split, "ckpt": ckpt, "inst": inst, "bad": bad}
+    replay = tmp_path / "replay.txt"  # a harness kind would replay the instances' oracles
+    replay.write_text(ckpt.read_text().replace('"model_kind": "starank"',
+                                               '"model_kind": "oracle_replay"'))
+    paths = {"split": split, "ckpt": ckpt, "inst": inst, "bad": bad, "replay": replay}
     argv, message = _REJECTED[case]
     assert _run(*[arg.format(**paths) for arg in argv], "--out", str(out)) == 1
     assert f"error: {message.format(**paths)}" in capsys.readouterr().err

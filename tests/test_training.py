@@ -9,10 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from arrangerank.autodiff import ShapeError
+from arrangerank import training
+from arrangerank.autodiff import Tape
 from arrangerank.clickmodels import ClickModelSpec
 from arrangerank.data import DatasetSplit, generate_synthetic, temporal_split
-from arrangerank.model import ModelDims, init_params, param_shapes
+from arrangerank.model import ModelDims, init_params
 from arrangerank.params import CheckpointError, ParamStore, load_checkpoint, save_checkpoint
 from arrangerank.training import (TrainConfig, _Sgd, dims_for, ensure_oracles, learning_rate,
                                   load_model, save_model, train, write_training_log)
@@ -35,6 +36,10 @@ def test_config_validation():
         ({"dropout_rate": 1.0}, "dropout_rate must lie in [0, 1), got 1.0"),
         ({"dropout_rate": -0.1}, "dropout_rate must lie in [0, 1), got -0.1"),
         ({"l2_weight": -1e-5}, "l2_weight must be >= 0, got -1e-05"),
+        ({"loss_variant": "bogus"}, "loss_variant must be 'listwise' or 'summation', got 'bogus'"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"r_max": 0}, "r_max must be >= 1, got 0"),
+        ({"r_max": -1}, "r_max must be >= 1, got -1"),
     ]:
         with pytest.raises(ValueError, match=re.escape(named)):
             TrainConfig(**bad)
@@ -42,7 +47,8 @@ def test_config_validation():
 
 def test_config_accepts_the_edges_of_every_range():
     cfg = TrainConfig(epochs=1, batch_size=1, embedding_dim=1, max_list_len=1, lr_initial=1e-9,
-                      lr_final=1e-9, dropout_rate=0.0, l2_weight=0.0, optimizer="sgd")
+                      lr_final=1e-9, dropout_rate=0.0, l2_weight=0.0, optimizer="sgd", seed=0,
+                      r_max=1, loss_variant="summation")
     assert cfg.dropout_rate == 0.0 and cfg.lr_final == cfg.lr_initial
 
 
@@ -145,7 +151,7 @@ def test_dropout_training_runs_and_is_seeded():
 # OpenBLAS 0.3.31 (scipy-openblas64, DYNAMIC_ARCH, Haswell kernels) before the recurrent
 # cell dropped its cell-state input and its last-state outputs: training keeps every byte.
 # The case with a group size trains one batch of that many equal-shape instances on one
-# tape; its digest was taken once a tape held up to 100 instances.
+# tape.
 # Other BLAS builds may round products differently, and then these digests differ.
 _GOLDEN_CHECKPOINTS = {
     "starank": ("starank", "listwise", None,
@@ -180,6 +186,36 @@ def test_trained_checkpoints_match_their_golden_digests(tmp_path, case):
     path = tmp_path / "model.txt"
     save_model(params, path, kind, dims_for(cfg, split.train[0]), cfg)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+
+def test_a_one_shape_batch_trains_on_one_tape_per_step(tmp_path, monkeypatch):
+    """A shape group runs on one tape however many instances the batch gives it, so the
+    dropout masks, drawn per tape, follow from the config alone."""
+    counts = {"tapes": 0, "steps": 0}
+
+    class CountedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            counts["tapes"] += 1
+
+    step = training._Adam.step
+
+    def counted_step(opt, lr, l2):
+        counts["steps"] += 1
+        step(opt, lr, l2)
+
+    monkeypatch.setattr(training, "Tape", CountedTape)
+    monkeypatch.setattr(training._Adam, "step", counted_step)
+    blobs = []
+    for run in range(2):
+        split = DatasetSplit(train=[make_instance(seed=k, n=5, hist_len=2) for k in range(300)])
+        cfg = _small_cfg(dropout_rate=0.3, batch_size=150)
+        params, _ = train("starank", split, "ndcg", cfg)
+        path = tmp_path / f"ckpt{run}.txt"
+        save_model(params, path, "starank", dims_for(cfg, split.train[0]), cfg)
+        blobs.append(path.read_bytes())
+    assert counts == {"tapes": 8, "steps": 8}  # 2 runs x 2 epochs x 2 batches of 150
+    assert blobs[0] == blobs[1]
 
 
 def test_non_finite_gradient_stops_training_naming_epoch_and_query():
@@ -269,14 +305,13 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 def test_checkpoint_architecture_mismatch(tmp_path):
     dims = tiny_dims()
-    params = init_params("starank", dims, 5)
-    path = tmp_path / "p.txt"
-    save_model(params, path, "starank", dims)
     other = ModelDims(feature_dim=9, profile_dim=9, embed=6, attn_width=6,
                       mlp_hidden=6, max_list_len=6)
-    with pytest.raises(ShapeError):
-        load_checkpoint(path, expect_shapes=param_shapes("starank", other))
-    back, kind, got_dims = load_model(path, expect_kind="starank", expect_dims=dims)
+    path = _edited_model(tmp_path, 2, _meta("starank", asdict(other)))
+    with pytest.raises(CheckpointError, match=re.escape("p.txt:2: ")):
+        load_model(path)
+    save_model(init_params("starank", dims, 5), path, "starank", dims)
+    back, kind, got_dims = load_model(path)
     assert kind == "starank" and got_dims == dims
 
 
@@ -324,6 +359,38 @@ def _edited_model(tmp_path, lineno, replace):
     lines[lineno - 1] = replace(lines)
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _meta(kind: str, dims: dict):
+    """An ``_edited_model`` edit: the meta line naming ``kind`` and ``dims``."""
+    return lambda lines: "meta " + json.dumps({"model_kind": kind, "dims": dims})
+
+
+@pytest.mark.parametrize("kind,dims,shown", [
+    ("oracle_replay", {}, "meta line: unknown model kind 'oracle_replay'"),
+    ("bogus", {}, "meta line: unknown model kind 'bogus'"),
+    ("pointwise_baseline", {}, "meta pointwise_baseline and its dims do not fit the parameter "
+                                "table (file shape != meta shape): attn.V (6, 6) != None"),
+    ("starank", {"embed": 7}, "hist.U0 (6, 4) != (7, 4)"),
+    ("starank", {"feature_dim": 5}, "attn.W1 (4, 6) != (5, 6)"),
+])
+def test_checkpoint_meta_that_disagrees_with_its_parameters_names_the_line(tmp_path, kind, dims,
+                                                                           shown):
+    """The meta line's kind and dims must give the file's parameter table; a harness kind
+    such as oracle_replay names no parameters, so it is no checkpoint's kind."""
+    path = _edited_model(tmp_path, 2, _meta(kind, {**asdict(tiny_dims()), **dims}))
+    with pytest.raises(CheckpointError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}:2: ") and shown in str(err.value)
+
+
+def test_checkpoint_saved_under_the_pointwise_alias_loads(tmp_path):
+    """The benchmark's study workload saves its baseline under the CLI alias "pointwise"."""
+    dims, path = tiny_dims(), tmp_path / "p.txt"
+    params = init_params("pointwise", dims, 5)
+    save_model(params, path, "pointwise", dims)
+    back, kind, got_dims = load_model(path)
+    assert kind == "pointwise_baseline" and got_dims == dims and back.names() == params.names()
 
 
 def test_checkpoint_repeated_parameter_names_the_line(tmp_path):
