@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .clickmodels import ClickModelSpec, load_click_spec, metric_fingerprint
@@ -43,8 +44,7 @@ def _echo_config(out_dir: Path, values: dict) -> None:
 
 
 def _build_config(args) -> TrainConfig:
-    cfg = TrainConfig()
-    fields = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
+    fields = asdict(TrainConfig())
     merged = dict(fields)
     file_values = read_key_values(args.config) if args.config else {}
     for key in file_values:
@@ -120,21 +120,17 @@ def _cmd_oracle(args) -> int:
     sources = [src for src in sources if src.exists()]
     if not sources:
         raise FileNotFoundError(f"{args.split_dir}: no train.txt, validation.txt or test.txt")
-    out = _out_dir(args.out)
-    inputs = [Path(args.click_config)] if args.click_config else []
-    outputs = []
     t0 = time.perf_counter()
-    n = 0
-    for src in sources:
-        inputs.append(src)
-        instances = read_instances(src)
-        n += ensure_oracles(instances, metric, args.seed, args.r_max)
-        path = out / src.name
+    filled = [read_instances(src) for src in sources]
+    n = sum(ensure_oracles(instances, metric, args.seed, args.r_max) for instances in filled)
+    out = _out_dir(args.out)  # only once every source has passed its checks
+    outputs = [out / src.name for src in sources]
+    for instances, path in zip(filled, outputs):
         write_instances(instances, path)
-        outputs.append(path)
     took = time.perf_counter() - t0
     _echo_config(out, {"metric": metric_fingerprint(metric), "seed": args.seed,
                        "r_max": getattr(metric, "r_max", args.r_max)})  # a click model's own
+    inputs = ([Path(args.click_config)] if args.click_config else []) + sources
     _write_manifest(out, "oracle", {"seed": args.seed}, inputs, outputs)
     print(f"computed {n} oracle permutations in {took:.2f}s")
     return 0
@@ -155,8 +151,7 @@ def _cmd_train(args) -> int:
     save_model(params, ckpt, args.model.replace("-", "_"), dims_for(cfg, split.train[0]), cfg)
     log_path = out / "training_log.csv"
     write_training_log(log, log_path)
-    _echo_config(out, {**{f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
-                       "model": args.model, "metric": metric_fingerprint(metric),
+    _echo_config(out, {**asdict(cfg), "model": args.model, "metric": metric_fingerprint(metric),
                        "oracles_from_split": from_split})
     _write_manifest(out, "train", {"seed": cfg.seed},
                     [Path(args.split_dir) / "train.txt"], [ckpt, log_path])
@@ -270,11 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--metric", choices=["ndcg", "pbm", "ubm"], default="ndcg")
     t.add_argument("--tau", type=float, default=1.0)
     t.add_argument("--config", default=None)
-    for fname, ftype in (("lr_initial", float), ("lr_final", float), ("epochs", int),
-                         ("batch_size", int), ("l2_weight", float), ("dropout_rate", float),
-                         ("seed", int), ("embedding_dim", int), ("optimizer", str),
-                         ("max_list_len", int), ("r_max", int)):
-        t.add_argument(f"--{fname.replace('_', '-')}", type=ftype, default=None, dest=fname)
+    for fname, default in asdict(TrainConfig()).items():
+        t.add_argument(f"--{fname.replace('_', '-')}", type=type(default), default=None,
+                       dest=fname)
     t.add_argument("--out", required=True)
     t.set_defaults(fn=_cmd_train)
 

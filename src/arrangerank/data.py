@@ -63,7 +63,10 @@ class Instance:
 
 def check_grades(instances, r_max: int, relevance_map: dict | None = None) -> None:
     """Reject a grade a metric cannot score, naming its query: one outside [0, r_max], or,
-    when a ``relevance_map`` names the grades, one the map leaves out."""
+    when a ``relevance_map`` names the grades, one the map leaves out. Without a map, ``r_max``
+    must be at least 1."""
+    if relevance_map is None and r_max < 1:
+        raise ValueError(f"r_max must be >= 1, got {r_max}")
     for inst in instances:
         for item, grade in inst.labels.items():
             if relevance_map is not None:
@@ -212,23 +215,22 @@ def _rows(matrix, memo: dict | None = None) -> list[str]:
 
 
 def _floats(rows: list[str], where: str, what: str) -> np.ndarray:
-    """Every value of the comma-separated float ``rows``, flat, from one ``float`` pass. A
-    bad value names the first row holding one, an unparseable before a non-finite one."""
-    values, error = [], None
+    """Every value of the comma-separated float ``rows``, flat, from one ``float`` pass. If a
+    value is bad, the rows are parsed one by one up to the first bad row, which is named; in
+    a row, an unparseable value is reported before a non-finite one."""
     try:
-        values.extend(map(float, ",".join(rows).split(",") if rows else ()))
-    except ValueError as e:
-        error = e  # values holds the floats before the bad one
-    flat = np.array(values)
-    finite = np.isfinite(flat)
-    if error is None and finite.all():
-        return flat
-    first_nonfinite = len(values) if finite.all() else int(np.argmin(finite))
-    ends = np.cumsum([row.count(",") + 1 for row in rows])
-    nonfinite_row, error_row = np.searchsorted(ends, [first_nonfinite, len(values)], "right")
-    if error is None or nonfinite_row < error_row:
-        raise ParseError(f"{where}: non-finite {what} value in {rows[nonfinite_row][:40]!r}")
-    raise ParseError(f"{where}: {error}")
+        flat = np.array(list(map(float, ",".join(rows).split(",") if rows else ())))
+        if np.isfinite(flat).all():
+            return flat
+    except ValueError:
+        pass
+    for row in rows:  # some row holds the bad value, so this scan raises
+        try:
+            values = list(map(float, row.split(",")))
+        except ValueError as e:
+            raise ParseError(f"{where}: {e}") from None
+        if not np.isfinite(values).all():
+            raise ParseError(f"{where}: non-finite {what} value in {row[:40]!r}")
 
 
 def _parse_items(field: str, where: str):

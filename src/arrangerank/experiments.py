@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arranger import greedy_orders
-from .clickmodels import ClickModelSpec, metric_fingerprint, oracle_permutation
-from .data import DatasetSplit, Instance, generate_synthetic, oracle_seed, temporal_split
+from .clickmodels import ClickModelSpec
+from .data import DatasetSplit, Instance, generate_synthetic, temporal_split
 from .evaluation import evaluate
 from .model import ModelDims, init_params, read_group
 from .reader import CandidateSet, UserContext
-from .training import TrainConfig, train
+from .training import TrainConfig, ensure_oracles, train
 
 
 def small_config(seed: int, epochs: int) -> TrainConfig:
@@ -85,7 +85,9 @@ class SupervisionVariantResult:
 
 def supervision_variant_experiment(n_users: int = 800, n_seeds: int = 5, epochs: int = 4
                                    ) -> SupervisionVariantResult:
-    """Train under gain-discount vs position-based-click oracles and compare P@5 and P@10."""
+    """Train under gain-discount vs position-based-click oracles and compare P@5 and P@10.
+    ``changed_fraction`` is the share of training instances whose oracles differ when
+    ``ensure_oracles`` fills one copy per metric, the data seed as master seed."""
     data_seed, ks = 131, (5, 10)
     base_split = temporal_split(generate_synthetic(n_users, history_len=8, seed=data_seed))
     pbm = ClickModelSpec(kind="pbm")
@@ -93,14 +95,10 @@ def supervision_variant_experiment(n_users: int = 800, n_seeds: int = 5, epochs:
                                               "pbm": {k: [] for k in ks}})
 
     # fraction of training instances whose oracle differs between supervisions
-    changed = 0
-    for inst in base_split.train:
-        pi_by_metric = [
-            oracle_permutation(inst.labels, m,
-                               oracle_seed(data_seed, metric_fingerprint(m), inst.query_id))
-            for m in ("ndcg", pbm)]
-        if pi_by_metric[0].order != pi_by_metric[1].order:
-            changed += 1
+    filled = [_fresh_split(base_split).train for _ in range(2)]
+    for instances, metric in zip(filled, ("ndcg", pbm)):
+        ensure_oracles(instances, metric, data_seed)
+    changed = sum(a.oracle.order != b.oracle.order for a, b in zip(*filled))
     result.changed_fraction = changed / len(base_split.train)
 
     for seed in range(n_seeds):

@@ -59,7 +59,10 @@ def sequence_loss(rout: ReaderOutput, params: ParamStore, targets: np.ndarray,
     ``variant="summation"`` is the diagnostic per-position summation loss: a
     cross-entropy over all items at every position while the decoder follows
     its own greedy picks, so it ignores which items the target prefix removed.
+    A variant other than ``listwise`` or ``summation`` is a ValueError.
     """
+    if variant not in ("listwise", "summation"):
+        raise ValueError(f"unknown loss variant {variant!r}")
     log_probs = summation_log_probs if variant == "summation" else forced_log_probs
     terms = log_probs(rout, params, targets)
     log_p, total = terms.values, ad.sum_all(terms)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baseline
-from .arranger import greedy_orders, target_indices
+from .arranger import _as_permutation, greedy_orders, target_indices
 from .loss import LossReport, sequence_loss
 from .data import Instance
 from .params import ParamStore
@@ -159,9 +159,8 @@ def read_instance(kind: str, params: ParamStore, inst: Instance) -> ReaderOutput
     return read_group(kind, params, [inst])
 
 
-def instance_loss(kind: str, params: ParamStore, inst: Instance,
-                  loss_variant: str = "listwise") -> LossReport:
-    return batch_loss(kind, params, [inst], loss_variant=loss_variant)
+def instance_loss(kind: str, params: ParamStore, inst: Instance) -> LossReport:
+    return batch_loss(kind, params, [inst])
 
 
 def batch_loss(kind: str, params: ParamStore, instances: list[Instance],
@@ -181,8 +180,6 @@ def batch_loss(kind: str, params: ParamStore, instances: list[Instance],
             if inst.oracle is None:
                 raise ValueError(f"instance {inst.query_id} has no oracle permutation")
         targets = [target_indices(inst.cands.ids, inst.oracle) for inst in instances]
-    if loss_variant not in ("listwise", "summation"):
-        raise ValueError(f"unknown loss variant {loss_variant!r}")
     return sequence_loss(_read(kind, params, ctx, cands, drop), params,
                          np.reshape(targets, shape), loss_variant)
 
@@ -223,5 +220,5 @@ def rank_instances(kind: str, params, instances: list[Instance]) -> list[Permuta
         else:
             order = greedy_orders(read_group(kind, params, group), params)
         for p, inst, row in zip(positions, group, np.reshape(order, (len(group), -1))):
-            ranked[p] = Permutation([inst.cands.ids[k] for k in row])
+            ranked[p] = _as_permutation(inst.cands.ids, row)
     return ranked

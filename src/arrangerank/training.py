@@ -69,7 +69,7 @@ class TrainConfig:
 
 def learning_rate(cfg: TrainConfig, epoch: int) -> float:
     """Geometric decay hitting lr_initial at epoch 0 and lr_final at the last epoch."""
-    if cfg.epochs <= 1 or cfg.lr_initial == cfg.lr_final:
+    if cfg.epochs <= 1:
         return cfg.lr_initial
     frac = epoch / (cfg.epochs - 1)
     return cfg.lr_initial * (cfg.lr_final / cfg.lr_initial) ** frac
@@ -181,8 +181,7 @@ def train(model_kind: str, split: DatasetSplit, metric_for_oracle, cfg: TrainCon
     for epoch in range(cfg.epochs):
         lr = learning_rate(cfg, epoch)
         order = np.random.default_rng([cfg.seed, 7, epoch]).permutation(len(instances))
-        drop_rng = np.random.default_rng([cfg.seed, 11, epoch])
-        drop = DropoutPlan(cfg.dropout_rate, drop_rng) if cfg.dropout_rate > 0 else None
+        drop = DropoutPlan(cfg.dropout_rate, np.random.default_rng([cfg.seed, 11, epoch]))
         losses = np.empty(len(instances))
         done = 0
         while done < len(order):

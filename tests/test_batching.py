@@ -13,8 +13,8 @@ from arrangerank.clickmodels import ClickModelSpec, oracle_permutation, r_cm
 from arrangerank.data import DatasetSplit
 from arrangerank.evaluation import evaluate
 from arrangerank.loss import LossReport
-from arrangerank.model import (batch_loss, init_params, instance_loss, rank_instance,
-                               rank_instances, read_group, shape_groups)
+from arrangerank.model import (batch_loss, init_params, rank_instance, rank_instances,
+                               read_group, shape_groups)
 from arrangerank.reader import DropoutPlan
 from arrangerank.training import TrainConfig, save_model, train
 
@@ -82,7 +82,7 @@ def test_batched_losses_equal_single_instance_losses(kind, variant):
         rep = batch_loss(kind, params, group, loss_variant=variant)
         losses, terms_rows = np.reshape(rep.losses, -1), np.reshape(rep.terms, (len(group), -1))
         for inst, loss, terms in zip(group, losses, terms_rows):
-            single = instance_loss(kind, params, inst, loss_variant=variant)
+            single = batch_loss(kind, params, [inst], loss_variant=variant)
             assert abs(loss - single.total) <= 1e-12
             assert np.max(np.abs(terms - single.per_position)) <= 1e-12
         assert abs(rep.total - float(rep.tensor.values)) <= 1e-12

@@ -1,15 +1,16 @@
 import hashlib
 import json
 import re
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
 
-from arrangerank.cli import main
+from arrangerank.cli import build_parser, main
 from arrangerank.clickmodels import (ClickModelSpec, examination_prob, load_click_spec,
                                      metric_fingerprint, relevance_prob)
 from arrangerank.data import read_instances
-from arrangerank.training import ensure_oracles
+from arrangerank.training import TrainConfig, ensure_oracles
 
 
 def _run(*argv):
@@ -107,6 +108,20 @@ def test_train_config_file_and_flag_override(tmp_path):
     echo = (run / "config.echo.txt").read_text()
     assert "epochs = 1" in echo            # flag wins over file
     assert "embedding_dim = 8" in echo
+
+
+def test_train_loss_variant_flag_reaches_the_config(tmp_path):
+    data, split, run = tmp_path / "d", tmp_path / "s", tmp_path / "run"
+    _run("gen-data", "--users", "5", "--history-len", "4", "--out", str(data))
+    _run("split", "--data", str(data / "dataset.txt"), "--out", str(split))
+    assert _run("train", "--split-dir", str(split), "--epochs", "1", "--embedding-dim", "4",
+                "--loss-variant", "summation", "--out", str(run)) == 0
+    assert "loss_variant = summation" in (run / "config.echo.txt").read_text().splitlines()
+
+
+def test_every_train_config_key_has_a_train_flag():
+    args = build_parser().parse_args(["train", "--split-dir", "s", "--out", "o"])
+    assert set(asdict(TrainConfig())) <= set(vars(args))
 
 
 def test_missing_file_nonzero_exit(tmp_path, capsys):
@@ -421,6 +436,14 @@ _REJECTED = {  # arguments that fail each command's checks, and the message they
                                        "--r-max", "0"], "r_max must be >= 1, got 0"),
     "train --seed -1": (["train", "--split-dir", "{split}", "--seed", "-1"],
                         "seed must be >= 0, got -1"),
+    "train --loss-variant bogus": (["train", "--split-dir", "{split}", "--loss-variant",
+                                    "bogus"], "loss_variant must be 'listwise' or 'summation', "
+                                              "got 'bogus'"),
+    "oracle --metric ndcg --r-max 1": (["oracle", "--split-dir", "{split}", "--metric", "ndcg",
+                                        "--r-max", "1"],
+                                       "query q0: item 10 has grade 2 outside [0, 1]"),
+    "oracle --metric ndcg --r-max 0": (["oracle", "--split-dir", "{split}", "--metric", "ndcg",
+                                        "--r-max", "0"], "r_max must be >= 1, got 0"),
     "evaluate oracle_replay meta": (["evaluate", "--checkpoint", "{replay}", "--instances",
                                      "{inst}"], "{replay}:2: meta line: unknown model kind "
                                                 "'oracle_replay'"),

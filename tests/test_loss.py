@@ -56,6 +56,12 @@ def test_loss_is_negative_permutation_log_prob():
         assert abs(rep.total + lp) < 1e-12
 
 
+def test_sequence_loss_rejects_an_unknown_variant():
+    rout, params, _ = _setup(n=3)
+    with pytest.raises(ValueError, match=r"^unknown loss variant 'bogus'$"):
+        sequence_loss(rout, params, np.arange(3), "bogus")
+
+
 def test_loss_rejects_invalid_target():
     rout, params, _ = _setup(n=3)
     with pytest.raises(BijectionError):

@@ -250,6 +250,24 @@ def test_oracle_metric_switch_changes_supervision():
     assert variants["ndcg"] != variants["ubm"]
 
 
+def test_supervision_experiment_counts_the_oracles_ensure_oracles_makes():
+    from arrangerank.clickmodels import metric_fingerprint, oracle_permutation
+    from arrangerank.data import oracle_seed
+    from arrangerank.experiments import supervision_variant_experiment
+
+    res = supervision_variant_experiment(n_users=60, n_seeds=0)
+    train_set = temporal_split(generate_synthetic(60, history_len=8, seed=131)).train
+    pbm = ClickModelSpec(kind="pbm")
+    changed = 0  # the per-instance count the experiment once made itself
+    for inst in train_set:
+        orders = [oracle_permutation(inst.labels, m, oracle_seed(131, metric_fingerprint(m),
+                                                                 inst.query_id)).order
+                  for m in ("ndcg", pbm)]
+        changed += orders[0] != orders[1]
+    assert changed > 0
+    assert res.changed_fraction == changed / len(train_set)
+
+
 @pytest.mark.parametrize("metric", ["ndcg", ClickModelSpec(kind="pbm"),
                                     ClickModelSpec(kind="ubm")])
 def test_ensure_oracles_rejects_grades_above_r_max_naming_the_query(metric):
