@@ -4,11 +4,17 @@ The benchmark imports the package with its own import lines and is run on each
 committed tree, so a deleted or renamed name, or a dropped keyword it passes,
 would first fail there. These tests parse those lines with ``ast`` and check
 every name and keyword against the package, so the break shows here instead.
+The last test does the same for the error text the benchmark tallies apart.
 """
 import ast
 import importlib
 import inspect
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from arrangerank.clickmodels import ClickModelSpec, oracle_permutation
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -128,3 +134,16 @@ def test_every_model_kind_the_benchmark_names_is_valid():
                     rejected.append(f"perfbench/{source}:{node.lineno}: {name}: {e}")
     assert {"starank", "pointwise_baseline", "pointwise"} <= seen, seen
     assert not rejected, rejected
+
+
+def test_the_overflow_the_benchmark_tallies_apart_still_raises_its_message():
+    """``oracle`` tallies the int64 tie-count overflow of 40-item slates apart by the text of
+    ``checks.KNOWN_DEFECT``; under another message those calls would count as failed."""
+    [known] = [node.value.value for node in ast.parse((BENCH / "checks.py").read_text()).body
+               if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+               and [getattr(t, "id", None) for t in node.targets] == ["KNOWN_DEFECT"]]
+    labels = dict(enumerate(np.random.default_rng(40).integers(0, 5, 40).tolist()))
+    for metric in ("ndcg", ClickModelSpec(kind="pbm"), ClickModelSpec(kind="ubm")):
+        with pytest.raises(ValueError) as raised:
+            oracle_permutation(labels, metric, seed=1)
+        assert known in str(raised.value), (metric, str(raised.value))

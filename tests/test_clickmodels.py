@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -568,6 +569,67 @@ def test_tied_non_monotone_pbm_tables_match_the_exact_reference(case, seed):
     # position's tie set equal exact enumeration's
     labels, spec = case
     assert _oracle(labels, spec, seed) == _exact_oracle(labels, spec, seed)
+
+
+_TIED_TABLE = [0.5, 0.9, 0.5, 0.3, 0.9, 0.7, 0.3, 0.7, 0.5, 0.0,
+               0.9, 0.3, 0.7, 0.0, 0.5, 0.3, 0.9, 0.7, 0.0, 0.5]
+_QUARTERS = [[0.25 * (1 + (3 * i + 5 * j) % 4) for j in range(8)] for i in range(8)]
+_TIED_MAP = {0: 0.0, 1: 0.2, 2: 0.2, 3: 0.7, 4: 0.7}
+_GOLDEN_METRICS = {
+    "ndcg": ("ndcg", 20),
+    "pbm-tau0": (_pbm(tau=0.0), 20),
+    "pbm-tau0.5": (_pbm(tau=0.5), 20),
+    "pbm-tau1": (_pbm(), 20),
+    "pbm-tau1e-17": (_pbm(tau=1e-17), 20),
+    "ubm-tau0": (_ubm(tau=0.0), 20),
+    "ubm-tau1": (_ubm(), 20),
+    "pbm-tied-map": (_pbm(relevance_map=_TIED_MAP), 20),
+    "ubm-tied-map": (_ubm(relevance_map=_TIED_MAP), 20),
+    "pbm-tied-table": (_pbm(examination_table=_TIED_TABLE), 20),
+    "ubm-table": (_ubm(examination_table=_QUARTERS), 8),
+}
+
+
+def _golden_oracle_payload(metric, n_max):
+    """Picks and tie sets over slates of 1..n_max items: for each n, grades 0-4, grades 0-1
+    and one grade, on spread-out ids, each drawn under a small and a large seed."""
+    rng = np.random.default_rng(20)
+    parts = []
+    for n in range(1, n_max + 1):
+        ids = (rng.permutation(n) * 7 + 3).tolist()
+        for top in (4, 1, 0):
+            labels = dict(zip(ids, rng.integers(0, top + 1, n).tolist()))
+            groups = [sorted(g) for g in oracle_position_groups(labels, metric)]
+            picks = [oracle_permutation(labels, metric, seed).order for seed in (n, 2 ** 60 + n)]
+            parts.append(repr((sorted(labels.items()), picks, groups)).encode())
+    return b"\n".join(parts)
+
+
+# sha256 of the oracles' picks and tie sets over a fixed corpus, taken before the
+# sorting route was rebuilt around runs of positions: every pick and tie set must keep
+# its ids. Position weights come from numpy's log2 and float powers, so another numpy
+# build could in principle tie or split weights differently. Metrics whose maximizers are
+# the same arrangements (grade-descending, or all of them) share a digest.
+_GOLDEN_ORACLES = {
+    "ndcg": "0d678476dd60b5723ebd47280244de68941eed7f36afbfaeb4b0f6b02649df13",
+    "pbm-tau0": "0258f6f05a5758a2dd3e9e9ce6cdee10e713403f81137d98cce9096134a700d5",
+    "pbm-tau0.5": "0d678476dd60b5723ebd47280244de68941eed7f36afbfaeb4b0f6b02649df13",
+    "pbm-tau1": "0d678476dd60b5723ebd47280244de68941eed7f36afbfaeb4b0f6b02649df13",
+    "pbm-tau1e-17": "0258f6f05a5758a2dd3e9e9ce6cdee10e713403f81137d98cce9096134a700d5",
+    "ubm-tau0": "0258f6f05a5758a2dd3e9e9ce6cdee10e713403f81137d98cce9096134a700d5",
+    "ubm-tau1": "0d678476dd60b5723ebd47280244de68941eed7f36afbfaeb4b0f6b02649df13",
+    "pbm-tied-map": "59dc0eb446bf7828e38f8fe7de96f63f092faf66b0896cd089e3ab91dfefd322",
+    "ubm-tied-map": "59dc0eb446bf7828e38f8fe7de96f63f092faf66b0896cd089e3ab91dfefd322",
+    "pbm-tied-table": "6dd7f22f89f0566aca900816263de8866d495f8090c8a2249cd77ceb8e199e52",
+    "ubm-table": "be413cf5c57168fdec34007d1dcae8e0e0ce42c7bb0f21b8d65ceee64abcf0eb",
+}
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("case", sorted(_GOLDEN_ORACLES))
+def test_oracles_match_their_golden_digests(case):
+    payload = _golden_oracle_payload(*_GOLDEN_METRICS[case])
+    assert hashlib.sha256(payload).hexdigest() == _GOLDEN_ORACLES[case]
 
 
 def test_metric_fingerprint_distinguishes_configs():
