@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,6 +69,7 @@ class ClickModelSpec:
     def __post_init__(self):
         if self.kind not in (PBM, UBM):
             raise ValueError(f"unknown click model kind {self.kind!r}")
+        self.tau = float(self.tau)  # one fingerprint, whatever number type spells it
         if not self.tau >= 0:  # NaN fails too
             raise ValueError(f"tau must be >= 0, got {self.tau}")
         if self.r_max < 1:
@@ -80,6 +82,7 @@ class ClickModelSpec:
             if not np.all((self.examination_table >= 0) & (self.examination_table <= 1)):
                 raise ValueError("examination probabilities must lie in [0, 1]")  # NaN fails too
         if self.relevance_map is not None:
+            self.relevance_map = {operator.index(r): float(p) for r, p in self.relevance_map.items()}
             bad = {r: p for r, p in self.relevance_map.items() if not 0.0 <= p <= 1.0}
             if bad:
                 raise ValueError(f"relevance probabilities outside [0, 1]: {bad}")

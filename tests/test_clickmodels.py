@@ -639,6 +639,29 @@ def test_metric_fingerprint_distinguishes_configs():
     assert len(fps) == 6
 
 
+def test_one_metric_spelt_three_ways_has_one_fingerprint_and_one_tie_stream():
+    # the fingerprint scopes the tie seed, so it must not copy the caller's number types
+    from arrangerank.training import ensure_oracles
+    from conftest import make_instance
+
+    def orders(specs):
+        assert len({metric_fingerprint(spec) for spec in specs}) == 1
+        picks = set()
+        for spec in specs:
+            inst = make_instance(n=9, labels={i: i % 3 for i in range(9)})
+            inst.query_id = "q"
+            ensure_oracles([inst], spec, master_seed=1)
+            picks.add(inst.oracle.order)
+        return picks
+
+    # the pick tau = 1.0 has always drawn
+    assert orders([_pbm(tau=tau) for tau in (1.0, 1, np.float64(1.0))]) \
+        == {(8, 5, 2, 4, 7, 1, 6, 3, 0)}
+    assert len(orders([_pbm(relevance_map=rmap) for rmap in (
+        {0: 0.0, 1: 0.5, 2: 1.0}, {0: 0, 1: 0.5, 2: 1},
+        {np.int64(g): np.float64(g / 2) for g in range(3)})])) == 1
+
+
 def test_metric_fingerprint_keys_on_every_cell_and_the_shape():
     # two tables that differ only in their third cell
     assert (metric_fingerprint(_pbm(examination_table=[1.0, 0.5, 0.3]))
