@@ -25,8 +25,10 @@ candidates. Either description gives the pick and the per-position tie sets.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -82,7 +84,8 @@ class ClickModelSpec:
             if not np.all((self.examination_table >= 0) & (self.examination_table <= 1)):
                 raise ValueError("examination probabilities must lie in [0, 1]")  # NaN fails too
         if self.relevance_map is not None:
-            self.relevance_map = {operator.index(r): float(p) for r, p in self.relevance_map.items()}
+            self.relevance_map = {operator.index(r): float(p)
+                                  for r, p in self.relevance_map.items()}
             bad = {r: p for r, p in self.relevance_map.items() if not 0.0 <= p <= 1.0}
             if bad:
                 raise ValueError(f"relevance probabilities outside [0, 1]: {bad}")
@@ -300,92 +303,74 @@ def metric_fingerprint(metric) -> str:
 # ------------------------------------------------------------ oracle search
 
 
-def _item_values(labels: dict[int, int], metric) -> tuple[list[int], list[float]]:
-    """Ascending ids and the value the metric attaches to each, computed once per grade."""
+def _value_pools(labels: dict[int, int], metric) -> dict[float, list[int]]:
+    """The ascending ids of each value the metric gives a grade, the first id's grade first."""
     if not labels:
         raise ValueError("cannot build an oracle for an empty candidate set")
-    if metric != "ndcg" and not isinstance(metric, ClickModelSpec):
+    ndcg = metric == "ndcg"
+    if not ndcg and not isinstance(metric, ClickModelSpec):
         raise ValueError(f"metric must be 'ndcg' or a ClickModelSpec, got {metric!r}")
-    ids = sorted(map(int, labels))
-    grades = [labels[i] for i in ids]
-    by_grade = {g: 2.0 ** g - 1.0 if metric == "ndcg" else relevance_prob(metric, g)
-                for g in dict.fromkeys(grades)}  # the first id's grade is checked first
-    return ids, [by_grade[g] for g in grades]
-
-
-def _position_weights(metric, values: list[float]) -> list[float] | None:
-    """Position weights with the metric's maximizers; None for an explicit browsing table.
-
-    The default browsing model's maximizers are the value-descending arrangements when
-    tau > 0 and all when tau = 0 (property-tested against brute force); an explicit browsing
-    table makes every arrangement tie only when every value does."""
-    n = len(values)
-    if metric == "ndcg":
-        return (1.0 / np.log2(np.arange(2, n + 2))).tolist()
-    if metric.kind == PBM:
-        return _examination(metric, n)
-    if metric.examination_table is None:
-        return [float(n - p) if metric.tau > 0.0 else 1.0 for p in range(n)]
-    return [1.0] * n if min(values) == max(values) else None
-
-
-def _plan(metric, values: list[float]) -> tuple[list[list[float]], int] | None:
-    """Per position, the values its weight class takes (one descending list per class), and
-    the maximizer count; None for an explicit browsing table.
-
-    Swapping the items at positions p and q changes a weighted sum by (w_p - w_q)(v_a - v_b), so
-    the maximizers give each class of equal-weight positions the values it gets when the classes,
-    heaviest first, take the values in descending order. For class sizes r_W, m_{W,v} values v
-    in class W and n_v items of value v there are prod_W r_W! / prod_v m_{W,v}! * prod_v n_v!.
-    """
-    weights = _position_weights(metric, values)
-    if weights is None:
-        return None
-    by_weight = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
-    takes: list = [None] * len(weights)
-    count, weight, value, run = 1, None, None, 0
-    for p, v in zip(by_weight, sorted(values, reverse=True)):
-        if weights[p] != weight:
-            weight, cls, m = weights[p], [], 0
-        run, m = (run + 1, m + 1) if v == value else (1, 1)
-        value = v
-        cls.append(v)
-        count = count * run * len(cls) // m  # the formula, one item at a time
-        takes[p] = cls
-    return takes, count
-
-
-def _pools(ids: list[int], values: list[float]) -> dict[float, list[int]]:
-    pools: dict[float, list[int]] = {}  # the ascending ids of each value
-    for i, v in zip(ids, values):
-        pools.setdefault(v, []).append(i)
+    pools: dict[float, list[int]] = {}
+    pool_of: dict[int, list[int]] = {}  # grade -> the pool of its value
+    for i in sorted(map(int, labels)):
+        if (g := labels[i]) not in pool_of:
+            pool_of[g] = pools.setdefault(2.0 ** g - 1.0 if ndcg else relevance_prob(metric, g), [])
+        pool_of[g].append(i)
     return pools
 
 
-def _unrank(ids: list[int], values: list[float], takes: list[list[float]], count: int,
-            u: int) -> list[int]:
-    """The u-th of the ``count`` maximizers ``takes`` describes, in lexicographic id order.
+_CLASSES: dict = {}  # (metric_fingerprint, n) -> (spans, blocks) of _weight_classes
 
-    At each position, each id whose value v its class W still takes completes
-    count * m_{W,v} / (r_W * n_v) maximizers: count / n_v when one value is
-    left, so one divmod picks the id and the class needs no more counting.
-    """
-    pools, order = _pools(ids, values), []
-    for cls in takes:
-        if cls[0] == cls[-1]:
-            v = cls[0]
-            count //= len(pools[v])
-            k, u = divmod(u, count)
-        else:
-            for i, v in sorted((i, v) for v in set(cls) for i in pools[v]):
-                below = count * cls.count(v) // (len(cls) * len(pools[v]))
-                if u < below:
-                    break
-                u -= below
-            count, k = below, pools[v].index(i)
-            cls.remove(v)
-        order.append(pools[v].pop(k))
-    return order
+
+def _weight_classes(metric, n: int, pools) -> tuple[list, list] | None:
+    """With positions ranked by descending weight: each rank's class of equal weights as (first,
+    end) ranks, and the positions in order as blocks (first rank, length) of consecutive ranks,
+    memoised per (metric_fingerprint, n); None for an explicit browsing table unless every value
+    ties. Default browsing weights: value-descending maximizers, all at tau 0 (property-tested)."""
+    if metric != "ndcg" and metric.kind == UBM and metric.examination_table is not None:
+        return ([(0, n)] * n, [(0, n)]) if len(pools) == 1 else None
+    if (key := (metric_fingerprint(metric), n)) not in _CLASSES:
+        w = ((1.0 / np.log2(np.arange(2, n + 2))).tolist() if metric == "ndcg" else
+             _examination(metric, n) if metric.kind == PBM else
+             [float(n - p) if metric.tau > 0.0 else 1.0 for p in range(n)])
+        by_w = sorted(range(n), key=w.__getitem__, reverse=True)
+        ends = [k for k in range(1, n + 1) if k == n or w[by_w[k]] != w[by_w[k - 1]]]
+        rank = sorted(range(n), key=by_w.__getitem__)
+        blocks = (list(ps) for _, ps in itertools.groupby(range(n), lambda p: rank[p] - p))
+        _CLASSES[key] = ([(a, b) for a, b in zip([0] + ends, ends) for _ in range(a, b)],
+                         [(rank[ps[0]], len(ps)) for ps in blocks])
+    return _CLASSES[key]
+
+
+def _runs(classes: tuple[list, list], pools: dict[float, list[int]]):
+    """Yields the maximizer count, then (take, length) runs in position order.
+
+    Swapping the items at positions p and q changes a weighted sum by (w_p - w_q)(v_a - v_b), so
+    the maximizers give each class of equal weights the values it gets when the classes, heaviest
+    first, take the values in descending order: one value, or a list shared by the class's runs.
+    With n_v items of value v, m_{W,v} of them in class W of size r_W, that makes
+    prod_v n_v! * prod_W r_W! / prod_v m_{W,v}! maximizers."""
+    (spans, blocks), values = classes, sorted(pools, reverse=True)
+    sizes = [len(pools[v]) for v in values]
+    tops, count = list(itertools.accumulate(sizes)), math.prod(map(math.factorial, sizes))
+    ends, takes, j = [0], [], 0  # segments of ranks, heaviest first
+    while j < len(values):
+        first, end = spans[tops[j] - 1]  # the class of values[j]'s last rank
+        if end != tops[j] and first == ends[-1]:  # it mixes values: its list, its multinomial
+            takes.append([values[bisect.bisect_right(tops, r)] for r in range(first, end)])
+            count = count * math.factorial(end - first) // math.prod(
+                map(math.factorial, map(takes[-1].count, set(takes[-1]))))
+            j = bisect.bisect_right(tops, end)
+        else:  # values[j] alone, through that class or up to it
+            takes.append(values[j])
+            end, j = (end, j + 1) if end == tops[j] else (first, j)
+        ends.append(end)
+    yield count
+    for rank, length in blocks:
+        k, stop = bisect.bisect_right(ends, rank), rank + length
+        while rank < stop:
+            yield takes[k - 1], min(ends[k], stop) - rank
+            rank, k = ends[k], k + 1
 
 
 @functools.cache
@@ -449,11 +434,13 @@ def _browsing_scores(values: np.ndarray, metric, tail: np.ndarray):
         yield p, rest, _browse(tail, values[rest], gams, qs[c], ss[c], bufs)[1]
 
 
-def _maximizers(ids: list[int], values: list[float], metric) -> np.ndarray:
-    """Index rows of every arrangement maximizing an explicit browsing table, int8, in
-    lexicographic order: one pass over blocks of at most 8! rows scored by ``_browsing_scores``;
-    a block whose best score beats the running maximum discards the rows kept so far.
+def _maximizers(pools: dict[float, list[int]], metric) -> tuple[list[int], np.ndarray]:
+    """Ascending ids, and int8 index rows into them of every arrangement maximizing an explicit
+    browsing table in lexicographic order: one pass over blocks of at most 8! rows scored by
+    ``_browsing_scores``; a block whose best score beats the running maximum drops those kept.
     """
+    value = {i: v for v, ids in pools.items() for i in ids}
+    ids = sorted(value)
     n = len(ids)
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(
@@ -461,7 +448,7 @@ def _maximizers(ids: list[int], values: list[float], metric) -> np.ndarray:
             "browsing-model table; rank label-descending (greedy) instead")
     tail = _perm_table(min(n, 8))
     best, rows = -np.inf, []
-    for p, rest, scores in _browsing_scores(np.array(values), metric, tail):
+    for p, rest, scores in _browsing_scores(np.array([value[i] for i in ids]), metric, tail):
         top = float(scores.max())
         if top > best:
             best, rows = top, []
@@ -469,7 +456,7 @@ def _maximizers(ids: list[int], values: list[float], metric) -> np.ndarray:
             keep = tail[scores == top]  # after the prefix p, indices into rest
             rows.append(np.hstack([np.tile(np.array(p, dtype=np.int8), (len(keep), 1)),
                                    rest[keep]]))
-    return np.concatenate(rows)
+    return ids, np.concatenate(rows)
 
 
 def oracle_permutation(labels: dict[int, int], metric, seed: int) -> Permutation:
@@ -477,26 +464,39 @@ def oracle_permutation(labels: dict[int, int], metric, seed: int) -> Permutation
     indexes the tied maximizers in lexicographic id order. Position weights decode it in
     closed form; an explicit browsing table is enumerated, up to ``ENUMERATION_CAP`` items.
     """
-    ids, values = _item_values(labels, metric)
-    rng = np.random.default_rng(seed)
-    plan = _plan(metric, values)
-    if plan is None:
-        rows = _maximizers(ids, values, metric)
+    pools, rng = _value_pools(labels, metric), np.random.default_rng(seed)
+    if (classes := _weight_classes(metric, len(labels), pools)) is None:
+        ids, rows = _maximizers(pools, metric)
         return Permutation([ids[j] for j in rows[rng.integers(len(rows))]])
-    takes, count = plan
-    return Permutation(_unrank(ids, values, takes, count, int(rng.integers(count))))
+    count = next(runs := _runs(classes, pools))
+    u, order = int(rng.integers(count)), []  # drawn before the runs are laid out
+    for take, length in runs:
+        if not isinstance(take, list):  # an id of v completes count / n_v: one divmod picks it
+            pool = pools[take]
+            for _ in range(length):
+                count //= len(pool)
+                k, u = divmod(u, count)
+                order.append(pool.pop(k))
+            continue
+        for _ in range(length):  # an id of v completes count * m_{W,v} / (r_W * n_v)
+            for i, v in sorted((i, v) for v in set(take) for i in pools[v]):
+                below = count * take.count(v) // (len(take) * len(pools[v]))
+                if u < below:
+                    break
+                u -= below
+            count = below
+            take.remove(v)
+            pools[v].remove(i)
+            order.append(i)
+    return Permutation(order)
 
 
 def oracle_position_groups(labels: dict[int, int], metric) -> list[set[int]]:
     """For each position, the ids some maximizer places there (the tie sets)."""
-    ids, values = _item_values(labels, metric)
-    plan = _plan(metric, values)
-    if plan is None:
-        rows = _maximizers(ids, values, metric)
+    pools = _value_pools(labels, metric)
+    if (classes := _weight_classes(metric, len(labels), pools)) is None:
+        ids, rows = _maximizers(pools, metric)
         return [{ids[j] for j in np.unique(col)} for col in rows.T]
-    pools, groups = _pools(ids, values), []
-    for cls in plan[0]:
-        groups.append(set(pools[cls[0]]))
-        for v in set(cls[1:]):
-            groups[-1].update(pools[v])
-    return groups
+    next(runs := _runs(classes, pools))  # the count
+    return [set().union(*(pools[v] for v in set(take if isinstance(take, list) else [take])))
+            for take, length in runs for _ in range(length)]

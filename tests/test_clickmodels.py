@@ -491,7 +491,10 @@ def _prefix_shared_browsing(values, spec):
 
     blocks = cm._browsing_scores(values, spec, cm._perm_table(min(len(values), 8)))
     scores = np.concatenate([s.copy() for _, _, s in blocks])  # each block reuses the buffers
-    return cm._maximizers(list(range(len(values))), values, spec), scores
+    pools = {}
+    for i, v in enumerate(values.tolist()):
+        pools.setdefault(v, []).append(i)
+    return cm._maximizers(pools, spec)[1], scores
 
 
 _quarter = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
