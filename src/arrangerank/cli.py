@@ -122,17 +122,20 @@ def _cmd_oracle(args) -> int:
         raise FileNotFoundError(f"{args.split_dir}: no train.txt, validation.txt or test.txt")
     t0 = time.perf_counter()
     filled = [read_instances(src) for src in sources]
+    t1 = time.perf_counter()
     n = sum(ensure_oracles(instances, metric, args.seed, args.r_max) for instances in filled)
+    t2 = time.perf_counter()
     out = _out_dir(args.out)  # only once every source has passed its checks
     outputs = [out / src.name for src in sources]
     for instances, path in zip(filled, outputs):
         write_instances(instances, path)
-    took = time.perf_counter() - t0
+    t3 = time.perf_counter()
     _echo_config(out, {"metric": metric_fingerprint(metric), "seed": args.seed,
                        "r_max": getattr(metric, "r_max", args.r_max)})  # a click model's own
     inputs = ([Path(args.click_config)] if args.click_config else []) + sources
     _write_manifest(out, "oracle", {"seed": args.seed}, inputs, outputs)
-    print(f"computed {n} oracle permutations in {took:.2f}s")
+    print(f"computed {n} oracle permutations in {t2 - t1:.2f}s ({n / max(t2 - t1, 1e-9):.0f}/s); "
+          f"read {t1 - t0:.2f}s, wrote {t3 - t2:.2f}s")
     return 0
 
 

@@ -95,6 +95,16 @@ def test_full_recipe_and_artifacts(tmp_path):
     assert len(attn) == 1
 
 
+def test_oracle_reports_read_fill_and_write_apart(tmp_path, capsys):
+    data, split = tmp_path / "d", tmp_path / "s"
+    _run("gen-data", "--users", "5", "--history-len", "4", "--out", str(data))
+    _run("split", "--data", str(data / "dataset.txt"), "--out", str(split))
+    capsys.readouterr()
+    assert _run("oracle", "--split-dir", str(split), "--out", str(tmp_path / "o")) == 0
+    assert re.fullmatch(r"computed 15 oracle permutations in \d+\.\d\ds \(\d+/s\); "
+                        r"read \d+\.\d\ds, wrote \d+\.\d\ds\n", capsys.readouterr().out)
+
+
 def test_train_config_file_and_flag_override(tmp_path):
     data, split = tmp_path / "d", tmp_path / "s"
     _run("gen-data", "--users", "5", "--history-len", "4", "--out", str(data))
