@@ -322,13 +322,13 @@ def _value_pools(labels: dict[int, int], metric) -> dict[float, list[int]]:
 _CLASSES: dict = {}  # (metric_fingerprint, n) -> (spans, blocks) of _weight_classes
 
 
-def _weight_classes(metric, n: int, pools) -> tuple[list, list] | None:
+def _weight_classes(metric, n: int, pools) -> tuple[tuple, tuple] | None:
     """With positions ranked by descending weight: each rank's class of equal weights as (first,
     end) ranks, and the positions in order as blocks (first rank, length) of consecutive ranks,
     memoised per (metric_fingerprint, n); None for an explicit browsing table unless every value
     ties. Default browsing weights: value-descending maximizers, all at tau 0 (property-tested)."""
     if metric != "ndcg" and metric.kind == UBM and metric.examination_table is not None:
-        return ([(0, n)] * n, [(0, n)]) if len(pools) == 1 else None
+        return (((0, n),) * n, ((0, n),)) if len(pools) == 1 else None
     if (key := (metric_fingerprint(metric), n)) not in _CLASSES:
         w = ((1.0 / np.log2(np.arange(2, n + 2))).tolist() if metric == "ndcg" else
              _examination(metric, n) if metric.kind == PBM else
@@ -337,12 +337,12 @@ def _weight_classes(metric, n: int, pools) -> tuple[list, list] | None:
         ends = [k for k in range(1, n + 1) if k == n or w[by_w[k]] != w[by_w[k - 1]]]
         rank = sorted(range(n), key=by_w.__getitem__)
         blocks = (list(ps) for _, ps in itertools.groupby(range(n), lambda p: rank[p] - p))
-        _CLASSES[key] = ([(a, b) for a, b in zip([0] + ends, ends) for _ in range(a, b)],
-                         [(rank[ps[0]], len(ps)) for ps in blocks])
+        _CLASSES[key] = (tuple((a, b) for a, b in zip([0] + ends, ends) for _ in range(a, b)),
+                         tuple((rank[ps[0]], len(ps)) for ps in blocks))  # shared: read-only
     return _CLASSES[key]
 
 
-def _runs(classes: tuple[list, list], pools: dict[float, list[int]]):
+def _runs(classes: tuple[tuple, tuple], pools: dict[float, list[int]]):
     """Yields the maximizer count, then (take, length) runs in position order.
 
     Swapping the items at positions p and q changes a weighted sum by (w_p - w_q)(v_a - v_b), so
