@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from arrangerank import training
 from arrangerank.autodiff import Tape
+from arrangerank.cli import main
 from arrangerank.clickmodels import ClickModelSpec
-from arrangerank.data import DatasetSplit, generate_synthetic, temporal_split
+from arrangerank.data import DatasetSplit, generate_synthetic, temporal_split, write_instances
+from arrangerank.evaluation import evaluate
 from arrangerank.model import ModelDims, init_params
 from arrangerank.params import CheckpointError, ParamStore, load_checkpoint, save_checkpoint
 from arrangerank.training import (TrainConfig, _Sgd, dims_for, ensure_oracles, learning_rate,
@@ -169,13 +172,10 @@ _GOLDEN_CHECKPOINTS = {
 }
 
 
-@pytest.mark.golden
-@pytest.mark.parametrize("case", sorted(_GOLDEN_CHECKPOINTS))
-def test_trained_checkpoints_match_their_golden_digests(tmp_path, case):
+def _golden_run(kind, variant="listwise", group=None):
     """Two epochs with dropout 0.3 over slates of 4 and 5 items whose histories hold 0, 1
     or 2 items, so some groups read an empty history and others run the recurrent cell;
     or over one batch of ``group`` 5-item instances with 2-item histories."""
-    kind, variant, group, want = _GOLDEN_CHECKPOINTS[case]
     if group is None:
         split = DatasetSplit(train=[make_instance(seed=k, n=4 + k % 2, hist_len=k % 3)
                                     for k in range(18)])
@@ -183,9 +183,118 @@ def test_trained_checkpoints_match_their_golden_digests(tmp_path, case):
         split = DatasetSplit(train=[make_instance(seed=k, n=5, hist_len=2) for k in range(group)])
     cfg = _small_cfg(dropout_rate=0.3, loss_variant=variant, batch_size=group or 4)
     params, _ = train(kind, split, "ndcg", cfg)
+    return params, cfg, split
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("case", sorted(_GOLDEN_CHECKPOINTS))
+def test_trained_checkpoints_match_their_golden_digests(tmp_path, case):
+    kind, variant, group, want = _GOLDEN_CHECKPOINTS[case]
+    params, cfg, split = _golden_run(kind, variant, group)
     path = tmp_path / "model.txt"
     save_model(params, path, kind, dims_for(cfg, split.train[0]), cfg)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+
+_golden_model = functools.cache(_golden_run)  # evaluate and inspect never write to params
+
+
+def _held_out():
+    """24 instances the golden models never trained on: slates of 4-6 items, histories of
+    0-3 items, grades 0-4."""
+    return [make_instance(seed=100 + k, n=4 + k % 3, hist_len=k % 4) for k in range(24)]
+
+
+_GOLDEN_SPECS = {
+    "default": None,  # evaluate's own P and U columns
+    "pbm-table": {"P": ClickModelSpec(kind="pbm", examination_table=[
+        0.6, 1.0, 0.9, 0.7, 0.5, 0.4, 0.3, 0.25])},
+    "ubm-quarters": {"U": ClickModelSpec(kind="ubm", examination_table=[
+        [0.25 * (1 + (3 * i + 5 * j) % 4) for j in range(8)] for i in range(8)])},
+}
+# sha256 of each evaluate table of the golden models on the held-out instances at ks 3, 5
+# and 10, as to_csv() bytes and as repr of its means. Taken on the build named above, while
+# evaluate still ranked through the model kinds' harness: scoring given rankings keeps every
+# byte.
+_GOLDEN_TABLES = {
+    ("pointwise_baseline", "default"):
+        ("13435cf3f8a21cc3ca7553363faced82b3aa1a071bc000b4ac91ce58fc340440",
+         "f47b80649f74fd54d4ea82f1042c3b567fe8e4ff246f5d47978cf65371b084a8"),
+    ("pointwise_baseline", "pbm-table"):
+        ("0301727efadd390656231918a2b8d01267df4d7e7ab607311f0945f7bed1383b",
+         "4ea8f7deb3d391152561a074c717029190a89b774e39951b31dbf7af5e5dcc15"),
+    ("pointwise_baseline", "ubm-quarters"):
+        ("257690b6468e3d9abbc7f41f85a92ef70604ffc64e17a9a9378d82e0fb387161",
+         "2b165ed5178731b2aa4d0bf51e7b75671b26e703368f100ce4adf890939a6cd4"),
+    ("starank", "default"):
+        ("63128642684606886ac1894093a5a17ec9c7dbdc596e4df4aa6f06303ddcbdf1",
+         "bbd5bd94db2b665c8c7c04229827ece0966587a639c88e1f353203b9731a2d53"),
+    ("starank", "pbm-table"):
+        ("274fc71dc936e275a9700845ecf13e747495cfbb6c6612d503cae4c686153cf3",
+         "7cd2da2f63670c45369f388b3458933b00381288ddb617a4e49b96335ceb82c9"),
+    ("starank", "ubm-quarters"):
+        ("6f692d4cc0a122ab50bf28b24dcb05d31c6902f2a912e4816ad9edda1d7e6d75",
+         "15d86e7cb9ab62b2d9012b5404a53141f3ed7798a6d37fb0fd654f60f77d5b3f"),
+    ("starank_pi_mlp", "default"):
+        ("f4de6d9c0a94c119298ef3a1c13d3ce56a408e422cdc69d0cf3ad0de59c9895e",
+         "afe569e3c46dd3e06fc26605ac3b06564f4fab6d438b6c91d9d8fa301f98d3b2"),
+    ("starank_pi_mlp", "pbm-table"):
+        ("a4aeff57b7adfb60592602caa7eec4361b522e8983cb49c4d2190901c61ac376",
+         "5331830631fdd2098bb27e36e3b96d61d221057ea74fc21eacc56b9116853133"),
+    ("starank_pi_mlp", "ubm-quarters"):
+        ("5da000054b6b1db74eab627937ee66a160c3010873fcd8799c7fd6b68196db90",
+         "6e893015081279e9327cf862b38e8dcbd2719dc2ab5f230c9f4640668df85e2d"),
+    ("starank_ps_mlp", "default"):
+        ("4d0d31833a81f0c294cc8657d0b4c749c4e1f2d616c33948f71e6ddcc43eec02",
+         "0ef7d78eb4b432eefd6537d067f116a1d3bba11e69cbc43e8d1398c1779cfd66"),
+    ("starank_ps_mlp", "pbm-table"):
+        ("f76f3bc485a4e77c73da2bf1a005897c2f6869a78632d08d1430cf3708a720c9",
+         "67dc2378a77e32ac326fb701c3a292e6e05bd81ed1fe7b28b7aca7e36c5ecfc8"),
+    ("starank_ps_mlp", "ubm-quarters"):
+        ("bbd785d1f4625e047625a12c417136c43dfcc1df038017289e658d35da0b2f13",
+         "96dd3aab008c94fae4c62387c7dab2b6a582bf470f5a4dd8a125a70dcc8b6452"),
+}
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("kind, specs", sorted(_GOLDEN_TABLES))
+def test_evaluate_tables_match_their_golden_digests(kind, specs):
+    params, _, _ = _golden_model(kind)
+    table = evaluate(params, kind, _held_out(), ks=(3, 5, 10), click_specs=_GOLDEN_SPECS[specs])
+    got = (hashlib.sha256(table.to_csv().encode()).hexdigest(),
+           hashlib.sha256(repr(table.means).encode()).hexdigest())
+    assert got == _GOLDEN_TABLES[kind, specs]
+
+
+# sha256 of `arrangerank inspect`'s pointing matrices (each file's name and bytes, in name
+# order) and of its betas.csv, for three held-out instances of different shapes.
+_GOLDEN_INSPECT = {
+    "starank":
+        ("dbcbde07f770fb01b7b9d64a37ac1637980829cf59df1b39367ee54bb8f25056",
+         "30877d485253a1f114070af62d50abe5bc8415785e5fb9a699bb499f40221c7a"),
+    "starank_pi_mlp":
+        ("ca98aa5e1025d251a69f4f09a708b5ef208c29c3e461b7ceff1a88306a3edbda",
+         "ea506d208bd82e5384f685f201887e27952c6ecb3fd49ab81096b4d2b67b9cf6"),
+    "starank_ps_mlp":
+        ("fde919c53b1c84a86ebf54f0c295aa1b7fd39463f5035afe35a20fb1e30e790d",
+         "dfcc2b4673407039f9a826212b4c30416d29077041b5bc920b3228688085185a"),
+}
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("kind", sorted(_GOLDEN_INSPECT))
+def test_inspect_files_match_their_golden_digests(tmp_path, kind):
+    params, cfg, split = _golden_model(kind)
+    ckpt, instances, out = tmp_path / "model.txt", tmp_path / "test.txt", tmp_path / "inspect"
+    save_model(params, ckpt, kind, dims_for(cfg, split.train[0]), cfg)
+    write_instances(_held_out(), instances)
+    assert main(["inspect", "--checkpoint", str(ckpt), "--instances", str(instances),
+                 "--query-ids", "test:100", "test:105", "test:110", "--out", str(out)]) == 0
+    matrices = b"".join(p.name.encode() + b"\n" + p.read_bytes()
+                        for p in sorted(out.glob("attention_*.csv")))
+    got = (hashlib.sha256(matrices).hexdigest(),
+           hashlib.sha256((out / "betas.csv").read_bytes()).hexdigest())
+    assert got == _GOLDEN_INSPECT[kind]
 
 
 def test_a_one_shape_batch_trains_on_one_tape_per_step(tmp_path, monkeypatch):
