@@ -1,16 +1,16 @@
 """Evaluation harness: ranking metrics at cutoffs, per-position accuracy, exports.
 
-For every instance the model under evaluation produces one permutation
-(greedy decode for arranger kinds, score-sort for the baseline). Instances
-sharing history length and slate size are ranked and then scored as one
-batch of arrays; the harness reports the mean over instances of:
+``score_rankings`` scores one given ranking per instance; ``evaluate`` first ranks
+the instances with a model (greedy decode for arranger kinds, score-sort for the
+baseline). Instances sharing history length and slate size are scored as one batch
+of arrays; the table holds the mean over instances of:
 
 * N@K   gain-discount ranking quality against the ideal order
 * M@K   average precision at K with labels binarized at ceil(r_max / 2)
 * P@K / U@K   expected clicks down to K under a position-based / browsing
   simulated user
 
-Everything here is pure: the same parameters and instances always produce
+Everything here is pure: the same rankings and instances always produce
 the identical table (instances are summed in order).
 """
 from __future__ import annotations
@@ -42,11 +42,6 @@ def map_rows(grades: np.ndarray, k: int, threshold: int) -> np.ndarray:
                      out=np.zeros(len(grades)), where=n_rel > 0)
 
 
-def map_at_k(pi: Permutation, labels: dict[int, int], k: int, threshold: int) -> float:
-    """Average precision at k, labels binarized at ``threshold``; 0 if nothing relevant."""
-    return float(map_rows(served_grades([(pi, labels)]), k, threshold)[0])
-
-
 @dataclass
 class MetricTable:
     columns: list[str]
@@ -66,17 +61,24 @@ class MetricTable:
         return "\n".join(lines) + "\n"
 
 
-def evaluate(params, model_kind: str, instances: list[Instance],
-             ks: tuple[int, ...] = (5, 10),
-             click_specs: dict[str, ClickModelSpec] | None = None,
-             r_max: int = 4) -> MetricTable:
-    """Mean metric table over instances; see module docstring for the columns."""
+def _check_counts(ranked: list[Permutation], instances: list[Instance]) -> None:
     if not instances:
         raise EmptyEvaluationError("no instances to evaluate")
+    if len(ranked) != len(instances):
+        raise ValueError(f"{len(ranked)} rankings for {len(instances)} instances")
+
+
+def score_rankings(ranked: list[Permutation], instances: list[Instance],
+                   ks: tuple[int, ...] = (5, 10),
+                   click_specs: dict[str, ClickModelSpec] | None = None,
+                   r_max: int = 4) -> MetricTable:
+    """Mean metric table of ``ranked[i]`` served on ``instances[i]``; see module docstring
+    for the columns."""
+    _check_counts(ranked, instances)
     if click_specs is None:
         click_specs = {"P": ClickModelSpec(kind="pbm", r_max=r_max),
                        "U": ClickModelSpec(kind="ubm", r_max=r_max)}
-    cutoff_depth(min(ks), 1)  # a cutoff below 1, or a repeated one, fails before the decode
+    cutoff_depth(min(ks), 1)
     if len(set(ks)) < len(ks):
         raise ValueError(f"cutoff k repeats: {', '.join(map(str, ks))}")
     check_grades(instances, r_max)
@@ -86,7 +88,6 @@ def evaluate(params, model_kind: str, instances: list[Instance],
     threshold = math.ceil(r_max / 2)
     columns = [f"{name}@{k}" for name in ["N", "M", *click_specs] for k in ks]
     values = np.empty((len(instances), len(columns)))
-    ranked = rank_instances(model_kind, params, instances)
     for positions in shape_groups(instances):
         grades = served_grades([(ranked[p], instances[p].labels) for p in positions])
         cols = [ndcg_rows(grades, k) for k in ks] + [map_rows(grades, k, threshold) for k in ks]
@@ -99,17 +100,24 @@ def evaluate(params, model_kind: str, instances: list[Instance],
     return MetricTable(columns, dict(zip(columns, means.tolist())), len(instances))
 
 
-def accuracy_at_position(params, model_kind: str, instances: list[Instance]) -> np.ndarray:
-    """Mean exact-match indicator per position against the NDCG oracle tie sets.
+def evaluate(params, model_kind: str, instances: list[Instance],
+             ks: tuple[int, ...] = (5, 10),
+             click_specs: dict[str, ClickModelSpec] | None = None,
+             r_max: int = 4) -> MetricTable:
+    """``score_rankings`` of the model's own rankings of the instances."""
+    return score_rankings(rank_instances(model_kind, params, instances), instances, ks,
+                          click_specs, r_max)
+
+
+def accuracy_at_position(ranked: list[Permutation], instances: list[Instance]) -> np.ndarray:
+    """Mean exact-match indicator per position of each ranking against the NDCG oracle tie sets.
 
     A position counts as correct when the placed item appears there in some
     NDCG-maximizing arrangement, that is when its grade is the position's grade in
     grade-descending order, so label ties never punish an equally-good choice.
     """
-    if not instances:
-        raise EmptyEvaluationError("no instances to evaluate")
+    _check_counts(ranked, instances)
     hits, counts = np.zeros((2, max(len(inst.cands) for inst in instances)))
-    ranked = rank_instances(model_kind, params, instances)
     for positions in shape_groups(instances):
         grades = served_grades([(ranked[p], instances[p].labels) for p in positions])
         hits[:grades.shape[1]] += np.sum(grades == -np.sort(-grades, axis=1), axis=0)

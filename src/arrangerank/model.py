@@ -7,16 +7,11 @@ Four trainable rankers share this interface:
 * ``starank_ps_mlp``      same, but history mean-pooled through an MLP
 * ``pointwise_baseline``  recurrent history encoder + per-item MLP score, ranked by sort
 
-Two parameter-free kinds exist for evaluation harness baselines:
-``oracle_replay`` (emits the stored oracle) and ``uniform_random`` (seeded
-shuffle; pass the seed as ``params``).
-
 Batches are groups of instances sharing (history length, slate size), so
 they stack without padding; a single instance runs the same code unbatched.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,30 +179,14 @@ def batch_loss(kind: str, params: ParamStore, instances: list[Instance],
                          np.reshape(targets, shape), loss_variant)
 
 
-def _stable_int(text: str) -> int:
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
-def rank_instance(kind: str, params, inst: Instance) -> Permutation:
-    """Greedy ranking for trainable kinds; see module docstring for the rest."""
+def rank_instance(kind: str, params: ParamStore, inst: Instance) -> Permutation:
+    """Greedy decode for arranger kinds, score-sort for the baseline."""
     return rank_instances(kind, params, [inst])[0]
 
 
-def rank_instances(kind: str, params, instances: list[Instance]) -> list[Permutation]:
-    """``rank_instance`` for every instance; trainable kinds rank each
-    (history length, slate size) group in one array pass."""
-    if kind == "oracle_replay":
-        for inst in instances:
-            if inst.oracle is None:
-                raise ValueError(f"instance {inst.query_id} has no oracle to replay")
-        return [inst.oracle for inst in instances]
-    if kind == "uniform_random":
-        ranked = []
-        for inst in instances:
-            order = list(inst.cands.ids)
-            np.random.default_rng([int(params), _stable_int(inst.query_id)]).shuffle(order)
-            ranked.append(Permutation(order))
-        return ranked
+def rank_instances(kind: str, params: ParamStore, instances: list[Instance]) -> list[Permutation]:
+    """``rank_instance`` for every instance, each (history length, slate size) group in one
+    array pass."""
     kind = normalize_kind(kind)
     ranked: list[Permutation] = [None] * len(instances)
     for positions in shape_groups(instances):

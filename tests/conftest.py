@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from arrangerank import autodiff as ad
 from arrangerank.autodiff import Tensor
 from arrangerank.data import Instance
 from arrangerank.model import ModelDims, init_params
+from arrangerank.permutation import Permutation
 from arrangerank.reader import CandidateSet, UserContext
 
 
@@ -29,6 +32,23 @@ def make_instance(seed: int = 0, n: int = 4, n_features: int = 4, hist_len: int 
         cands=CandidateSet((i, rng.normal(size=n_features)) for i in ids),
         labels=labels,
     )
+
+
+def replayed(instances) -> list[Permutation]:
+    """The rankings of a ranker that serves each instance's stored oracle."""
+    return [inst.oracle for inst in instances]
+
+
+def shuffled(instances, seed: int) -> list[Permutation]:
+    """The rankings of a uniform random ranker: each slate shuffled by a generator seeded
+    with ``seed`` and the first 8 bytes of the sha256 of the query id."""
+    ranked = []
+    for inst in instances:
+        order = list(inst.cands.ids)
+        query = int.from_bytes(hashlib.sha256(inst.query_id.encode()).digest()[:8], "big")
+        np.random.default_rng([seed, query]).shuffle(order)
+        ranked.append(Permutation(order))
+    return ranked
 
 
 def spread_params(kind: str, dims: ModelDims, seed: int, gain: float = 2.0):

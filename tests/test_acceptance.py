@@ -22,7 +22,7 @@ from arrangerank.model import init_params, instance_loss, read_instance
 from arrangerank.permutation import Permutation
 from arrangerank.reader import CandidateSet
 
-from conftest import make_instance, spread_params, tiny_dims
+from conftest import make_instance, replayed, shuffled, spread_params, tiny_dims
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -332,14 +332,14 @@ def test_criterion_12_accuracy_at_position():
             inst.labels, "ndcg",
             seed=oracle_seed(0, metric_fingerprint("ndcg"), inst.query_id))
         oracle_insts.append(inst)
-    acc_perfect = accuracy_at_position(None, "oracle_replay", oracle_insts)
+    acc_perfect = accuracy_at_position(replayed(oracle_insts), oracle_insts)
     perfect_ok = np.allclose(acc_perfect, 1.0)
 
     random_insts = []
     for k in range(10_000):
         labels = {i: int(g) for i, g in enumerate(rng.permutation(10))}
         random_insts.append(make_instance(seed=k, n=10, labels=labels))
-    acc_rand = accuracy_at_position(99, "uniform_random", random_insts)
+    acc_rand = accuracy_at_position(shuffled(random_insts, 99), random_insts)
     rand_ok = abs(acc_rand[0] - 0.1) < 0.01
     _report(12, "accuracy at position", perfect_ok and rand_ok,
             f"oracle replayer min ACC {acc_perfect.min():.3f}; "

@@ -11,7 +11,7 @@ from arrangerank.arranger import (arrange_sample, forced_log_probs, greedy_order
 from arrangerank.autodiff import GraphError, Tape, Tensor, add, grad_check
 from arrangerank.clickmodels import ClickModelSpec, oracle_permutation, r_cm
 from arrangerank.data import DatasetSplit
-from arrangerank.evaluation import evaluate
+from arrangerank.evaluation import evaluate, score_rankings
 from arrangerank.loss import LossReport
 from arrangerank.model import (batch_loss, init_params, rank_instance, rank_instances,
                                read_group, shape_groups)
@@ -132,12 +132,25 @@ def test_evaluate_click_metrics_are_prefix_sums_of_one_dp():
             assert table.means[f"{name}@{k}"] == total / len(pool)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_evaluate_scores_the_model_s_own_rankings(kind):
+    pool = mixed_pool(seed=7)
+    params = spread_params(kind, tiny_dims(max_list_len=12), 7)
+    specs = {"P": ClickModelSpec(kind="pbm", tau=0.5), "U": ClickModelSpec(kind="ubm", tau=0.7)}
+    table = evaluate(params, kind, pool, ks=(2, 5, 7), click_specs=specs)
+    want = score_rankings(rank_instances(kind, params, pool), pool, ks=(2, 5, 7),
+                          click_specs=specs)
+    assert (table.columns, table.means) == (want.columns, want.means)
+
+
 def test_model_dispatch_rejects_unknown_kinds_and_variants_and_missing_oracles():
     inst = make_instance(seed=1, n=3)
     with pytest.raises(ValueError, match="unknown model kind 'ranknet'"):
         init_params("ranknet", tiny_dims(), 0)
-    with pytest.raises(ValueError, match="test:1 has no oracle to replay"):
-        rank_instance("oracle_replay", None, inst)
+    with pytest.raises(ValueError, match="unknown model kind 'oracle_replay'"):
+        rank_instance("oracle_replay", init_params("starank", tiny_dims(), 0), inst)
+    with pytest.raises(ValueError, match="test:1 has no oracle permutation"):
+        batch_loss("starank", init_params("starank", tiny_dims(), 0), [inst])
     inst.oracle = oracle_permutation(inst.labels, "ndcg", seed=0)
     with pytest.raises(ValueError, match="unknown loss variant 'pairwise'"):
         batch_loss("starank", init_params("starank", tiny_dims(), 0), [inst],

@@ -472,7 +472,7 @@ def test_a_rejected_command_makes_no_out_path(tmp_path, capsys, case):
     split.mkdir()
     (split / "train.txt").write_text(inst.read_text())
     bad.write_text("u0|0.5,0.5\n")
-    replay = tmp_path / "replay.txt"  # a harness kind would replay the instances' oracles
+    replay = tmp_path / "replay.txt"  # a replayer of the instances' oracles is no model kind
     replay.write_text(ckpt.read_text().replace('"model_kind": "starank"',
                                                '"model_kind": "oracle_replay"'))
     paths = {"split": split, "ckpt": ckpt, "inst": inst, "bad": bad, "replay": replay}

@@ -1,7 +1,7 @@
 """Property tests: the grouped metric rows against the per-instance metrics they replaced.
 
-``evaluate`` scores a whole group of served lists as arrays, and ``r_ndcg``,
-``map_at_k`` and ``r_cm`` are that code on a batch of one. The references
+``score_rankings`` scores a whole group of served lists as arrays, and ``r_ndcg``
+and ``r_cm`` are that code on a batch of one. The references
 below are the per-instance bodies the grouped path replaced. N@K, M@K and
 the position-based clicks are elementwise products, row dots and in-order
 sums, so they must equal the references bit for bit. The browsing-model
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import arrangerank.clickmodels as cm
 from arrangerank.clickmodels import (ClickModelSpec, click_rows, examination_prob, ndcg_rows,
                                      r_cm, r_ndcg, relevance_prob, served_grades)
-from arrangerank.evaluation import map_at_k, map_rows
+from arrangerank.evaluation import map_rows
 from arrangerank.permutation import Permutation
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -118,7 +118,8 @@ def test_grouped_rows_equal_their_batch_of_one_and_the_per_instance_references(c
         assert _bits([r_ndcg(pi, labels, k)]) == _bits([_r_ndcg_reference(pi, labels, k)])
         assert _bits([n_rows[r]]) == _bits([_r_ndcg_reference(pi, labels, k)])
         want = _map_at_k_reference(pi, labels, k, threshold)
-        assert _bits([map_at_k(pi, labels, k, threshold), m_rows[r]]) == _bits([want, want])
+        one_ap = map_rows(served_grades([(pi, labels)]), k, threshold)[0]
+        assert _bits([one_ap, m_rows[r]]) == _bits([want, want])
         value, contribs = _r_cm_reference(pi, labels, spec, k)
         if spec.kind == "pbm":
             assert _bits(clicks[r]) == _bits(contribs)

@@ -503,8 +503,8 @@ def _meta(kind: str, dims: dict):
 ])
 def test_checkpoint_meta_that_disagrees_with_its_parameters_names_the_line(tmp_path, kind, dims,
                                                                            shown):
-    """The meta line's kind and dims must give the file's parameter table; a harness kind
-    such as oracle_replay names no parameters, so it is no checkpoint's kind."""
+    """The meta line's kind and dims must give the file's parameter table; oracle_replay,
+    which only the tests' ``replayed`` rankings stand for now, is no model kind."""
     path = _edited_model(tmp_path, 2, _meta(kind, {**asdict(tiny_dims()), **dims}))
     with pytest.raises(CheckpointError) as err:
         load_model(path)
