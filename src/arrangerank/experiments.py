@@ -127,6 +127,13 @@ def decode_scaling(sizes: tuple[int, ...] = (5, 10, 20, 40), repeats: int = 15,
     first and each timing is the median over ``repeats`` runs, interleaved
     across sizes to spread clock drift evenly.
     """
+    if min(sizes) < 1:
+        raise ValueError(f"every size must be >= 1, got {min(sizes)}")
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
+    if len(set(sizes)) < 2:
+        raise ValueError(f"fitting an exponent needs two distinct sizes, got "
+                         f"{','.join(map(str, sizes))}")
     rng = np.random.default_rng(seed)
     fdim = 16
     dims = ModelDims(feature_dim=fdim, profile_dim=fdim, embed=8, attn_width=width, mlp_hidden=8,

@@ -460,6 +460,13 @@ _REJECTED = {  # arguments that fail each command's checks, and the message they
     "split malformed": (["split", "--data", "{bad}"], "{bad}:1: "),
     "inspect unknown id": (["inspect", "--checkpoint", "{ckpt}", "--instances", "{inst}",
                             "--query-ids", "q0", "q9"], "no instance with query id 'q9'"),
+    "bench --sizes 5": (["bench", "--sizes", "5"],
+                        "fitting an exponent needs two distinct sizes, got 5"),
+    "bench --sizes 5,5": (["bench", "--sizes", "5,5"],
+                          "fitting an exponent needs two distinct sizes, got 5,5"),
+    "bench --sizes 0,5": (["bench", "--sizes", "0,5"], "every size must be >= 1, got 0"),
+    "bench --width 0": (["bench", "--sizes", "4,8", "--width", "0"],
+                        "width must be >= 1, got 0"),
 }
 
 
