@@ -7,8 +7,8 @@ Two studies back the package's headline claims:
   seeds and reports test N@5 per seed.
 * ``supervision_variant_experiment`` — what changes when the training
   oracles come from a click-model metric instead of the gain-discount
-  metric? Reports the fraction of training oracles that differ and the
-  simulated-click quality of both trained models.
+  metric? Reports the training oracles that differ, in order and in grade
+  sequence, and the simulated-click quality of both trained models.
 
 Both run at deliberately small dimensions so a full multi-seed study fits
 in minutes on one core.
@@ -73,6 +73,8 @@ def comparative_experiment(n_users: int = 2000, context_strength: float = 1.0,
 @dataclass
 class SupervisionVariantResult:
     changed_fraction: float = 0.0
+    grades_changed: int = 0  # training instances whose grades, in oracle order, differ
+    n_train: int = 0
     p_at_k: dict[str, dict[int, list[float]]] = field(default_factory=dict)
 
     def pooled_gap_in_se(self, k: int) -> float:
@@ -100,6 +102,9 @@ def supervision_variant_experiment(n_users: int = 800, n_seeds: int = 5, epochs:
         ensure_oracles(instances, metric, data_seed)
     changed = sum(a.oracle.order != b.oracle.order for a, b in zip(*filled))
     result.changed_fraction = changed / len(base_split.train)
+    result.grades_changed = sum([a.labels[i] for i in a.oracle] != [b.labels[i] for i in b.oracle]
+                                for a, b in zip(*filled))
+    result.n_train = len(base_split.train)
 
     for seed in range(n_seeds):
         for name, metric in (("ndcg", "ndcg"), ("pbm", pbm)):

@@ -304,7 +304,8 @@ def test_criterion_10_supervision_variants():
     gaps = {k: res.pooled_gap_in_se(k) for k in (5, 10)}
     ok = res.changed_fraction >= 0.01 and all(g >= -1.0 for g in gaps.values())
     _report(10, "click-metric supervision variant", ok,
-            f"{res.changed_fraction * 100:.1f}% of training oracles changed (gate 1%); "
+            f"{res.changed_fraction * 100:.1f}% of training oracles changed (gate 1%), "
+            f"{res.grades_changed} of {res.n_train} in grade sequence; "
             f"P@K shift in pooled s.e.: " + ", ".join(f"@{k}: {g:+.2f}" for k, g in gaps.items()))
 
 
