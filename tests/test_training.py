@@ -503,8 +503,8 @@ def _meta(kind: str, dims: dict):
 ])
 def test_checkpoint_meta_that_disagrees_with_its_parameters_names_the_line(tmp_path, kind, dims,
                                                                            shown):
-    """The meta line's kind and dims must give the file's parameter table; oracle_replay,
-    which only the tests' ``replayed`` rankings stand for now, is no model kind."""
+    """The meta line's kind and dims must give the file's parameter table; oracle_replay
+    is no model kind, so it is rejected like any other unknown name."""
     path = _edited_model(tmp_path, 2, _meta(kind, {**asdict(tiny_dims()), **dims}))
     with pytest.raises(CheckpointError) as err:
         load_model(path)
