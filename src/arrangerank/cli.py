@@ -71,6 +71,13 @@ def _metric_arg(name: str, tau: float, r_max: int, click_config: str | None = No
     return ClickModelSpec(kind=name, tau=tau, r_max=r_max)
 
 
+def _int(flag: str, field: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"{flag}: {field!r} is not an integer") from None
+
+
 def _out_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,7 +172,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     params, kind, _dims = load_model(args.checkpoint)
     instances = read_instances(args.instances)
-    ks = tuple(int(k) for k in args.k.split(","))
+    ks = tuple(_int("--k", k) for k in args.k.split(","))
     specs = {"P": ClickModelSpec(kind="pbm", tau=args.tau, r_max=args.r_max),
              "U": ClickModelSpec(kind="ubm", tau=args.tau, r_max=args.r_max)}
     if args.click_config:
@@ -210,7 +217,7 @@ def _cmd_inspect(args) -> int:
 def _cmd_bench(args) -> int:
     from .experiments import decode_scaling
 
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    sizes = tuple(_int("--sizes", s) for s in args.sizes.split(","))
     times, exponent = decode_scaling(sizes, repeats=args.repeats, width=args.width,
                                      seed=args.seed)
     out = _out_dir(args.out)

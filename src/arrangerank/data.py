@@ -10,8 +10,8 @@ Split instance files use the same item syntax::
 
 Floats are written with ``repr`` (shortest round-trip), so write-then-read
 reproduces values exactly. A user's three split instances share one memo of
-formatted rows keyed by their exact bytes, so a row that recurs in later files
-(history, a candidate that becomes history, the profile) is formatted once.
+row texts keyed by the rows' exact bytes: ``read_dataset`` fills it with each
+row's text as read, and any other row is formatted once, by ``repr``.
 
 The temporal split takes the last 30 log positions of every user with at
 least 30 entries: candidates are positions T-29..T-20 for training (history
@@ -22,7 +22,6 @@ are dropped and counted.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +46,7 @@ class UserLog:
     user_id: int
     profile: np.ndarray
     items: list[LogItem]
+    row_text: dict | None = field(default=None, repr=False, compare=False)  # row bytes -> text
 
 
 @dataclass
@@ -102,7 +102,7 @@ def temporal_split(user_logs: list[UserLog]) -> DatasetSplit:
             continue
         split.kept_users += 1
         feats = np.array([it.features for it in log.items], dtype=np.float64)  # instances slice it
-        row_text = {}
+        row_text = {} if log.row_text is None else log.row_text
         for part, name, start in ((split.train, "train", t - 30),
                                   (split.validation, "val", t - 20), (split.test, "test", t - 10)):
             window = log.items[start:start + 10]
@@ -145,18 +145,18 @@ def _grade_scale(score: np.ndarray, r_max: int) -> np.ndarray:
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
-    """Each row over its norm, floored at 1e-12: np.linalg.norm's 1-D sqrt(x . x), row by row."""
-    return m / np.array([max(math.sqrt(x.dot(x)), 1e-12) for x in m])[:, None]
+    """Each row over its norm, floored at 1e-12: np.linalg.norm's 1-D sqrt(x . x), stacked."""
+    return m / np.maximum(np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0]), 1e-12)[:, None]
 
 
 def _taste_mix(taste: np.ndarray, low: float, high: float, n: int,
                rng: np.random.Generator) -> np.ndarray:
     """n unit vectors, each at affinity ~alpha ~ U(low, high) to taste with noise in the
     orthogonal complement; draws alpha and then its noise, one vector at a time."""
-    draws = [(rng.uniform(low, high), rng.normal(size=taste.shape[0])) for _ in range(n)]
-    alpha = np.array([a for a, _ in draws])[:, None]
-    g = np.array([x for _, x in draws]).reshape(n, taste.shape[0])
-    g -= np.array([x.dot(taste) for x in g])[:, None] * taste
+    alpha, g = np.empty((n, 1)), np.empty((n, taste.shape[0]))
+    for k in range(n):
+        alpha[k], g[k] = rng.uniform(low, high), rng.normal(size=taste.shape[0])
+    g -= (g[:, None, :] @ taste[:, None])[:, 0] * taste
     mix = alpha * taste + np.sqrt(np.maximum(1e-12, 1.0 - alpha * alpha)) * _unit_rows(g)
     return _unit_rows(mix)
 
@@ -182,17 +182,18 @@ def generate_synthetic(n_users: int, history_len: int = 10, n_candidates: int = 
     for u in range(n_users):
         taste = _unit_rows(rng.normal(size=(1, feature_dim)))[0]
         profile = taste + 0.1 * rng.normal(size=feature_dim)
-        feats = list(_taste_mix(taste, 0.3, 0.9, history_len, rng))
-        # a browsed item is graded as a one-item slate, whose (1, d) @ (d,) is this 1-D dot
-        grades = _grade_scale(np.array([x.dot(taste) for x in feats]), r_max).tolist()
+        feats = [_taste_mix(taste, 0.3, 0.9, history_len, rng)]
+        # a browsed item is graded as a one-item slate, whose (1, d) @ (d,) is its 1-D dot
+        grades = _grade_scale((feats[0][:, None, :] @ taste[:, None])[:, 0, 0], r_max).tolist()
+        picks, noise = np.empty(n_candidates, dtype=int), np.empty((n_candidates, feature_dim))
         for _slate in range(3):
             protos = _taste_mix(taste, 0.0, 0.8, n_proto, rng)
-            picks, noise = zip(*[(int(rng.integers(n_proto)), rng.normal(size=feature_dim))
-                                 for _ in range(n_candidates)])
-            slate = _unit_rows(protos[list(picks)] + 0.1 * np.array(noise))
-            feats += list(slate)
-            grades += slate_grades(taste, slate, context_strength, r_max).tolist()
-        items = [LogItem(u * 1_000_000 + k, x, g) for k, (x, g) in enumerate(zip(feats, grades))]
+            for k in range(n_candidates):
+                picks[k], noise[k] = rng.integers(n_proto), rng.normal(size=feature_dim)
+            feats.append(_unit_rows(protos[picks] + 0.1 * noise))
+            grades += slate_grades(taste, feats[-1], context_strength, r_max).tolist()
+        items = [LogItem(u * 1_000_000 + k, x, g)
+                 for k, (x, g) in enumerate(zip(np.concatenate(feats), grades))]
         logs.append(UserLog(user_id=u, profile=profile, items=items))
     return logs
 
@@ -234,7 +235,7 @@ def _floats(rows: list[str], where: str, what: str) -> np.ndarray:
 
 
 def _parse_items(field: str, where: str):
-    """Ids, grades, flat feature values and per-item widths of a ';'-separated item field."""
+    """Ids, grades, flat feature values and feature texts of a ';'-separated item field."""
     ids, grades, rows = [], [], []
     for tok in filter(None, field.split(";")):
         parts = tok.split(":")
@@ -249,11 +250,11 @@ def _parse_items(field: str, where: str):
             _floats(rows, where, "feature")  # a bad value of an earlier item is met first
             raise ParseError(f"{where}: {e}") from None
         rows.append(parts[2])
-    return ids, grades, _floats(rows, where, "feature"), [row.count(",") + 1 for row in rows]
+    return ids, grades, _floats(rows, where, "feature"), rows
 
 
-def _feature_width(widths: list[int], where: str) -> int:
-    dims = sorted(set(widths))
+def _feature_width(rows: list[str], where: str) -> int:
+    dims = sorted({row.count(",") + 1 for row in rows})
     if len(dims) > 1:
         raise ParseError(f"{where}: feature vectors of different lengths {dims}")
     return dims[0] if dims else 0
@@ -302,10 +303,13 @@ def read_dataset(path) -> list[UserLog]:
         except ValueError as e:
             raise ParseError(f"{where}: {e}") from None
         profile = _floats([fields[1]], where, "profile")
-        ids, grades, values, widths = _parse_items(fields[2], where)
-        feats = values.reshape(len(ids), _feature_width(widths, where))
+        ids, grades, values, rows = _parse_items(fields[2], where)
+        feats = values.reshape(len(ids), _feature_width(rows, where))
         _same_widths(first, where, profile=len(profile), feature=feats.shape[1])
-        logs.append(UserLog(uid, profile, [LogItem(*item) for item in zip(ids, feats, grades)]))
+        raw, size = feats.tobytes(), feats.itemsize * feats.shape[1]
+        row_text = {raw[k * size:(k + 1) * size]: rows[k] for k in reversed(range(len(rows)))}
+        row_text.setdefault(profile.tobytes(), fields[1])  # a row's first spelling wins
+        logs.append(UserLog(uid, profile, list(map(LogItem, ids, feats, grades)), row_text))
     return logs
 
 
@@ -325,11 +329,11 @@ def read_instances(path) -> list[Instance]:
     out, first = [], {}
     for where, fields in _records(path, 5):
         profile = _floats([fields[1]], where, "profile")
-        _, _, hist, hist_widths = _parse_items(fields[2], where)
-        ids, grades, feats, widths = _parse_items(fields[3], where)
+        _, _, hist, hist_rows = _parse_items(fields[2], where)
+        ids, grades, feats, rows = _parse_items(fields[3], where)
         if not ids:
             raise ParseError(f"{where}: instance has no candidate items")
-        width = _feature_width(hist_widths + widths, where)
+        width = _feature_width(hist_rows + rows, where)
         labels = dict(zip(ids, grades))
         if len(labels) != len(ids):
             raise ParseError(f"{where}: duplicate candidate item ids")

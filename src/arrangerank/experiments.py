@@ -4,7 +4,7 @@ Two studies back the package's headline claims:
 
 * ``comparative_experiment`` — does arranging beat score-and-sort on data
   whose grades depend on slate context? Trains both models over several
-  seeds and reports test N@5 per seed.
+  seeds and reports test N@5, P@5 and U@5 per seed.
 * ``supervision_variant_experiment`` — what changes when the training
   oracles come from a click-model metric instead of the gain-discount
   metric? Reports the training oracles that differ, in order and in grade
@@ -40,12 +40,13 @@ def small_config(seed: int, epochs: int) -> TrainConfig:
 
 @dataclass
 class ComparativeResult:
-    starank_n5: list[float] = field(default_factory=list)
-    pointwise_n5: list[float] = field(default_factory=list)
+    starank: list[dict[str, float]] = field(default_factory=list)  # each seed's test-set means
+    pointwise: list[dict[str, float]] = field(default_factory=list)
 
     @property
     def relative_gain(self) -> float:
-        return float(np.mean(self.starank_n5) / np.mean(self.pointwise_n5) - 1.0)
+        n5 = [np.mean([m["N@5"] for m in seeds]) for seeds in (self.starank, self.pointwise)]
+        return float(n5[0] / n5[1] - 1.0)
 
 
 def _fresh_split(split: DatasetSplit) -> DatasetSplit:
@@ -61,12 +62,11 @@ def comparative_experiment(n_users: int = 2000, context_strength: float = 1.0,
                                               context_strength=context_strength, seed=97))
     result = ComparativeResult()
     for seed in range(n_seeds):
-        for kind, bucket in (("starank", result.starank_n5),
-                             ("pointwise_baseline", result.pointwise_n5)):
+        for kind, bucket in (("starank", result.starank),
+                             ("pointwise_baseline", result.pointwise)):
             cfg = small_config(seed=seed, epochs=epochs)
             params, _ = train(kind, _fresh_split(split), "ndcg", cfg)
-            table = evaluate(params, kind, split.test, ks=(5,))
-            bucket.append(table.means["N@5"])
+            bucket.append(evaluate(params, kind, split.test, ks=(5,)).means)
     return result
 
 
@@ -132,10 +132,9 @@ def decode_scaling(sizes: tuple[int, ...] = (5, 10, 20, 40), repeats: int = 15,
     first and each timing is the median over ``repeats`` runs, interleaved
     across sizes to spread clock drift evenly.
     """
-    if min(sizes) < 1:
-        raise ValueError(f"every size must be >= 1, got {min(sizes)}")
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
+    for name, value in (("every size", min(sizes)), ("width", width), ("repeats", repeats)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if len(set(sizes)) < 2:
         raise ValueError(f"fitting an exponent needs two distinct sizes, got "
                          f"{','.join(map(str, sizes))}")
@@ -157,7 +156,7 @@ def decode_scaling(sizes: tuple[int, ...] = (5, 10, 20, 40), repeats: int = 15,
         greedy_orders(rout, params)
         routs.append(rout)
     samples = [[] for _ in sizes]
-    for _ in range(max(3, repeats)):
+    for _ in range(repeats):
         for k, rout in enumerate(routs):
             t0 = time.perf_counter()
             greedy_orders(rout, params)

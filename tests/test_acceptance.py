@@ -291,9 +291,12 @@ def test_criterion_09_arranger_beats_pointwise_on_contextual_data():
     took = time.perf_counter() - t0
     gain = res.relative_gain
     ok = gain >= 0.05 and took < 15 * 60
+    means = {col: " vs ".join(f"{np.mean([m[col] for m in seeds]):.4f}"
+                              for seeds in (res.starank, res.pointwise))
+             for col in ("N@5", "P@5", "U@5")}
     _report(9, "arranger vs score-and-sort", ok,
-            f"mean N@5 {np.mean(res.starank_n5):.4f} vs {np.mean(res.pointwise_n5):.4f} "
-            f"over 10 seeds: +{gain * 100:.1f}% relative (gate 5%), runtime {took / 60:.1f} min")
+            f"mean N@5 {means['N@5']} over 10 seeds: +{gain * 100:.1f}% relative (gate 5%); "
+            f"P@5 {means['P@5']}, U@5 {means['U@5']}; runtime {took / 60:.1f} min")
 
 
 # --------------------------------------------------------------------- 10

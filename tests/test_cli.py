@@ -467,6 +467,16 @@ _REJECTED = {  # arguments that fail each command's checks, and the message they
     "bench --sizes 0,5": (["bench", "--sizes", "0,5"], "every size must be >= 1, got 0"),
     "bench --width 0": (["bench", "--sizes", "4,8", "--width", "0"],
                         "width must be >= 1, got 0"),
+    "bench --sizes ''": (["bench", "--sizes", ""], "--sizes: '' is not an integer"),
+    "bench --sizes 4,x": (["bench", "--sizes", "4,x"], "--sizes: 'x' is not an integer"),
+    "bench --repeats 0": (["bench", "--sizes", "4,8", "--repeats", "0"],
+                          "repeats must be >= 1, got 0"),
+    "bench --repeats -5": (["bench", "--sizes", "4,8", "--repeats", "-5"],
+                           "repeats must be >= 1, got -5"),
+    "evaluate --k 5,": (["evaluate", "--checkpoint", "{ckpt}", "--instances", "{inst}",
+                         "--k", "5,"], "--k: '' is not an integer"),
+    "evaluate --k five": (["evaluate", "--checkpoint", "{ckpt}", "--instances", "{inst}",
+                           "--k", "five"], "--k: 'five' is not an integer"),
 }
 
 

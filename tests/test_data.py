@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrangerank.cli import main
-from arrangerank.data import (Instance, LogItem, ParseError, UserLog, generate_synthetic,
-                              oracle_seed, read_dataset, read_instances, slate_grades,
-                              temporal_split, write_dataset, write_instances)
+from arrangerank.data import (Instance, LogItem, ParseError, UserLog, _unit_rows,
+                              generate_synthetic, oracle_seed, read_dataset, read_instances,
+                              slate_grades, temporal_split, write_dataset, write_instances)
 from arrangerank.permutation import Permutation
 from arrangerank.reader import CandidateSet, UserContext
 
@@ -136,6 +137,23 @@ def test_generator_determinism_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 32), st.integers(0, 40), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_stacked_row_products_equal_the_per_row_dots_bit_for_bit(width, n, seed, unit):
+    """The generator takes its norms and affinities as stacked (1, d) @ (d, 1) products, which
+    must give each row's 1-D ``x.dot`` bits; ``m @ t``, einsum and (m * m).sum(1) do not on
+    every BLAS build. If this fails, the golden data digests move too."""
+    rng = np.random.default_rng(seed)
+    m, t = rng.normal(size=(n, width)), rng.normal(size=width)
+    if unit:
+        m = m / np.array([math.sqrt(x.dot(x)) for x in m]).reshape(-1, 1)
+        t = t / math.sqrt(t.dot(t))
+    assert _bits((m[:, None, :] @ m[:, :, None])[:, 0, 0]) == _bits([x.dot(x) for x in m])
+    assert _bits((m[:, None, :] @ t[:, None])[:, 0, 0]) == _bits([x.dot(t) for x in m])
+    norms = np.array([max(math.sqrt(x.dot(x)), 1e-12) for x in m]).reshape(-1, 1)
+    assert _bits(_unit_rows(m)) == _bits(m / norms)
+
+
 # sha256 of the files a seeded generation writes, taken before the generator and the
 # file formatting were vectorised: the data path must keep every byte.
 _GOLDEN = {
@@ -246,6 +264,47 @@ def test_read_back_instances_write_the_bytes_of_the_split_memo(tmp_path, case):
         write_instances(back, tmp_path / f"{part}.again.txt")
         assert ((tmp_path / f"{part}.again.txt").read_bytes()
                 == (tmp_path / f"{part}.txt").read_bytes())
+
+
+# one row per spelling that repr would not give; the last spells the first's bytes again
+_SPELLED = ["1.50,1_0", " 2.5,-0.0", "1e-320,0.25", "1.5,10.0"]
+
+
+def _spelled_dataset(tmp_path):
+    """A one-user dataset file of 32 items whose rows cycle through ``_SPELLED``."""
+    items = ";".join(f"{k}:{k % 5}:{_SPELLED[k % 4]}" for k in range(32))
+    path = tmp_path / "dataset.txt"
+    path.write_text(f"4| 2.5,1.50|{items}\n")
+    return path
+
+
+def test_split_of_a_read_dataset_copies_each_row_as_the_file_spelled_it(tmp_path):
+    split = temporal_split(read_dataset(_spelled_dataset(tmp_path)))
+    for part in ("train", "validation", "test"):
+        write_instances(getattr(split, part), tmp_path / f"{part}.txt")
+        [line] = (tmp_path / f"{part}.txt").read_text().splitlines()
+        [inst] = getattr(split, part)
+        n_rows = len(inst.ctx.history) + len(inst.cands.ids)
+        assert _row_texts(line) == [" 2.5,1.50"] + [_SPELLED[k % 4 % 3] for k in range(n_rows)]
+        [back] = read_instances(tmp_path / f"{part}.txt")
+        assert (_bits(back.ctx.profile), _bits(back.ctx.history), _bits(back.cands.features)) \
+            == (_bits(inst.ctx.profile), _bits(inst.ctx.history), _bits(inst.cands.features))
+
+
+def test_a_row_edited_after_reading_is_written_as_repr_spells_it(tmp_path):
+    [log] = read_dataset(_spelled_dataset(tmp_path))
+    log.items[31].features[1] = 12.5  # was 1.5,10.0, which the file spelled 1.50,1_0
+    [test] = temporal_split([log]).test
+    write_instances([test], tmp_path / "test.txt")
+    [line] = (tmp_path / "test.txt").read_text().splitlines()
+    assert _row_texts(line)[-4:] == ["1.50,1_0", " 2.5,-0.0", "1e-320,0.25", "1.5,12.5"]
+
+
+def test_row_text_takes_no_part_in_user_log_equality_or_repr(tmp_path):
+    [log] = read_dataset(_spelled_dataset(tmp_path))
+    assert log.row_text
+    assert UserLog(log.user_id, log.profile, log.items) == log
+    assert "row_text" not in repr(log)
 
 
 def test_generator_composes_with_split():
@@ -419,6 +478,24 @@ def test_read_dataset_inverts_write_dataset(logs):
                                            for it in b.items]) for b in back] == \
         [(a.user_id, _bits(a.profile), [(it.item_id, it.grade, _bits(it.features))
                                         for it in a.items]) for a in logs]
+
+
+@st.composite
+def _long_user_logs(draw):
+    dim = draw(st.integers(1, 3))
+    return [UserLog(user, draw(_vector(dim)), [LogItem(k, draw(_vector(dim)), draw(_grade))
+                                               for k in range(draw(st.integers(30, 33)))])
+            for user in range(draw(st.integers(1, 2)))]
+
+
+@_ROUND_TRIP
+@given(_long_user_logs())
+def test_a_split_of_a_written_dataset_writes_what_a_split_of_its_logs_writes(logs):
+    back = _in_a_file(write_dataset, logs, read_dataset)
+    for part in ("train", "validation", "test"):
+        want, got = (_in_a_file(write_instances, getattr(temporal_split(src), part),
+                                lambda path: Path(path).read_bytes()) for src in (logs, back))
+        assert got == want
 
 
 @_ROUND_TRIP
