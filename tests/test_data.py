@@ -266,7 +266,8 @@ def test_read_back_instances_write_the_bytes_of_the_split_memo(tmp_path, case):
                 == (tmp_path / f"{part}.txt").read_bytes())
 
 
-# one row per spelling that repr would not give; the last spells the first's bytes again
+# rows spelled as repr would not spell them (1.50, 1_0, ' 2.5') or at its edges (-0.0, a
+# subnormal); the last spells the first row's bytes again, so the first spelling wins
 _SPELLED = ["1.50,1_0", " 2.5,-0.0", "1e-320,0.25", "1.5,10.0"]
 
 
