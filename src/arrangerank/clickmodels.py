@@ -13,20 +13,20 @@ positions of P(examined) * P(perceived relevant). For the browsing model the
 conditioning on earlier clicks is marginalized exactly, never by Monte Carlo,
 by a dynamic program over the last-click position. Its one step scores a
 batch of served lists (a single list is a batch of one) and the enumeration
-oracle's arrangements alike.
+oracle's value sequences alike.
 
 The oracle permutation maximizes a chosen metric over all arrangements,
 drawing one seeded index into the lexicographically ordered list of tied
 maximizers. For NDCG, the position-based model and the default browsing
 model, the rearrangement inequality describes every maximizer in closed form
 and the index is decoded directly, for any candidate count. An explicit
-browsing-model table is enumerated in one pass, capped at ``ENUMERATION_CAP``
-candidates. Either description gives the pick and the per-position tie sets.
+browsing-model table is enumerated, capped at ``ENUMERATION_CAP`` candidates,
+once per distinct sequence of values, and the index is decoded by counting the
+id arrangements. Either description gives the pick and the per-position tie sets.
 """
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import operator
@@ -373,90 +373,77 @@ def _runs(classes: tuple[tuple, tuple], pools: dict[float, list[int]]):
             rank, k = ends[k], k + 1
 
 
-@functools.cache
-def _perm_table(n: int) -> np.ndarray:
-    """Every permutation of range(n) as an int8 row, in lexicographic order; read-only."""
-    rest = np.tile(_perm_table(n - 1) if n > 1 else np.zeros((1, 0), dtype=np.int8), (n, 1))
-    first = np.arange(n, dtype=np.int8).repeat(len(rest) // n)[:, None]
-    table = np.hstack([first, rest + (rest >= first)])  # rest skips ``first``, order kept
-    table.flags.writeable = False
-    return table
-
-
-def _browse(table: np.ndarray, values: np.ndarray, gams: list[np.ndarray], q: np.ndarray,
-            score: float, bufs) -> tuple[np.ndarray, np.ndarray]:
-    """Browsing-model DP through the next positions of one placed prefix, per row of ``table``.
-
-    ``values`` are the items not yet placed, so the prefix holds the other
-    ``start = len(gams) - len(values)``; ``q`` (n,) and ``score`` are its state. ``table``
-    (R, L) lists in lexicographic order every way to fill positions start + 1 .. start + L
-    with indices into ``values``, so the distinct i-prefixes of its rows are rows
-    ``::R // P_i``. Each is scored once: position i repeats the P_{i-1} states over the k
-    items that can take it, then runs one ``_browse_step`` and adds its clicks to the scores.
-    The returned (R, n) and (R,) states live in the reused ``bufs``.
-    """
-    n = len(gams)
-    (q_in, q_out), (s_in, s_out, dots, rel) = bufs
-    P, R, start = 1, len(table), n - len(values)
-    q_in[0], s_in[0] = q, score
-    for col in range(table.shape[1]):
-        i = start + col + 1
-        k = n - i + 1
-        if k > 1:  # one copy of each state per item that can fill position i
-            parent = np.arange(P * k) // k
-            np.take(q_in, parent, axis=0, out=q_out[:P * k], mode="clip")
-            np.take(s_in, parent, out=s_out[:P * k], mode="clip")
-            q_in, q_out, s_in, s_out = q_out, q_in, s_out, s_in
-            P *= k
-        s_in[:P] += _browse_step(q_in, i, gams[i - 1], values, table[::R // P, col],
-                                 (dots, rel, q_out))  # q_out is spare now
-    return q_in[:P], s_in[:P]
-
-
-def _browsing_scores(values: np.ndarray, metric, tail: np.ndarray):
-    """(prefix, rest, scores) for each ``_maximizers`` block under an explicit browsing table.
-
-    Beyond 8 items the first n - 8 positions are run once for all prefixes, then each
-    prefix's state is expanded through ``tail``. No working array has more than 8! rows;
-    ``scores`` is overwritten by the next block.
-    """
-    n = len(values)
+def _sequence_scores(values: np.ndarray, counts: list[int], metric):
+    """Explicit browsing-table score of every distinct sequence of ``values`` indices, ``counts``
+    of each, one ``_browse_step`` per shared prefix, a state repeated once per distinct value it
+    has left: yields per block, in lexicographic order, the scores (the next block overwrites
+    them) and per position a (parent, value index) pair per state. While a state has more than
+    8! leaves (beyond 8 items only) the whole frontier grows, then each state is a block."""
+    n, block = sum(counts), math.factorial(8)
     gams = _examination(metric, n)
-    rows = -(-len(tail) // 4) * 4
-    bufs = np.zeros((2, rows, n)), np.zeros((4, rows))
-    # each fixed prefix of the first n - 8 positions (only the empty one up to 8 items), in
-    # lexicographic order, with the ascending indices left for ``tail`` to arrange
-    prefixes = [(p, np.array([j for j in range(n) if j not in p], dtype=np.int8))
-                for p in itertools.permutations(range(n), n - tail.shape[1])]
-    head = np.array([p for p, _ in prefixes], dtype=np.int8).reshape(len(prefixes), -1)
-    qs, ss = (a.copy() for a in _browse(head, values, gams, np.eye(1, n)[0], 0.0, bufs))
-    for c, (p, rest) in enumerate(prefixes):
-        yield p, rest, _browse(tail, values[rest], gams, qs[c], ss[c], bufs)[1]
+    # a multiset of value indices is coded sum_v c_v * stride_v, the full one last; per code its
+    # child count, first child slot and leaf count, per slot the child's value index and code
+    strides = np.cumprod([1, *(c + 1 for c in counts[:-1])])
+    digits = np.arange(math.prod(c + 1 for c in counts))[:, None] // strides % np.add(counts, 1)
+    kid_code, kid_value = np.nonzero(digits)
+    kid_code -= strides[kid_value]
+    kids, fact = np.count_nonzero(digits, axis=1), np.cumprod([1, *range(1, n + 1)])
+    first, leaves = np.cumsum(kids) - kids, fact[digits.sum(axis=1)] // fact[digits].prod(axis=1)
+    rows = -(-min(int(leaves[-1]), block) // 4) * 4
+    qs, ss, (dots, rel) = np.zeros((2, rows, n)), np.zeros((2, rows)), np.zeros((2, rows))
+
+    def grow(state, i):
+        """The states (code, q, s, buffer half or None) through position i, and their level."""
+        code, q, s, t = state
+        cnt = kids.take(code)
+        parent = np.repeat(np.arange(len(code)), cnt)
+        slot = (first.take(code) - np.cumsum(cnt) + cnt).take(parent) + np.arange(P := len(parent))
+        value = kid_value.take(slot)
+        if t is None or P > len(code):  # one child each grows in place
+            t = 1 if t == 0 else 0
+            np.take(q, parent, axis=0, out=qs[t][:P], mode="clip")  # mode="raise" buffers out
+            np.take(s, parent, out=ss[t][:P], mode="clip")
+        ss[t][:P] += _browse_step(qs[t], i, gams[i - 1], values, value, (dots, rel, qs[1 - t]))
+        return (kid_code.take(slot), qs[t], ss[t][:P], t), (parent, value)
+
+    head, levels = (np.array([len(kids) - 1]), np.eye(1, n), np.zeros(1), None), []
+    while leaves.take(head[0]).max() > block:  # no working array holds more than 8! rows
+        (code, q, s, _), level = grow(head, len(levels) + 1)
+        head, levels = (code, q[:len(code)].copy(), s.copy(), None), [*levels, level]
+    for k in range(len(head[0])):
+        state, path = (*(a[k:k + 1] for a in head[:3]), None), list(levels)
+        for i in range(len(levels) + 1, n + 1):
+            state, (parent, value) = grow(state, i)
+            path.append((parent + k if i == len(levels) + 1 else parent, value))
+        yield state[2], path
 
 
-def _maximizers(pools: dict[float, list[int]], metric) -> tuple[list[int], np.ndarray]:
-    """Ascending ids, and int8 index rows into them of every arrangement maximizing an explicit
-    browsing table in lexicographic order: one pass over blocks of at most 8! rows scored by
-    ``_browsing_scores``; a block whose best score beats the running maximum drops those kept.
-    """
-    value = {i: v for v, ids in pools.items() for i in ids}
-    ids = sorted(value)
-    n = len(ids)
-    if n > ENUMERATION_CAP:
+def _walk(levels, at: np.ndarray) -> np.ndarray:
+    """The int8 value-index rows of the paths through ``levels`` to the last level's ``at``."""
+    rows = np.empty((len(at), len(levels)), dtype=np.int8)
+    for col in range(len(levels) - 1, -1, -1):
+        parent, value = levels[col]
+        rows[:, col], at = value[at], parent[at]
+    return rows
+
+
+def _maximizers(pools: dict[float, list[int]], metric) -> tuple[list[float], list[int], np.ndarray]:
+    """Ascending values, their counts n_v, and int8 index rows into them of every distinct value
+    sequence maximizing an explicit browsing table, each standing for prod_v n_v! id rows."""
+    values = sorted(pools)
+    counts = [len(pools[v]) for v in values]
+    if (n := sum(counts)) > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"{n} candidates exceed the enumeration cap {ENUMERATION_CAP} of an explicit "
             "browsing-model table; rank label-descending (greedy) instead")
-    tail = _perm_table(min(n, 8))
-    best, rows = -np.inf, []
-    for p, rest, scores in _browsing_scores(np.array([value[i] for i in ids]), metric, tail):
+    best, kept = -np.inf, []
+    for scores, levels in _sequence_scores(np.array(values), counts, metric):
         top = float(scores.max())
         if top > best:
-            best, rows = top, []
+            best, kept = top, []
         if top == best:
-            keep = tail[scores == top]  # after the prefix p, indices into rest
-            rows.append(np.hstack([np.tile(np.array(p, dtype=np.int8), (len(keep), 1)),
-                                   rest[keep]]))
-    return ids, np.concatenate(rows)
+            kept.append(_walk(levels, np.flatnonzero(scores == top)))
+    return values, counts, np.concatenate(kept)
 
 
 def oracle_permutation(labels: dict[int, int], metric, seed: int) -> Permutation:
@@ -466,8 +453,21 @@ def oracle_permutation(labels: dict[int, int], metric, seed: int) -> Permutation
     """
     pools, rng = _value_pools(labels, metric), np.random.default_rng(seed)
     if (classes := _weight_classes(metric, len(labels), pools)) is None:
-        ids, rows = _maximizers(pools, metric)
-        return Permutation([ids[j] for j in rows[rng.integers(len(rows))]])
+        values, left, seqs = _maximizers(pools, metric)
+        every = math.prod(map(math.factorial, left))  # id rows per value sequence
+        u, order = int(rng.integers(len(seqs) * every)), []
+        rest = sorted((i, k) for k, v in enumerate(values) for i in pools[v])
+        while rest:  # the u-th maximizing id row in lexicographic order, counted per candidate
+            hits = np.bincount(seqs[:, len(order)], minlength=len(left))
+            for i, k in rest:  # an id of value k completes (sequences with k next) * every / left_k
+                if u < (below := int(hits[k]) * every // left[k]):
+                    break
+                u -= below
+            seqs, every = seqs[seqs[:, len(order)] == k], every // left[k]
+            left[k] -= 1
+            rest.remove((i, k))
+            order.append(i)
+        return Permutation(order)
     count = next(runs := _runs(classes, pools))
     u, order = int(rng.integers(count)), []  # drawn before the runs are laid out
     for take, length in runs:
@@ -495,8 +495,8 @@ def oracle_position_groups(labels: dict[int, int], metric) -> list[set[int]]:
     """For each position, the ids some maximizer places there (the tie sets)."""
     pools = _value_pools(labels, metric)
     if (classes := _weight_classes(metric, len(labels), pools)) is None:
-        ids, rows = _maximizers(pools, metric)
-        return [{ids[j] for j in np.unique(col)} for col in rows.T]
+        values, _, seqs = _maximizers(pools, metric)
+        return [set().union(*(pools[values[k]] for k in set(col.tolist()))) for col in seqs.T]
     next(runs := _runs(classes, pools))  # the count
     return [set().union(*(pools[v] for v in set(take if isinstance(take, list) else [take])))
             for take, length in runs for _ in range(length)]

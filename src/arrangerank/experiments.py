@@ -132,12 +132,12 @@ def decode_scaling(sizes: tuple[int, ...] = (5, 10, 20, 40), repeats: int = 15,
     first and each timing is the median over ``repeats`` runs, interleaved
     across sizes to spread clock drift evenly.
     """
-    for name, value in (("every size", min(sizes)), ("width", width), ("repeats", repeats)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
     if len(set(sizes)) < 2:
         raise ValueError(f"fitting an exponent needs two distinct sizes, got "
                          f"{','.join(map(str, sizes))}")
+    for name, value in (("every size", min(sizes)), ("width", width), ("repeats", repeats)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     fdim = 16
     dims = ModelDims(feature_dim=fdim, profile_dim=fdim, embed=8, attn_width=width, mlp_hidden=8,

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 from dataclasses import asdict
@@ -8,8 +9,8 @@ import pytest
 
 from arrangerank.cli import build_parser, main
 from arrangerank.clickmodels import (ClickModelSpec, examination_prob, load_click_spec,
-                                     metric_fingerprint, relevance_prob)
-from arrangerank.data import read_instances
+                                     metric_fingerprint, oracle_permutation, relevance_prob)
+from arrangerank.data import oracle_seed, read_instances
 from arrangerank.training import TrainConfig, ensure_oracles
 
 
@@ -227,6 +228,60 @@ def test_oracle_tied_non_monotone_pbm_table_beyond_the_enumeration_cap(tmp_path,
     values = [Fraction(relevance_prob(spec, grades[i])) for i in oracle]
     optimum = sum(w * v for w, v in zip(sorted(weights), sorted(values)))  # rearrangement
     assert sum(w * v for w, v in zip(weights, values)) == optimum
+
+
+_QUARTER_UBM = ("kind = ubm\nrelevance_map = 0:0, 1:0.25, 2:0.5, 3:0.75, 4:1\n"
+                "examination_table = " + "; ".join(", ".join(str(0.25 * (1 + (3 * i + 5 * j) % 4))
+                                                           for j in range(11)) for i in range(11)))
+
+
+def _exact_ubm_clicks(order, labels, spec):
+    """Expected clicks of an arrangement by the browsing-model DP in exact fractions."""
+    q, score = [Fraction(1)], Fraction(0)
+    for i, d in enumerate(order, start=1):
+        v = Fraction(relevance_prob(spec, labels[d]))
+        gam = [Fraction(examination_prob(spec, i, j)) for j in range(i)]
+        click = sum(a * g for a, g in zip(q, gam)) * v
+        score += click
+        q = [a * (1 - g * v) for a, g in zip(q, gam)] + [click]
+    return score
+
+
+def test_oracle_explicit_browsing_table_reaches_the_exact_maximum(tmp_path, capsys):
+    # 6-item slates under a quarter-valued UBM table and map, so float scores are exact
+    split, click = tmp_path / "s", tmp_path / "click.cfg"
+    split.mkdir()
+    click.write_text(_QUARTER_UBM + "\n")
+    slates = {f"q{k}": {10 * k + i: g for i, g in enumerate(grades)} for k, grades in enumerate(
+        [[3, 0, 4, 1, 1, 2], [2, 2, 0, 0, 1, 1], [4, 3, 2, 1, 0, 0], [1, 1, 1, 1, 1, 0]])}
+    (split / "test.txt").write_text("".join(
+        f"{q}|0.5,0.5||" + ";".join(f"{i}:{g}:0.{i},0.5" for i, g in labels.items()) + "|\n"
+        for q, labels in slates.items()))
+    assert _run("oracle", "--split-dir", str(split), "--metric", "ubm", "--click-config",
+                str(click), "--seed", "3", "--out", str(tmp_path / "o")) == 0, \
+        capsys.readouterr().err
+    spec = load_click_spec(click)
+    written = read_instances(tmp_path / "o" / "test.txt")
+    assert [inst.query_id for inst in written] == list(slates)
+    for inst in written:
+        labels = slates[inst.query_id]
+        best = max(_exact_ubm_clicks(row, labels, spec) for row in itertools.permutations(labels))
+        assert _exact_ubm_clicks(inst.oracle.order, labels, spec) == best
+        seed = oracle_seed(3, metric_fingerprint(spec), inst.query_id)
+        assert inst.oracle.order == oracle_permutation(labels, spec, seed).order
+
+
+def test_oracle_explicit_browsing_table_beyond_the_enumeration_cap_exits(tmp_path, capsys):
+    split, click, out = tmp_path / "s", tmp_path / "click.cfg", tmp_path / "o"
+    split.mkdir()
+    click.write_text(_QUARTER_UBM + "\n")
+    items = ";".join(f"{i}:{i % 5}:0.{i},0.5" for i in range(11))
+    (split / "test.txt").write_text(f"q0|0.5,0.5||{items}|\n")
+    assert _run("oracle", "--split-dir", str(split), "--metric", "ubm", "--click-config",
+                str(click), "--out", str(out)) == 1
+    assert ("error: 11 candidates exceed the enumeration cap 10 of an explicit browsing-model "
+            "table" in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_bad_train_config_value_names_file_and_line(tmp_path, capsys):
@@ -497,6 +552,13 @@ def test_a_rejected_command_makes_no_out_path(tmp_path, capsys, case):
     assert _run(*[arg.format(**paths) for arg in argv], "--out", str(out)) == 1
     assert f"error: {message.format(**paths)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_decode_scaling_without_sizes_names_the_sizes_check():
+    from arrangerank.experiments import decode_scaling
+
+    with pytest.raises(ValueError, match="fitting an exponent needs two distinct sizes, got $"):
+        decode_scaling(sizes=())
 
 
 def test_bench_reports_exponent(tmp_path, capsys):

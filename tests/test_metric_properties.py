@@ -136,14 +136,16 @@ def test_grouped_rows_equal_their_batch_of_one_and_the_per_instance_references(c
         lambda cell: st.lists(cell, min_size=n, max_size=n)), min_size=n, max_size=n))))
 def test_r_cm_equals_the_enumeration_score_bitwise(case):
     # r_cm and the enumeration oracle run the same browsing-model step, so a served list's
-    # r_cm value is the score the enumeration gave its arrangement (in-order sums up to 8 terms)
+    # r_cm value is the score the enumeration gave its value sequence (in-order sums up to 7 terms)
     grades, table = case
-    n = len(grades)
     spec = ClickModelSpec(kind="ubm", examination_table=table)
-    labels = dict(enumerate(grades))
-    values = np.array([relevance_prob(spec, g) for g in grades])
-    tail = cm._perm_table(n)
-    [(_, _, scores)] = cm._browsing_scores(values, spec, tail)
-    every = slice(None, None, max(1, len(tail) // 120))  # up to 7! rows: a spread of them
-    got = [r_cm(Permutation(row.tolist()), labels, spec).value for row in tail[every]]
+    labels, distinct = dict(enumerate(grades)), sorted(set(grades))
+    values = np.array([relevance_prob(spec, g) for g in distinct])
+    [(scores, levels)] = cm._sequence_scores(values, list(map(grades.count, distinct)), spec)
+    seqs = cm._walk(levels, np.arange(len(scores)))
+    every = slice(None, None, max(1, len(seqs) // 120))  # up to 7! sequences: a spread of them
+    got = []
+    for seq in seqs[every].tolist():  # one id arrangement with that value sequence
+        ids = [[i for i, g in enumerate(grades) if g == d] for d in distinct]
+        got.append(r_cm(Permutation([ids[k].pop() for k in seq]), labels, spec).value)
     assert _bits(got) == _bits(scores[every])
