@@ -18,6 +18,9 @@ least 30 entries: candidates are positions T-29..T-20 for training (history
 1..T-30), T-19..T-10 for validation (history 1..T-20) and T-9..T for test
 (history 1..T-10), keeping original browse order throughout. Shorter logs
 are dropped and counted.
+
+The generator runs in two phases: one loop makes every draw of every user, in a fixed order,
+into ``(users, ...)`` arrays, and then all users' vectors and grades are computed at once.
 """
 from __future__ import annotations
 
@@ -123,40 +126,28 @@ def temporal_split(user_logs: list[UserLog]) -> DatasetSplit:
 
 def slate_grades(taste: np.ndarray, features: np.ndarray, context_strength: float,
                  r_max: int = 4) -> np.ndarray:
-    """Grades for one slate: taste-feature affinity minus a saturation penalty.
-
-    Base relevance is the affinity taste . x mapped onto the grade scale.
-    The contextual term penalizes an item that closely resembles a
-    strictly-better slate mate (similarity above 0.85): showing two
-    near-duplicates adds little, so the weaker one loses grades. With
-    ``context_strength`` 0 the grade depends on (taste, item) alone.
-    """
-    score = features @ taste
-    if context_strength > 0.0 and features.shape[0] > 1:
-        # row d: the closest strictly-better mate's similarity, -inf when none is better
-        better = score[None, :] > score[:, None]
-        closest = np.where(better, features @ features.T, -np.inf).max(axis=1)
+    """Grades of slates ``(..., n, d)`` for tastes ``(..., d)`` broadcast over their leading
+    axes (one ``(n, d)`` slate is a batch of one): the affinity taste . x on the grade scale,
+    minus a saturation penalty for an item that closely resembles a strictly-better slate
+    mate (similarity above 0.85): showing two near-duplicates adds little, so the weaker one
+    loses grades. With ``context_strength`` 0 the grade depends on (taste, item) alone."""
+    score = (features @ taste[..., None])[..., 0]
+    if context_strength > 0.0 and features.shape[-2] > 1:
+        # item d: the closest strictly-better mate's similarity, -inf when none is better
+        better = score[..., None, :] > score[..., :, None]
+        closest = np.where(better, features @ features.swapaxes(-1, -2), -np.inf).max(axis=-1)
         score = score - 0.45 * context_strength * (np.maximum(closest - 0.85, 0.0) / 0.15)
-    return _grade_scale(score, r_max)
-
-
-def _grade_scale(score: np.ndarray, r_max: int) -> np.ndarray:
     return np.clip(np.floor(score / 0.75 * (r_max + 1)), 0, r_max).astype(int)
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
     """Each row over its norm, floored at 1e-12: np.linalg.norm's 1-D sqrt(x . x), stacked."""
-    return m / np.maximum(np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0]), 1e-12)[:, None]
+    return m / np.maximum(np.sqrt((m[..., None, :] @ m[..., :, None])[..., 0]), 1e-12)
 
 
-def _taste_mix(taste: np.ndarray, low: float, high: float, n: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """n unit vectors, each at affinity ~alpha ~ U(low, high) to taste with noise in the
-    orthogonal complement; draws alpha and then its noise, one vector at a time."""
-    alpha, g = np.empty((n, 1)), np.empty((n, taste.shape[0]))
-    for k in range(n):
-        alpha[k], g[k] = rng.uniform(low, high), rng.normal(size=taste.shape[0])
-    g -= (g[:, None, :] @ taste[:, None])[:, 0] * taste
+def _taste_mix(taste: np.ndarray, alpha: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Unit rows at affinity ~alpha to the unit taste, each noise row g made orthogonal to it."""
+    g = g - (g[..., None, :] @ taste[..., None])[..., 0] * taste
     mix = alpha * taste + np.sqrt(np.maximum(1e-12, 1.0 - alpha * alpha)) * _unit_rows(g)
     return _unit_rows(mix)
 
@@ -166,36 +157,45 @@ def generate_synthetic(n_users: int, history_len: int = 10, n_candidates: int = 
                        seed: int = 0, r_max: int = 4) -> list[UserLog]:
     """Synthetic browse logs whose slate grades reward context-aware rankers.
 
-    Each user gets ``history_len`` taste-correlated browsed items followed by
-    three candidate slates (train/validation/test windows), sized so the
-    temporal split consumes them exactly when ``n_candidates`` is 10. Slate
-    items cluster around a few prototypes, so near-duplicate mates exist and
-    the saturation penalty has something to bite on.
-    """
+    Each user gets ``history_len`` taste-correlated browsed items followed by three candidate
+    slates (train/validation/test windows), sized so the temporal split consumes them exactly
+    when ``n_candidates`` is 10. Slate items cluster around a few prototypes, so near-duplicate
+    mates exist and the saturation penalty (scaled by ``context_strength``, finite and >= 0)
+    has something to bite on. Every user draws first; then arrays (see the module docstring)."""
     if n_users <= 0 or history_len < 0 or n_candidates <= 0 or feature_dim <= 1:
         raise ValueError("sizes must be positive (feature_dim at least 2)")
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
+    if not 0.0 <= context_strength < np.inf:
+        raise ValueError(f"context_strength must be finite and >= 0, got {context_strength}")
     rng = np.random.default_rng(seed)
-    n_proto = max(2, n_candidates // 2)
-    logs = []
-    for u in range(n_users):
-        taste = _unit_rows(rng.normal(size=(1, feature_dim)))[0]
-        profile = taste + 0.1 * rng.normal(size=feature_dim)
-        feats = [_taste_mix(taste, 0.3, 0.9, history_len, rng)]
-        # a browsed item is graded as a one-item slate, whose (1, d) @ (d,) is its 1-D dot
-        grades = _grade_scale((feats[0][:, None, :] @ taste[:, None])[:, 0, 0], r_max).tolist()
-        picks, noise = np.empty(n_candidates, dtype=int), np.empty((n_candidates, feature_dim))
-        for _slate in range(3):
-            protos = _taste_mix(taste, 0.0, 0.8, n_proto, rng)
+    uniform, normal, integers = rng.uniform, rng.normal, rng.integers
+    n_proto, dim, h = max(2, n_candidates // 2), feature_dim, history_len
+    slots = (n_users, 3, n_candidates)
+    taste, profile = np.empty((n_users, 1, dim)), np.empty((n_users, dim))
+    alpha, g = np.empty((n_users, h + 3 * n_proto)), np.empty((n_users, h + 3 * n_proto, dim))
+    picks, noise = np.empty(slots, dtype=int), np.empty(slots + (dim,))
+    for u in range(n_users):  # mixed vectors: the history, then each slate's prototypes
+        taste[u], profile[u] = normal(size=(1, dim)), normal(size=dim)
+        for k in range(h):
+            alpha[u, k], g[u, k] = uniform(0.3, 0.9), normal(size=dim)
+        for s in range(3):
+            for k in range(h + s * n_proto, h + (s + 1) * n_proto):
+                alpha[u, k], g[u, k] = uniform(0.0, 0.8), normal(size=dim)
             for k in range(n_candidates):
-                picks[k], noise[k] = rng.integers(n_proto), rng.normal(size=feature_dim)
-            feats.append(_unit_rows(protos[picks] + 0.1 * noise))
-            grades += slate_grades(taste, feats[-1], context_strength, r_max).tolist()
-        items = [LogItem(u * 1_000_000 + k, x, g)
-                 for k, (x, g) in enumerate(zip(np.concatenate(feats), grades))]
-        logs.append(UserLog(user_id=u, profile=profile, items=items))
-    return logs
+                picks[u, s, k], noise[u, s, k] = integers(n_proto), normal(size=dim)
+    taste = _unit_rows(taste)
+    profile = taste[:, 0] + 0.1 * profile
+    mixed = _taste_mix(taste, alpha[..., None], g)
+    protos = mixed[:, h:].reshape(n_users, 3, n_proto, dim)
+    slates = _unit_rows(np.take_along_axis(protos, picks[..., None], axis=2) + 0.1 * noise)
+    feats = np.concatenate([mixed[:, :h], slates.reshape(n_users, -1, dim)], axis=1)
+    grades = np.concatenate([  # a browsed item is graded as a one-item slate
+        slate_grades(taste, mixed[:, :h, None], context_strength, r_max)[..., 0],
+        slate_grades(taste, slates, context_strength, r_max).reshape(n_users, -1)], axis=1)
+    return [UserLog(u, profile[u], [LogItem(u * 1_000_000 + k, x, grade)
+                                    for k, (x, grade) in enumerate(zip(xs, gs))])
+            for u, (xs, gs) in enumerate(zip(feats, grades.tolist()))]
 
 
 # ------------------------------------------------------------------ file IO

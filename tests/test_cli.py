@@ -497,6 +497,15 @@ _REJECTED = {  # arguments that fail each command's checks, and the message they
     "gen-data --users 0": (["gen-data", "--users", "0"], "sizes must be positive"),
     "gen-data --r-max -2": (["gen-data", "--users", "2", "--r-max", "-2"],
                             "r_max must be >= 1, got -2"),
+    "gen-data --context-strength inf": (["gen-data", "--users", "2", "--context-strength",
+                                         "inf"], "context_strength must be finite and >= 0, "
+                                                 "got inf"),
+    "gen-data --context-strength nan": (["gen-data", "--users", "2", "--context-strength",
+                                         "nan"], "context_strength must be finite and >= 0, "
+                                                 "got nan"),
+    "gen-data --context-strength -1": (["gen-data", "--users", "2", "--context-strength",
+                                        "-1"], "context_strength must be finite and >= 0, "
+                                               "got -1.0"),
     "oracle --metric pbm --r-max 0": (["oracle", "--split-dir", "{split}", "--metric", "pbm",
                                        "--r-max", "0"], "r_max must be >= 1, got 0"),
     "train --seed -1": (["train", "--split-dir", "{split}", "--seed", "-1"],

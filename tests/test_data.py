@@ -128,6 +128,80 @@ def test_slate_grades_equal_the_per_item_loop():
                                       _slate_grades_reference(taste, feats, strength, r_max))
 
 
+def _per_user_reference(n_users, history_len=10, n_candidates=10, feature_dim=8,
+                        context_strength=1.0, seed=0, r_max=4):
+    """The per-user generator that generate_synthetic's two array phases replaced: each user
+    draws and then computes its vectors and grades, one slate at a time, before the next user
+    draws."""
+    def unit_rows(m):
+        return m / np.maximum(np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0]), 1e-12)[:, None]
+
+    def taste_mix(taste, low, high, n):
+        alpha, g = np.empty((n, 1)), np.empty((n, taste.shape[0]))
+        for k in range(n):
+            alpha[k], g[k] = rng.uniform(low, high), rng.normal(size=taste.shape[0])
+        g -= (g[:, None, :] @ taste[:, None])[:, 0] * taste
+        return unit_rows(alpha * taste + np.sqrt(np.maximum(1e-12, 1.0 - alpha * alpha))
+                         * unit_rows(g))
+
+    rng = np.random.default_rng(seed)
+    n_proto = max(2, n_candidates // 2)
+    logs = []
+    for u in range(n_users):
+        taste = unit_rows(rng.normal(size=(1, feature_dim)))[0]
+        profile = taste + 0.1 * rng.normal(size=feature_dim)
+        feats = [taste_mix(taste, 0.3, 0.9, history_len)]
+        affinity = (feats[0][:, None, :] @ taste[:, None])[:, 0, 0]  # each row's 1-D dot
+        grades = np.clip(np.floor(affinity / 0.75 * (r_max + 1)), 0, r_max).astype(int).tolist()
+        picks, noise = np.empty(n_candidates, dtype=int), np.empty((n_candidates, feature_dim))
+        for _slate in range(3):
+            protos = taste_mix(taste, 0.0, 0.8, n_proto)
+            for k in range(n_candidates):
+                picks[k], noise[k] = rng.integers(n_proto), rng.normal(size=feature_dim)
+            feats.append(unit_rows(protos[picks] + 0.1 * noise))
+            grades += _slate_grades_reference(taste, feats[-1], context_strength, r_max).tolist()
+        items = [LogItem(u * 1_000_000 + k, x, g)
+                 for k, (x, g) in enumerate(zip(np.concatenate(feats), grades))]
+        logs.append(UserLog(user_id=u, profile=profile, items=items))
+    return logs
+
+
+# (history, candidates, dim): every history 0/1/8/32, candidate count 1/2/7/10/40 and
+# width 2/3/8/16/32 appears, with the study shape (8, 10, 8)
+_REFERENCE_SHAPES = [(0, 1, 2), (1, 2, 3), (8, 7, 8), (32, 10, 16), (8, 40, 32), (1, 40, 2),
+                     (32, 1, 32), (0, 10, 8), (8, 10, 8), (32, 40, 3), (1, 7, 16)]
+
+
+@pytest.mark.parametrize("context", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("shape", _REFERENCE_SHAPES, ids=lambda s: "h%d-c%d-d%d" % s)
+def test_generator_equals_the_per_user_reference_bit_for_bit(shape, context):
+    history, candidates, dim = shape
+    for n_users, seed in ((1, 0), (1, 31337), (37, 2024), (37, 77)):
+        kwargs = dict(history_len=history, n_candidates=candidates, feature_dim=dim,
+                      context_strength=context, seed=seed + history + candidates + dim)
+        _assert_same_logs(generate_synthetic(n_users, **kwargs),
+                          _per_user_reference(n_users, **kwargs))
+
+
+@pytest.mark.parametrize("seed", [5, 24])
+@pytest.mark.parametrize("context", [0.0, 1.0, 2.0])
+def test_generator_equals_the_per_user_reference_on_200_users(seed, context):
+    kwargs = dict(history_len=8, n_candidates=10, feature_dim=8, context_strength=context,
+                  seed=seed, r_max=seed % 4 + 1)
+    _assert_same_logs(generate_synthetic(200, **kwargs), _per_user_reference(200, **kwargs))
+
+
+def _assert_same_logs(got, want):
+    """Every user id, profile byte, item id, grade and feature byte."""
+    assert [log.user_id for log in got] == [log.user_id for log in want]
+    for a, b in zip(got, want):
+        assert a.profile.shape == b.profile.shape and _bits(a.profile) == _bits(b.profile)
+        assert ([(it.item_id, it.grade, it.features.shape) for it in a.items]
+                == [(it.item_id, it.grade, it.features.shape) for it in b.items])
+        assert all(type(it.grade) is int for it in a.items)
+        assert _bits([it.features for it in a.items]) == _bits([it.features for it in b.items])
+
+
 def test_generator_determinism_bytes(tmp_path):
     logs1 = generate_synthetic(8, history_len=5, seed=3)
     logs2 = generate_synthetic(8, history_len=5, seed=3)
@@ -138,20 +212,35 @@ def test_generator_determinism_bytes(tmp_path):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.integers(2, 32), st.integers(0, 40), st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_stacked_row_products_equal_the_per_row_dots_bit_for_bit(width, n, seed, unit):
+@given(st.integers(2, 32), st.integers(0, 40), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.integers(1, 60), st.integers(1, 3))
+def test_stacked_row_products_equal_the_per_row_dots_bit_for_bit(width, n, seed, unit, users,
+                                                                  slates):
     """The generator takes its norms and affinities as stacked (1, d) @ (d, 1) products, which
     must give each row's 1-D ``x.dot`` bits; ``m @ t``, einsum and (m * m).sum(1) do not on
-    every BLAS build. If this fails, the golden data digests move too."""
+    every BLAS build. It stacks them over users, slates and rows, each user's taste broadcast
+    over its rows, and takes each slate's scores and gram as stacked (n, d) @ (d, 1) and
+    (n, d) @ (d, n) products, which must give the 2-D products' bits. If this fails, the
+    golden data digests move too."""
     rng = np.random.default_rng(seed)
-    m, t = rng.normal(size=(n, width)), rng.normal(size=width)
+    m, t = rng.normal(size=(users, slates, n, width)), rng.normal(size=(users, width))
     if unit:
-        m = m / np.array([math.sqrt(x.dot(x)) for x in m]).reshape(-1, 1)
-        t = t / math.sqrt(t.dot(t))
-    assert _bits((m[:, None, :] @ m[:, :, None])[:, 0, 0]) == _bits([x.dot(x) for x in m])
-    assert _bits((m[:, None, :] @ t[:, None])[:, 0, 0]) == _bits([x.dot(t) for x in m])
-    norms = np.array([max(math.sqrt(x.dot(x)), 1e-12) for x in m]).reshape(-1, 1)
-    assert _bits(_unit_rows(m)) == _bits(m / norms)
+        m = m / np.array([math.sqrt(x.dot(x)) for x in m.reshape(-1, width)]).reshape(
+            users, slates, n, 1)
+        t = t / np.array([math.sqrt(x.dot(x)) for x in t]).reshape(-1, 1)
+    rows, owner = m.reshape(-1, width), np.repeat(np.arange(users), slates * n)
+    dots = [x.dot(x) for x in rows]
+    assert _bits((rows[:, None, :] @ rows[:, :, None])[:, 0, 0]) == _bits(dots)
+    assert _bits((m[..., None, :] @ m[..., :, None])[..., 0, 0]) == _bits(dots)
+    per_user = m.reshape(users, slates * n, 1, width)  # (U, k, 1, d) @ (U, 1, d, 1)
+    assert (_bits((per_user @ t[:, None, :, None])[..., 0, 0])
+            == _bits([x.dot(t[u]) for x, u in zip(rows, owner)]))
+    norms = np.maximum(np.sqrt(dots), 1e-12).reshape(-1, 1)
+    assert _bits(_unit_rows(rows)) == _bits(rows / norms) == _bits(_unit_rows(m))
+    slate_rows = m.reshape(users * slates, n, width)  # the 2-D products, one slate at a time
+    assert (_bits((m @ t[:, None, :, None])[..., 0])
+            == _bits([s @ t[k // slates] for k, s in enumerate(slate_rows)]))
+    assert _bits(m @ m.swapaxes(-1, -2)) == _bits([s @ s.T for s in slate_rows])
 
 
 # sha256 of the files a seeded generation writes, taken before the generator and the
@@ -335,6 +424,12 @@ def test_generator_rejects_bad_sizes():
         generate_synthetic(0)
     with pytest.raises(ValueError):
         generate_synthetic(3, n_candidates=-1)
+
+
+@pytest.mark.parametrize("strength", [math.inf, -math.inf, math.nan, -1.0, -1e-300])
+def test_generator_rejects_a_context_strength_that_is_not_finite_and_non_negative(strength):
+    with pytest.raises(ValueError, match="^context_strength must be finite and >= 0, got "):
+        generate_synthetic(3, context_strength=strength)
 
 
 def test_dataset_round_trip(tmp_path):
