@@ -161,7 +161,7 @@ def generate_synthetic(n_users: int, history_len: int = 10, n_candidates: int = 
     slates (train/validation/test windows), sized so the temporal split consumes them exactly
     when ``n_candidates`` is 10. Slate items cluster around a few prototypes, so near-duplicate
     mates exist and the saturation penalty (scaled by ``context_strength``, finite and >= 0)
-    has something to bite on. Every user draws first; then arrays (see the module docstring)."""
+    has something to bite on. It draws for every user first, then computes (module docstring)."""
     if n_users <= 0 or history_len < 0 or n_candidates <= 0 or feature_dim <= 1:
         raise ValueError("sizes must be positive (feature_dim at least 2)")
     if r_max < 1:

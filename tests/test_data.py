@@ -232,6 +232,7 @@ def test_stacked_row_products_equal_the_per_row_dots_bit_for_bit(width, n, seed,
     dots = [x.dot(x) for x in rows]
     assert _bits((rows[:, None, :] @ rows[:, :, None])[:, 0, 0]) == _bits(dots)
     assert _bits((m[..., None, :] @ m[..., :, None])[..., 0, 0]) == _bits(dots)
+    assert _bits((rows[:, None, :] @ t[0][:, None])[:, 0, 0]) == _bits([x.dot(t[0]) for x in rows])
     per_user = m.reshape(users, slates * n, 1, width)  # (U, k, 1, d) @ (U, 1, d, 1)
     assert (_bits((per_user @ t[:, None, :, None])[..., 0, 0])
             == _bits([x.dot(t[u]) for x, u in zip(rows, owner)]))
