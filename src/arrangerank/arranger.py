@@ -10,20 +10,21 @@ and the next-item distribution is a softmax over the not-yet-arranged items
 representation h_d is fed into the decoder cell together with a one-hot
 position indicator to produce the next context vector.
 
-Greedy and sampled decoding choose each step's item from that step's
-scores, so one decode loop runs them step by step, on plain arrays: it
-records nothing on a tape and writes its cell inputs, mask and order in
-place. Teacher forcing fixes every decoder input in advance, so the
-differentiable log-probabilities run the n recurrent steps in one cell
-call and score every position in one pass; the summation foil
-decodes its greedy picks first, then is scored that way. Both run a single
-reader output, or a group of equal-shape instances along a leading batch
-axis. Orders are rows of candidate indices; candidates are stored by
-ascending item id, so greedy decoding gives bitwise-equal scores to the
-smallest item id, never to a storage position, and results are invariant
-to candidate storage order. Candidates with identical features need not
-score bitwise equal: a row's bits in the ``reprs @ W`` products depend on
-its position, so their scores can differ by 1-2 ulp, and the higher wins.
+Greedy and sampled decoding choose each step's item from that step's scores,
+so one decode loop runs them step by step, on plain arrays: it records nothing
+on a tape and writes its cell inputs, mask and order in place. Greedy decoding
+runs n - 1 steps: the last item is forced, so it fills the index left. Teacher
+forcing fixes every decoder input in advance, so the differentiable
+log-probabilities run the n recurrent steps in one cell call and score every
+position in one pass; the summation foil decodes its greedy picks first, then
+is scored that way (it reads all but the last). Both run a single reader
+output, or a group of equal-shape instances along a leading batch axis. Orders
+are rows of candidate indices; candidates are stored by ascending item id, so
+greedy decoding gives bitwise-equal scores to the smallest item id, never to a
+storage position, and results are invariant to candidate storage order.
+Candidates with identical features need not score bitwise equal: a row's bits
+in the ``reprs @ W`` products depend on its position, so their scores can
+differ by 1-2 ulp, and the higher wins.
 """
 from __future__ import annotations
 
@@ -104,8 +105,10 @@ def target_indices(ids, pi: Permutation) -> list[int]:
 
 
 def greedy_orders(rout: ReaderOutput, params: ParamStore) -> np.ndarray:
-    """Greedy placement order (..., n): every step places the highest-scoring unplaced item."""
-    return _decode(rout, params, _masked_argmax)
+    """Greedy order (..., n): each step places the best unplaced item; the last one is forced."""
+    n = rout.reprs.values.shape[-2]
+    order = _decode(rout, params, _masked_argmax, steps=n - 1)
+    return np.concatenate([order, n * (n - 1) // 2 - order.sum(axis=-1, keepdims=True)], axis=-1)
 
 
 def step_scores(rout: ReaderOutput, params: ParamStore) -> dict[int, float]:

@@ -134,8 +134,9 @@ def slate_grades(taste: np.ndarray, features: np.ndarray, context_strength: floa
     score = (features @ taste[..., None])[..., 0]
     if context_strength > 0.0 and features.shape[-2] > 1:
         # item d: the closest strictly-better mate's similarity, -inf when none is better
-        better = score[..., None, :] > score[..., :, None]
-        closest = np.where(better, features @ features.swapaxes(-1, -2), -np.inf).max(axis=-1)
+        gram = features @ features.swapaxes(-1, -2)  # masked in place: no second (..., n, n)
+        np.copyto(gram, -np.inf, where=score[..., None, :] <= score[..., :, None])
+        closest = gram.max(axis=-1)
         score = score - 0.45 * context_strength * (np.maximum(closest - 0.85, 0.0) / 0.15)
     return np.clip(np.floor(score / 0.75 * (r_max + 1)), 0, r_max).astype(int)
 
@@ -169,21 +170,25 @@ def generate_synthetic(n_users: int, history_len: int = 10, n_candidates: int = 
     if not 0.0 <= context_strength < np.inf:
         raise ValueError(f"context_strength must be finite and >= 0, got {context_strength}")
     rng = np.random.default_rng(seed)
-    uniform, normal, integers = rng.uniform, rng.normal, rng.integers
+    random, normal, integers = rng.random, rng.standard_normal, rng.integers
     n_proto, dim, h = max(2, n_candidates // 2), feature_dim, history_len
     slots = (n_users, 3, n_candidates)
     taste, profile = np.empty((n_users, 1, dim)), np.empty((n_users, dim))
     alpha, g = np.empty((n_users, h + 3 * n_proto)), np.empty((n_users, h + 3 * n_proto, dim))
     picks, noise = np.empty(slots, dtype=int), np.empty(slots + (dim,))
     for u in range(n_users):  # mixed vectors: the history, then each slate's prototypes
-        taste[u], profile[u] = normal(size=(1, dim)), normal(size=dim)
+        normal(out=taste[u])
+        normal(out=profile[u])
         for k in range(h):
-            alpha[u, k], g[u, k] = uniform(0.3, 0.9), normal(size=dim)
+            alpha[u, k] = 0.3 + (0.9 - 0.3) * random()  # rng.uniform(0.3, 0.9)'s arithmetic
+            normal(out=g[u, k])
         for s in range(3):
             for k in range(h + s * n_proto, h + (s + 1) * n_proto):
-                alpha[u, k], g[u, k] = uniform(0.0, 0.8), normal(size=dim)
+                alpha[u, k] = 0.0 + (0.8 - 0.0) * random()  # rng.uniform(0.0, 0.8)
+                normal(out=g[u, k])
             for k in range(n_candidates):
-                picks[u, s, k], noise[u, s, k] = integers(n_proto), normal(size=dim)
+                picks[u, s, k] = integers(n_proto)
+                normal(out=noise[u, s, k])
     taste = _unit_rows(taste)
     profile = taste[:, 0] + 0.1 * profile
     mixed = _taste_mix(taste, alpha[..., None], g)

@@ -2,8 +2,8 @@
 
 ``score_rankings`` scores one given ranking per instance; ``evaluate`` first ranks
 the instances with a model (greedy decode for arranger kinds, score-sort for the
-baseline). Instances sharing history length and slate size are scored as one batch
-of arrays; the table holds the mean over instances of:
+baseline). Instances sharing a slate size are scored as one batch of arrays, whatever
+their histories; the table holds the mean over instances of:
 
 * N@K   gain-discount ranking quality against the ideal order
 * M@K   average precision at K with labels binarized at ceil(r_max / 2)
@@ -23,7 +23,7 @@ import numpy as np
 from .arranger import greedy_step_probs
 from .clickmodels import ClickModelSpec, click_rows, cutoff_depth, ndcg_rows, served_grades
 from .data import Instance, check_grades
-from .model import rank_instances, read_instance, shape_groups
+from .model import groups_by, rank_instances, read_instance
 from .permutation import Permutation
 
 
@@ -88,7 +88,7 @@ def score_rankings(ranked: list[Permutation], instances: list[Instance],
     threshold = math.ceil(r_max / 2)
     columns = [f"{name}@{k}" for name in ["N", "M", *click_specs] for k in ks]
     values = np.empty((len(instances), len(columns)))
-    for positions in shape_groups(instances):
+    for positions in groups_by(instances, lambda inst: len(inst.cands)):
         grades = served_grades([(ranked[p], instances[p].labels) for p in positions])
         cols = [ndcg_rows(grades, k) for k in ks] + [map_rows(grades, k, threshold) for k in ks]
         for spec in click_specs.values():
@@ -118,7 +118,7 @@ def accuracy_at_position(ranked: list[Permutation], instances: list[Instance]) -
     """
     _check_counts(ranked, instances)
     hits, counts = np.zeros((2, max(len(inst.cands) for inst in instances)))
-    for positions in shape_groups(instances):
+    for positions in groups_by(instances, lambda inst: len(inst.cands)):
         grades = served_grades([(ranked[p], instances[p].labels) for p in positions])
         hits[:grades.shape[1]] += np.sum(grades == -np.sort(-grades, axis=1), axis=0)
         counts[:grades.shape[1]] += len(positions)

@@ -7,8 +7,9 @@ Four trainable rankers share this interface:
 * ``starank_ps_mlp``      same, but history mean-pooled through an MLP
 * ``pointwise_baseline``  recurrent history encoder + per-item MLP score, ranked by sort
 
-Batches are groups of instances sharing (history length, slate size), so
-they stack without padding; a single instance runs the same code unbatched.
+Training groups share (history length, slate size); ranking groups each stage by the one
+length it reads: history length, then slate size. Groups stack without padding, and a
+single instance runs the same code unbatched.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import baseline
 from .arranger import _as_permutation, greedy_orders, target_indices
+from .autodiff import Tensor
 from .loss import LossReport, sequence_loss
 from .data import Instance
 from .params import ParamStore
@@ -114,29 +116,33 @@ def init_params(kind: str, dims: ModelDims, seed: int) -> ParamStore:
     return params
 
 
-def shape_groups(instances) -> list[list[int]]:
-    """Positions of the instances grouped by (history length, slate size), first seen
-    first; each group is one run however long, so a caller's batch size bounds it."""
-    groups: dict[tuple[int, int], list[int]] = {}
+def groups_by(instances, length) -> list[list[int]]:
+    """Positions grouped by ``length(inst)``, first seen first; a group is one run however long."""
+    groups: dict = {}
     for pos, inst in enumerate(instances):
-        groups.setdefault((inst.ctx.history.shape[0], len(inst.cands)), []).append(pos)
+        groups.setdefault(length(inst), []).append(pos)
     return list(groups.values())
 
 
+def shape_groups(instances) -> list[list[int]]:
+    """Groups of one (history length, slate size), as in training, whose tape sums per group."""
+    return groups_by(instances, lambda inst: (inst.ctx.history.shape[0], len(inst.cands)))
+
+
 def _inputs(instances: list[Instance]):
-    """Encoder inputs of equal-shape instances: more than one stacked as a Group, a single
-    one as is (a single request then pays for no stacking)."""
+    """Encoder inputs of instances: more than one stacked as a Group, a single one as is (a
+    single request then pays for no stacking)."""
     if len(instances) == 1:
         return instances[0].ctx, instances[0].cands
     group = Group(instances)
     return group, group
 
 
-def _read(kind: str, params: ParamStore, ctx, cands, drop: DropoutPlan | None) -> ReaderOutput:
-    if kind == "starank_ps_mlp":
-        user_vec = encode_history_mlp(ctx, params, drop)
-    else:
-        user_vec = encode_history(ctx, params, drop)
+def _user_vec(kind: str, params: ParamStore, ctx, drop=None) -> Tensor:
+    return (encode_history_mlp if kind == "starank_ps_mlp" else encode_history)(ctx, params, drop)
+
+
+def _candidates(kind: str, params: ParamStore, cands, user_vec, drop=None) -> ReaderOutput:
     if kind == "starank_pi_mlp":
         return encode_candidates_mlp(cands, user_vec, params, drop)
     if kind == "pointwise_baseline":
@@ -147,7 +153,8 @@ def _read(kind: str, params: ParamStore, ctx, cands, drop: DropoutPlan | None) -
 def read_group(kind: str, params: ParamStore, instances: list[Instance],
                drop: DropoutPlan | None = None) -> ReaderOutput:
     """Reader output of instances sharing one (history length, slate size)."""
-    return _read(normalize_kind(kind), params, *_inputs(instances), drop)
+    kind, (ctx, cands) = normalize_kind(kind), _inputs(instances)
+    return _candidates(kind, params, cands, _user_vec(kind, params, ctx, drop), drop)
 
 
 def read_instance(kind: str, params: ParamStore, inst: Instance) -> ReaderOutput:
@@ -175,8 +182,8 @@ def batch_loss(kind: str, params: ParamStore, instances: list[Instance],
             if inst.oracle is None:
                 raise ValueError(f"instance {inst.query_id} has no oracle permutation")
         targets = [target_indices(inst.cands.ids, inst.oracle) for inst in instances]
-    return sequence_loss(_read(kind, params, ctx, cands, drop), params,
-                         np.reshape(targets, shape), loss_variant)
+    rout = _candidates(kind, params, cands, _user_vec(kind, params, ctx, drop), drop)
+    return sequence_loss(rout, params, np.reshape(targets, shape), loss_variant)
 
 
 def rank_instance(kind: str, params: ParamStore, inst: Instance) -> Permutation:
@@ -185,19 +192,22 @@ def rank_instance(kind: str, params: ParamStore, inst: Instance) -> Permutation:
 
 
 def rank_instances(kind: str, params: ParamStore, instances: list[Instance]) -> list[Permutation]:
-    """``rank_instance`` for every instance, each (history length, slate size) group in one
-    array pass."""
+    """``rank_instance`` for every instance, stage by stage: one history pass per history
+    length, then one candidate pass and decode per slate size."""
     kind = normalize_kind(kind)
-    ranked: list[Permutation] = [None] * len(instances)
-    for positions in shape_groups(instances):
-        group = [instances[p] for p in positions]
+    user_vecs, ranked = {}, [None] * len(instances)
+    for positions in groups_by(instances, lambda inst: inst.ctx.history.shape[0]):
+        rows = _user_vec(kind, params, _inputs([instances[p] for p in positions])[0]).values
+        user_vecs.update(zip(positions, rows.reshape(len(positions), -1)))
+    for positions in groups_by(instances, lambda inst: len(inst.cands)):
+        group, vecs = [instances[p] for p in positions], [user_vecs[p] for p in positions]
+        cands, user_vec = _inputs(group)[1], Tensor(vecs[0] if len(group) == 1 else np.stack(vecs))
         if kind == "pointwise_baseline":
-            ctx, cands = _inputs(group)
-            scores = baseline.score_all(cands, encode_history(ctx, params), params).values
+            scores = baseline.score_all(cands, user_vec, params).values
             # candidates are stored by ascending id, so equal scores go to the smallest id
             order = np.argsort(-scores, axis=-1, kind="stable")
         else:
-            order = greedy_orders(read_group(kind, params, group), params)
+            order = greedy_orders(_candidates(kind, params, cands, user_vec), params)
         for p, inst, row in zip(positions, group, np.reshape(order, (len(group), -1))):
             ranked[p] = _as_permutation(inst.cands.ids, row)
     return ranked

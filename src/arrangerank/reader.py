@@ -10,12 +10,13 @@ MLP variants of both encoders are provided as ablation foils: a
 mean-pooled history encoder (order-insensitive on purpose) and a plain
 per-item MLP candidate encoder with uniform attention.
 
-Every encoder reads one instance, or a ``Group`` of equal-shape instances
-along a leading batch axis with the same per-instance results.
+Every encoder reads one instance, or a ``Group`` of instances of equal
+lengths along a leading batch axis, with the same per-instance results.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,17 +83,18 @@ class CandidateSet:
 
 
 class Group:
-    """Instances sharing one (history length, slate size), stacked on a leading batch axis.
+    """Instances stacked on a leading batch axis, each part on first read, standing in for
+    the ``UserContext`` and the ``CandidateSet`` of a single instance: the encoders read a
+    whole group in one array pass, and its instances need share only the lengths that a
+    stage reads (history length or slate size)."""
 
-    Stands in for the ``UserContext`` and the ``CandidateSet`` of a single
-    instance, so the encoders read a whole group in one array pass.
-    """
+    profile = cached_property(lambda self: np.stack([i.ctx.profile for i in self.instances]))
+    history = cached_property(lambda self: np.stack([i.ctx.history for i in self.instances]))
+    features = cached_property(lambda self: np.stack([i.cands.features for i in self.instances]))
+    ids = cached_property(lambda self: tuple(i.cands.ids for i in self.instances))
 
     def __init__(self, instances):
-        self.profile = np.stack([inst.ctx.profile for inst in instances])
-        self.history = np.stack([inst.ctx.history for inst in instances])
-        self.features = np.stack([inst.cands.features for inst in instances])
-        self.ids = tuple(inst.cands.ids for inst in instances)
+        self.instances = instances
 
     def __len__(self) -> int:
         return self.features.shape[-2]

@@ -71,11 +71,28 @@ def test_step_scores_run_one_decoder_step_equal_to_the_first_greedy_step():
 
     with mock.patch.object(ad, "_cell_step", wraps=ad._cell_step) as cell:
         assert np.array_equal(_decode(rout, params, greedy_choose), greedy_orders(rout, params))
-        assert cell.call_count == 2 * 6
+        assert cell.call_count == 6 + 5
         scores = step_scores(rout, params)
-        assert cell.call_count == 2 * 6 + 1
+        assert cell.call_count == 6 + 5 + 1
     assert list(scores) == list(rout.ids)
     assert np.array([scores[i] for i in rout.ids]).tobytes() == first[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_greedy_orders_place_the_forced_last_item_without_a_decoder_step(n):
+    from unittest import mock
+
+    from arrangerank import autodiff as ad
+    from arrangerank.arranger import _decode, _masked_argmax
+
+    params = spread_params("starank", tiny_dims(max_list_len=7), 16)
+    group = [make_instance(seed=60 + k, n=n, hist_len=2) for k in range(3)]
+    for rout in (read_group("starank", params, group), read_group("starank", params, group[:1])):
+        full = _decode(rout, params, _masked_argmax)  # every step decoded, the last one too
+        with mock.patch.object(ad, "_cell_step", wraps=ad._cell_step) as cell:
+            order = greedy_orders(rout, params)
+        assert cell.call_count == n - 1
+        assert order.dtype == full.dtype and order.tobytes() == full.tobytes()
 
 
 def test_greedy_tie_break_by_item_id():

@@ -11,11 +11,11 @@ from arrangerank.arranger import (arrange_sample, forced_log_probs, greedy_order
 from arrangerank.autodiff import GraphError, Tape, Tensor, add, grad_check
 from arrangerank.clickmodels import ClickModelSpec, oracle_permutation, r_cm
 from arrangerank.data import DatasetSplit
-from arrangerank.evaluation import evaluate, score_rankings
+from arrangerank.evaluation import MetricTable, accuracy_at_position, evaluate, score_rankings
 from arrangerank.loss import LossReport
 from arrangerank.model import (batch_loss, init_params, rank_instance, rank_instances,
                                read_group, shape_groups)
-from arrangerank.reader import DropoutPlan
+from arrangerank.reader import DropoutPlan, Group
 from arrangerank.training import TrainConfig, save_model, train
 
 from conftest import make_instance, spread_params, taped_decode, tiny_dims
@@ -54,6 +54,101 @@ def test_grouped_ranking_equals_batch_of_one(kind):
     table = evaluate(params, kind, pool, ks=(3, 5, 10))
     singles = [evaluate(params, kind, [inst], ks=(3, 5, 10)).means for inst in pool]
     assert table.means == {c: sum(s[c] for s in singles) / len(pool) for c in table.columns}
+
+
+HISTORIES, SIZES = (0, 3, 7), (2, 5, 9, 12)
+
+
+def crossed_pool(per_cell=3, seed=40):
+    """Every history length in HISTORIES crossed with every slate size in SIZES, ``per_cell``
+    instances per cell, interleaved so that the joint groups and both stage groupings all
+    differ; every third instance has two candidates with identical features."""
+    pool = []
+    for k in range(per_cell * len(HISTORIES) * len(SIZES)):
+        hist, n = HISTORIES[k % 3], SIZES[k // 3 % 4]
+        inst = make_instance(seed=seed * 1000 + k, n=n, hist_len=hist,
+                             ids=np.random.default_rng(k).permutation(100)[:n].tolist())
+        if k % 3 == 0:
+            inst.cands.features[-1] = inst.cands.features[0]
+        pool.append(inst)
+    return pool
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so every call is counted with the batch shape of its first input."""
+    calls, real = [], getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_ranking_runs_one_history_pass_per_length_and_one_decode_per_size(kind, monkeypatch):
+    from arrangerank import baseline, evaluation, model
+
+    pool = crossed_pool()
+    assert len(shape_groups(pool)) == 12 and all(len(g) == 3 for g in shape_groups(pool))
+    params = spread_params(kind, tiny_dims(max_list_len=12), 14)
+    singles = [rank_instance(kind, params, inst).order for inst in pool]
+    encoder = "encode_history_mlp" if kind == "starank_ps_mlp" else "encode_history"
+    histories = _counting(monkeypatch, model, encoder)
+    if kind == "pointwise_baseline":
+        candidates = _counting(monkeypatch, baseline, "score_all")
+        decodes = candidates
+    else:
+        candidates = _counting(monkeypatch, model, "encode_candidates_mlp"
+                               if kind == "starank_pi_mlp" else "encode_candidates")
+        decodes = _counting(monkeypatch, model, "greedy_orders")
+    grouped = rank_instances(kind, params, pool)
+    assert [pi.order for pi in grouped] == singles
+    # one pass per distinct length, each over every instance of that length
+    assert sorted(ctx.history.shape[:2] for ctx in histories) == [(12, h) for h in HISTORIES]
+    assert sorted(c.features.shape[:2] for c in candidates) == [(9, n) for n in SIZES]
+    assert len(decodes) == len(SIZES)
+    clicks = _counting(monkeypatch, evaluation, "click_rows")
+    grades = _counting(monkeypatch, evaluation, "served_grades")
+    specs = {"P": ClickModelSpec(kind="pbm", tau=0.5), "U": ClickModelSpec(kind="ubm", tau=0.7)}
+    table = score_rankings(grouped, pool, ks=(3, 5, 10), click_specs=specs)
+    assert len(grades) == len(SIZES) and len(clicks) == 2 * len(SIZES)
+    evaluation.accuracy_at_position(grouped, pool)
+    assert len(grades) == 2 * len(SIZES)
+    # the table is the in-order mean of the single-instance tables, as CSV and to the bit
+    alone = [score_rankings([pi], [inst], ks=(3, 5, 10), click_specs=specs).means
+             for pi, inst in zip(grouped, pool)]
+    means = {c: sum(s[c] for s in alone) / len(pool) for c in table.columns}
+    assert repr(table.means) == repr(means)
+    assert table.to_csv() == MetricTable(table.columns, means, len(pool)).to_csv()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_staged_evaluate_equals_the_single_instance_tables(kind):
+    pool = crossed_pool(per_cell=2, seed=41)
+    params = spread_params(kind, tiny_dims(max_list_len=12), 15)
+    table = evaluate(params, kind, pool, ks=(2, 5))
+    alone = [evaluate(params, kind, [inst], ks=(2, 5)).means for inst in pool]
+    means = {c: sum(s[c] for s in alone) / len(pool) for c in table.columns}
+    assert repr(table.means) == repr(means)
+    assert table.to_csv() == MetricTable(table.columns, means, len(pool)).to_csv()
+    ranked = rank_instances(kind, params, pool)
+    # per position: the in-order count of hits over the count of slates that reach it
+    hits = [accuracy_at_position([pi], [inst]) for pi, inst in zip(ranked, pool)]
+    want = [sum(h[k] for h in hits if len(h) > k) / sum(len(h) > k for h in hits)
+            for k in range(max(SIZES))]
+    assert accuracy_at_position(ranked, pool).tolist() == want
+
+
+def test_a_group_stacks_only_the_parts_a_stage_reads():
+    pool = crossed_pool(per_cell=1)
+    group = Group([inst for inst in pool if len(inst.cands) == SIZES[0]])
+    assert group.ids == tuple(inst.cands.ids for inst in group.instances)
+    assert group.features.shape == (3, SIZES[0], 4)
+    assert "profile" not in vars(group) and "history" not in vars(group)  # mixed histories
+    with pytest.raises(ValueError):
+        group.history
 
 
 def test_grouped_exact_ties_break_by_smallest_id():

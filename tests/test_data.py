@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,30 @@ def test_slate_grades_equal_the_per_item_loop():
             for r_max in (1, 4):
                 assert np.array_equal(slate_grades(taste, feats, strength, r_max),
                                       _slate_grades_reference(taste, feats, strength, r_max))
+
+
+def test_stacked_slate_grades_hold_one_gram_array_at_their_peak():
+    """The gram matrix of stacked slates is masked in place, so a call's transient peak holds
+    one (users, 3, n, n) float array, not a masked copy beside it."""
+    rng = np.random.default_rng(25)
+    users, n, dim = 200, 40, 8
+    taste = _unit_rows(rng.normal(size=(users, 1, dim)))
+    protos = rng.normal(size=(users, 3, 4, dim))  # clustered rows, so mates nearly repeat
+    slates = _unit_rows(protos[:, :, rng.integers(4, size=n)] + 0.1 * rng.normal(
+        size=(users, 3, n, dim)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grades = slate_grades(taste, slates, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    gram = users * 3 * n * n * 8
+    assert peak < 1.5 * gram, f"peak {peak} B against one {gram} B gram"
+    for u in range(0, users, 20):
+        for s in range(3):
+            assert np.array_equal(grades[u, s],
+                                  _slate_grades_reference(taste[u, 0], slates[u, s], 1.0))
 
 
 def _per_user_reference(n_users, history_len=10, n_candidates=10, feature_dim=8,
