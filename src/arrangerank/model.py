@@ -118,6 +118,8 @@ def init_params(kind: str, dims: ModelDims, seed: int) -> ParamStore:
 
 def groups_by(instances, length) -> list[list[int]]:
     """Positions grouped by ``length(inst)``, first seen first; a group is one run however long."""
+    if len(instances) == 1:  # a lone request is its own group, with no length to compare
+        return [[0]]
     groups: dict = {}
     for pos, inst in enumerate(instances):
         groups.setdefault(length(inst), []).append(pos)
@@ -130,8 +132,7 @@ def shape_groups(instances) -> list[list[int]]:
 
 
 def _inputs(instances: list[Instance]):
-    """Encoder inputs of instances: more than one stacked as a Group, a single one as is (a
-    single request then pays for no stacking)."""
+    """Encoder inputs: more than one instance stacked as a Group, a single one as is."""
     if len(instances) == 1:
         return instances[0].ctx, instances[0].cands
     group = Group(instances)
@@ -194,20 +195,20 @@ def rank_instance(kind: str, params: ParamStore, inst: Instance) -> Permutation:
 def rank_instances(kind: str, params: ParamStore, instances: list[Instance]) -> list[Permutation]:
     """``rank_instance`` for every instance, stage by stage: one history pass per history
     length, then one candidate pass and decode per slate size."""
-    kind = normalize_kind(kind)
-    user_vecs, ranked = {}, [None] * len(instances)
+    kind, user_vecs, ranked = normalize_kind(kind), {}, [None] * len(instances)
     for positions in groups_by(instances, lambda inst: inst.ctx.history.shape[0]):
-        rows = _user_vec(kind, params, _inputs([instances[p] for p in positions])[0]).values
-        user_vecs.update(zip(positions, rows.reshape(len(positions), -1)))
+        u = _user_vec(kind, params, _inputs([instances[p] for p in positions])[0])
+        user_vecs.update(zip(positions, map(Tensor, u.values) if len(positions) > 1 else [u]))
     for positions in groups_by(instances, lambda inst: len(inst.cands)):
-        group, vecs = [instances[p] for p in positions], [user_vecs[p] for p in positions]
-        cands, user_vec = _inputs(group)[1], Tensor(vecs[0] if len(group) == 1 else np.stack(vecs))
+        group = [instances[p] for p in positions]
+        user_vec = (user_vecs[positions[0]] if len(group) == 1
+                    else Tensor(np.stack([user_vecs[p].values for p in positions])))
         if kind == "pointwise_baseline":
-            scores = baseline.score_all(cands, user_vec, params).values
+            scores = baseline.score_all(_inputs(group)[1], user_vec, params).values
             # candidates are stored by ascending id, so equal scores go to the smallest id
             order = np.argsort(-scores, axis=-1, kind="stable")
         else:
-            order = greedy_orders(_candidates(kind, params, cands, user_vec), params)
-        for p, inst, row in zip(positions, group, np.reshape(order, (len(group), -1))):
+            order = greedy_orders(_candidates(kind, params, _inputs(group)[1], user_vec), params)
+        for p, inst, row in zip(positions, group, order.reshape(len(group), -1)):
             ranked[p] = _as_permutation(inst.cands.ids, row)
     return ranked

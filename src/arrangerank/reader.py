@@ -82,19 +82,18 @@ class CandidateSet:
         return len(self.ids)
 
 
+@dataclass
 class Group:
     """Instances stacked on a leading batch axis, each part on first read, standing in for
     the ``UserContext`` and the ``CandidateSet`` of a single instance: the encoders read a
     whole group in one array pass, and its instances need share only the lengths that a
     stage reads (history length or slate size)."""
 
+    instances: list
     profile = cached_property(lambda self: np.stack([i.ctx.profile for i in self.instances]))
     history = cached_property(lambda self: np.stack([i.ctx.history for i in self.instances]))
     features = cached_property(lambda self: np.stack([i.cands.features for i in self.instances]))
     ids = cached_property(lambda self: tuple(i.cands.ids for i in self.instances))
-
-    def __init__(self, instances):
-        self.instances = instances
 
     def __len__(self) -> int:
         return self.features.shape[-2]
