@@ -75,7 +75,7 @@ def crossed_pool(per_cell=3, seed=40):
 
 
 def _counting(monkeypatch, module, name):
-    """Wrap ``module.name`` so every call is counted with the batch shape of its first input."""
+    """Wrap ``module.name`` so that every call records its first argument."""
     calls, real = [], getattr(module, name)
 
     def wrapped(*args, **kwargs):
