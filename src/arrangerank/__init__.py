@@ -2,12 +2,12 @@
 ground-truth permutations, and evaluate rankers under both conventional and
 click-model simulation metrics with exact permutation oracles."""
 
-from .arranger import arrange_greedy, arrange_sample, permutation_log_prob, step_scores
+from .arranger import arrange_greedy, permutation_log_prob, step_scores
 from .autodiff import Tape, Tensor, grad_check
 from .baseline import score_all
 from .clickmodels import (ClickModelSpec, MetricScore, examination_prob, load_click_spec,
                           ndcg_reduction_check, oracle_permutation, r_cm, r_ndcg,
-                          relevance_prob, simulate_clicks)
+                          relevance_prob)
 from .data import (DatasetSplit, Instance, UserLog, generate_synthetic, read_dataset,
                    temporal_split, write_dataset)
 from .evaluation import (accuracy_at_position, evaluate, export_attention,

@@ -10,10 +10,10 @@ and the next-item distribution is a softmax over the not-yet-arranged items
 representation h_d is fed into the decoder cell together with a one-hot
 position indicator to produce the next context vector.
 
-Greedy and sampled decoding choose each step's item from that step's scores,
-so one decode loop runs them step by step, on plain arrays: it records nothing
-on a tape and writes its cell inputs, mask and order in place. Greedy decoding
-runs n - 1 steps: the last item is forced, so it fills the index left. Teacher
+Decoding is greedy: each step places the highest-scoring unplaced item. The
+decode loop runs step by step on plain arrays: it records nothing on a tape and
+writes its cell inputs, mask, order and step scores in place. A greedy order
+takes n - 1 steps: the last item is forced, so it fills the index left. Teacher
 forcing fixes every decoder input in advance, so the differentiable
 log-probabilities run the n recurrent steps in one cell call and score every
 position in one pass; the summation foil decodes its greedy picks first, then
@@ -27,8 +27,6 @@ in the ``reprs @ W`` products depend on its position, so their scores can
 differ by 1-2 ulp, and the higher wins.
 """
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -47,17 +45,14 @@ def _onehots(params: ParamStore, steps) -> np.ndarray:
 
 
 def _decode(rout: ReaderOutput, params: ParamStore,
-            choose: Callable[[np.ndarray, np.ndarray], np.ndarray],
-            steps: int | None = None) -> np.ndarray:
-    """Fill positions 1..n, or the first ``steps``; returns the placement order as candidate
-    indices (..., steps).
+            steps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Fill positions 1..n, or the first ``steps``, greedily; returns the placement order as
+    candidate indices (..., steps) and every step's scores of all candidates (..., steps, n).
 
-    At every step ``choose(logits, mask)`` gets the scores of all candidates and the mask
-    of the unarranged ones, both (..., n) arrays, and names the index (...) each instance
-    places next. The placed item's representation, with the one-hot of the next position,
-    advances the context, so the next scores condition on it. Plain arrays throughout:
-    nothing is recorded on a tape, and each instance's cell input row [placed item,
-    position one-hot, h], the mask and the order are allocated once and written in place.
+    Each step places the highest-scoring unarranged candidate (of bitwise-equal scores the
+    first, the smallest id); its representation, with the next position's one-hot, advances
+    the context. Plain arrays: nothing is taped, and the cell input rows [placed item,
+    position one-hot, h], the mask, the order and the scores are written in place.
     """
     reprs, h = rout.reprs.values, rout.user_vec.values
     lead, (n, e) = reprs.shape[:-2], reprs.shape[-2:]
@@ -70,21 +65,18 @@ def _decode(rout: ReaderOutput, params: ParamStore,
     c = np.zeros(h.shape)
     mask = np.ones(lead + (n,), dtype=bool)
     order = np.empty(lead + (n if steps is None else steps,), dtype=np.intp)
+    scores = np.empty(order.shape + (n,))
     each = tuple(np.indices(lead, sparse=True))  # instance axes of a per-instance pick
     for i in range(order.shape[-1]):
         _, _, c, h = ad._cell_step(cell_w, cell_b, z, c)
-        chosen = choose(ad._pointer_scores(w2h, ad._mv(w3, h) + b2, w), mask)
+        scores[..., i, :] = ad._pointer_scores(w2h, ad._mv(w3, h) + b2, w)
+        chosen = np.where(mask, scores[..., i, :], -np.inf).argmax(axis=-1)
         order[..., i] = chosen
         mask[each + (chosen,)] = False
         z[..., :e], z[..., -e:] = reprs[each + (chosen,)], h
         if i + 1 < z.shape[-1] - 2 * e:  # past the table the last one-hot column stays
             z[..., e + i], z[..., e + i + 1] = 0.0, 1.0
-    return order
-
-
-def _masked_argmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Highest-scoring unarranged index; bitwise-equal scores pick the first, the smallest id."""
-    return np.where(mask, logits, -np.inf).argmax(axis=-1)
+    return order, scores
 
 
 def _as_permutation(ids, order) -> Permutation:
@@ -107,17 +99,14 @@ def target_indices(ids, pi: Permutation) -> list[int]:
 def greedy_orders(rout: ReaderOutput, params: ParamStore) -> np.ndarray:
     """Greedy order (..., n): each step places the best unplaced item; the last one is forced."""
     n = rout.reprs.values.shape[-2]
-    order = _decode(rout, params, _masked_argmax, steps=n - 1)
+    order = _decode(rout, params, steps=n - 1)[0]
     return np.concatenate([order, n * (n - 1) // 2 - order.sum(axis=-1, keepdims=True)], axis=-1)
 
 
 def step_scores(rout: ReaderOutput, params: ParamStore) -> dict[int, float]:
     """Placement scores s^1_d of every candidate for position 1 (one decoder step)."""
     _one_request(rout, "step_scores")
-    seen = []
-    _decode(rout, params, lambda logits, mask: seen.append(logits) or _masked_argmax(logits, mask),
-            steps=1)
-    return {i: float(s) for i, s in zip(rout.ids, seen[0].reshape(-1))}
+    return dict(zip(rout.ids, _decode(rout, params, steps=1)[1].reshape(-1).tolist()))
 
 
 def arrange_greedy(rout: ReaderOutput, params: ParamStore) -> Permutation:
@@ -131,34 +120,10 @@ def greedy_step_probs(rout: ReaderOutput, params: ParamStore) -> tuple[Permutati
     already-arranged items are exactly 0.
     """
     _one_request(rout, "greedy_step_probs")
-    probs = []
-
-    def choose(logits, mask):
-        _, e, s = ad._masked_exp(logits, mask, "greedy decode")
-        probs.append(e / s[..., None])
-        return _masked_argmax(logits, mask)
-
-    order = _decode(rout, params, choose)
-    return _as_permutation(rout.ids, order), np.stack(probs, axis=-2)
-
-
-def arrange_sample(rout: ReaderOutput, params: ParamStore, seed: int) -> tuple[Permutation, float]:
-    """Sample a permutation position by position; returns its log probability."""
-    _one_request(rout, "arrange_sample")
-    rng = np.random.default_rng(seed)
-    log_prob = 0.0
-
-    def choose(logits, mask):
-        nonlocal log_prob
-        m, e, s = ad._masked_exp(logits, mask, "sampled decode")
-        support = np.flatnonzero(mask)
-        weights = (e / s)[support]
-        chosen = support[rng.choice(len(support), p=weights / weights.sum())]
-        log_prob += float(logits[chosen] - (m + np.log(s)))
-        return chosen
-
-    order = _decode(rout, params, choose)
-    return _as_permutation(rout.ids, order), log_prob
+    order, scores = _decode(rout, params)
+    n = len(order)
+    _, e, s = ad._masked_exp(scores, np.argsort(order) >= np.arange(n)[:, None], "greedy decode")
+    return _as_permutation(rout.ids, order), e / s[:, None]
 
 
 def _forced_logits(rout: ReaderOutput, params: ParamStore, inputs: np.ndarray) -> Tensor:

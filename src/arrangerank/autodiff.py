@@ -49,9 +49,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
-
 
 _ACTIVE: "Tape | None" = None
 

@@ -16,8 +16,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .clickmodels import ClickModelSpec, load_click_spec, metric_fingerprint
-from .data import (ParseError, generate_synthetic, parse_value, read_dataset, read_instances,
-                   read_key_values, temporal_split, write_dataset, write_instances)
+from .data import (DatasetSplit, ParseError, generate_synthetic, parse_value, read_dataset,
+                   read_instances, read_key_values, temporal_split, write_dataset,
+                   write_instances)
 from .evaluation import evaluate, export_attention, export_attention_weights
 from .training import (TrainConfig, dims_for, ensure_oracles, load_model, save_model,
                        train, write_training_log)
@@ -149,11 +150,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _build_config(args)
     metric = _metric_arg(args.metric, args.tau, cfg.r_max)
-    from .data import DatasetSplit
-
-    split = DatasetSplit(
-        train=read_instances(Path(args.split_dir) / "train.txt"),
-        validation=[], test=[])
+    split = DatasetSplit(train=read_instances(Path(args.split_dir) / "train.txt"),
+                         validation=[], test=[])
     from_split = sum(inst.oracle is not None for inst in split.train)  # not made by the metric
     params, log = train(args.model, split, metric, cfg)
     out = _out_dir(args.out)

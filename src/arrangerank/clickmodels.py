@@ -227,26 +227,6 @@ def ndcg_reduction_check(pi: Permutation, labels: dict[int, int]) -> tuple[float
     return ndcg, r_cm(pi, labels, spec).value
 
 
-def simulate_clicks(pi: Permutation, labels: dict[int, int], spec: ClickModelSpec,
-                    seed: int) -> np.ndarray:
-    """Sample one user session: per position, examine then maybe click.
-
-    Two uniform draws are consumed per position regardless of the outcome,
-    so the stream layout is stable under a fixed seed.
-    """
-    rel = [relevance_prob(spec, g) for g in served_grades([(pi, labels)])[0].tolist()]
-    rng = np.random.default_rng(seed)
-    clicks = np.zeros(len(rel), dtype=bool)
-    last = 0
-    for i in range(1, len(rel) + 1):
-        u_exam, u_rel = rng.random(), rng.random()
-        examined = u_exam < examination_prob(spec, i, last)  # a PBM user ignores ``last``
-        if examined and u_rel < rel[i - 1]:
-            clicks[i - 1] = True
-            last = i
-    return clicks
-
-
 def load_click_spec(path) -> ClickModelSpec:
     """Read a simulated-user configuration from a flat key = value file.
 

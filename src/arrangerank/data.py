@@ -124,6 +124,10 @@ def temporal_split(user_logs: list[UserLog]) -> DatasetSplit:
 # ---------------------------------------------------------------- synthetic
 
 
+# Slates whose gram matrices slate_grades holds at once (256 users' three slates)
+GRAM_CHUNK = 768
+
+
 def slate_grades(taste: np.ndarray, features: np.ndarray, context_strength: float,
                  r_max: int = 4) -> np.ndarray:
     """Grades of slates ``(..., n, d)`` for tastes ``(..., d)`` broadcast over their leading
@@ -132,11 +136,19 @@ def slate_grades(taste: np.ndarray, features: np.ndarray, context_strength: floa
     mate (similarity above 0.85): showing two near-duplicates adds little, so the weaker one
     loses grades. With ``context_strength`` 0 the grade depends on (taste, item) alone."""
     score = (features @ taste[..., None])[..., 0]
-    if context_strength > 0.0 and features.shape[-2] > 1:
+    n, dim = features.shape[-2:]
+    if context_strength > 0.0 and n > 1:
         # item d: the closest strictly-better mate's similarity, -inf when none is better
-        gram = features @ features.swapaxes(-1, -2)  # masked in place: no second (..., n, n)
-        np.copyto(gram, -np.inf, where=score[..., None, :] <= score[..., :, None])
-        closest = gram.max(axis=-1)
+        slates = np.broadcast_to(features, score.shape + (dim,)).reshape(-1, n, dim)
+        rows = score.reshape(-1, n)
+        closest = np.empty(rows.shape)
+        for a in range(0, len(rows), GRAM_CHUNK):
+            x, s = slates[a:a + GRAM_CHUNK], rows[a:a + GRAM_CHUNK]
+            gram = x @ x.swapaxes(-1, -2)  # masked in place: no second (chunk, n, n)
+            np.copyto(gram, -np.inf, where=s[:, None, :] <= s[:, :, None])
+            closest[a:a + GRAM_CHUNK] = gram.max(axis=-1)
+            del gram  # freed before the next chunk's product, so one gram is held at a time
+        closest = closest.reshape(score.shape)
         score = score - 0.45 * context_strength * (np.maximum(closest - 0.85, 0.0) / 0.15)
     return np.clip(np.floor(score / 0.75 * (r_max + 1)), 0, r_max).astype(int)
 

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from arrangerank import autodiff as ad
 from arrangerank.autodiff import Tensor
@@ -11,6 +12,11 @@ from arrangerank.data import Instance
 from arrangerank.model import ModelDims, init_params
 from arrangerank.permutation import Permutation
 from arrangerank.reader import CandidateSet, UserContext
+
+# Property tests draw the same examples on every run, with no deadline and no example
+# database; a test's own settings(...) name only what differs, such as max_examples.
+settings.register_profile("deterministic", deadline=None, derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def tiny_dims(n_features: int = 4, embed: int = 6, max_list_len: int = 6) -> ModelDims:

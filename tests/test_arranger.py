@@ -4,8 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from arrangerank.arranger import (arrange_greedy, arrange_sample, greedy_orders,
-                                  greedy_step_probs, permutation_log_prob, step_scores)
+from arrangerank.arranger import (arrange_greedy, greedy_orders, greedy_step_probs,
+                                  permutation_log_prob, step_scores)
 from arrangerank.autodiff import Tensor
 from arrangerank.model import init_params, read_group, read_instance
 from arrangerank.permutation import BijectionError, Permutation
@@ -63,19 +63,14 @@ def test_step_scores_run_one_decoder_step_equal_to_the_first_greedy_step():
     from arrangerank.arranger import _decode, greedy_orders
 
     rout, params = _rout(seed=4, n=6)
-    first = []
-
-    def greedy_choose(logits, mask):  # greedy_orders' pick, keeping the logits it sees
-        first.append(logits.copy())
-        return np.argmax(np.where(mask, logits, -np.inf), axis=-1)
-
     with mock.patch.object(ad, "_cell_step", wraps=ad._cell_step) as cell:
-        assert np.array_equal(_decode(rout, params, greedy_choose), greedy_orders(rout, params))
+        order, seen = _decode(rout, params)  # every step's logits, the last one too
+        assert np.array_equal(order, greedy_orders(rout, params))
         assert cell.call_count == 6 + 5
         scores = step_scores(rout, params)
         assert cell.call_count == 6 + 5 + 1
     assert list(scores) == list(rout.ids)
-    assert np.array([scores[i] for i in rout.ids]).tobytes() == first[0].tobytes()
+    assert np.array([scores[i] for i in rout.ids]).tobytes() == seen[0].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
@@ -83,12 +78,12 @@ def test_greedy_orders_place_the_forced_last_item_without_a_decoder_step(n):
     from unittest import mock
 
     from arrangerank import autodiff as ad
-    from arrangerank.arranger import _decode, _masked_argmax
+    from arrangerank.arranger import _decode
 
     params = spread_params("starank", tiny_dims(max_list_len=7), 16)
     group = [make_instance(seed=60 + k, n=n, hist_len=2) for k in range(3)]
     for rout in (read_group("starank", params, group), read_group("starank", params, group[:1])):
-        full = _decode(rout, params, _masked_argmax)  # every step decoded, the last one too
+        full = _decode(rout, params)[0]  # every step decoded, the last one too
         with mock.patch.object(ad, "_cell_step", wraps=ad._cell_step) as cell:
             order = greedy_orders(rout, params)
         assert cell.call_count == n - 1
@@ -128,30 +123,17 @@ def test_greedy_hand_built_monotone_params_rank_by_feature():
     assert arrange_greedy(rout, params).order == (0, 2, 1)
 
 
-def test_sample_uniform_frequencies_and_log_prob():
-    params = _uniform_params(n=3)
-    inst = make_instance(seed=4, n=3)
-    rout = read_instance("starank", params, inst)
-    counts = {}
-    trials = 60_000
-    for s in range(trials):
-        pi, lp = arrange_sample(rout, params, seed=s)
-        counts[pi.order] = counts.get(pi.order, 0) + 1
-        if s < 10:
-            assert abs(lp - np.log(1 / 6)) < 1e-12
-    assert len(counts) == 6
-    for order, c in counts.items():
-        assert abs(c / trials - 1 / 6) < 0.01, (order, c / trials)
-
-
-def test_sample_single_candidate_and_seed_determinism():
-    rout, params = _rout(seed=5, n=1)
-    pi, lp = arrange_sample(rout, params, seed=0)
-    assert pi.order == rout.ids and lp == 0.0
-    rout, params = _rout(seed=6, n=5)
-    a = arrange_sample(rout, params, seed=123)
-    b = arrange_sample(rout, params, seed=123)
-    assert a[0].order == b[0].order and a[1] == b[1]
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
+def test_greedy_step_probs_chosen_entries_give_the_forced_log_prob(n):
+    # the greedy decode's own distributions and the teacher-forced pass along its order
+    # score the same permutation; uniform params give log(1/n!) on both sides
+    for params in (spread_params("starank", tiny_dims(max_list_len=6), 20 + n),
+                   _uniform_params(n=n)):
+        rout = read_instance("starank", params, make_instance(seed=30 + n, n=n, hist_len=3))
+        pi, probs = greedy_step_probs(rout, params)
+        chosen = [rout.ids.index(item) for item in pi]
+        stepwise = float(np.log(probs[np.arange(n), chosen]).sum())
+        assert abs(stepwise - float(permutation_log_prob(rout, params, pi).values)) < 1e-12
 
 
 def test_log_prob_equal_scores_closed_form():
@@ -261,7 +243,7 @@ def _decode_payloads():
     position one-hot stays on its last column) with histories of 0 and 3 items, each served
     alone and as a group of 4."""
     params = spread_params("starank", tiny_dims(max_list_len=6), 31)
-    lone = {"greedy": [], "probs": [], "sample": [], "scores": []}
+    lone = {"greedy": [], "probs": [], "scores": []}
     groups = []
     for n in (3, 6, 9):
         for hist in (0, 3):
@@ -273,9 +255,6 @@ def _decode_payloads():
                 lone["greedy"].append(greedy_orders(rout, params))
                 pi, probs = greedy_step_probs(rout, params)
                 lone["probs"] += [repr(pi.order).encode(), probs]
-                for seed in range(3):
-                    pi, log_prob = arrange_sample(rout, params, seed)
-                    lone["sample"].append(f"{pi.order}:{log_prob.hex()}".encode())
                 lone["scores"].append(repr({i: s.hex() for i, s in
                                             step_scores(rout, params).items()}).encode())
     payloads = {f"lone-{name}": parts for name, parts in lone.items()}
@@ -292,7 +271,6 @@ _GOLDEN_DECODES = {
     "group-greedy": "3ce13f5cdfd87df708e79612e7d57659edc582d28d25a8973908e85f708c1bbb",
     "lone-greedy": "23fc7f916c6541d7a38907a2512b1b58a029cccc2c7a1a2daeb655969448e76b",
     "lone-probs": "c64ad8e019651de651fcd9fcd9688cc07d476486cda800fb57118f3d2af441c2",
-    "lone-sample": "99a85fa0df07f3cb2638acd8e58114bb8e677858a09df2fa6523ac9e8e722181",
     "lone-scores": "a4a72e618b7be9b664189c58a45adbb64daf255706f990fc918204ca0e903659",
 }
 

@@ -1,10 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrangerank import autodiff as ad
 from arrangerank.autodiff import (EmptySupportError, GraphError, ShapeError, Tape, Tensor,
                                   grad_check)
+from arrangerank.model import ModelDims, param_shapes
 from arrangerank.params import ParamStore
+
+# The decoder cell's and the pointer's weight shapes at embedding widths 6, 16 and 64
+_MV_SHAPES = sorted({shape for e, positions in ((6, 6), (16, 10), (64, 40))
+                     for key, shape in param_shapes("starank", ModelDims(
+                         feature_dim=8, profile_dim=8, embed=e, attn_width=e, mlp_hidden=e,
+                         max_list_len=positions)).items()
+                     if key in ("dec.W", "ptr.W3", "ptr.P")})
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(_MV_SHAPES), st.integers(1, 64), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_a_stacked_mv_row_equals_the_lone_product_bitwise(shape, batch, shared, seed):
+    """A weight shared by the batch, or one matrix per instance as in a pointer step."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=shape if shared else (batch,) + shape)
+    v = rng.normal(size=(batch, shape[1]))
+    stacked = ad._mv(m, v)
+    assert stacked.shape == (batch, shape[0])
+    for b in range(batch):
+        assert stacked[b].tobytes() == ad._mv(m if shared else m[b], v[b]).tobytes()
 
 
 def test_matmul_identity():

@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrangerank import autodiff as ad
-from arrangerank.arranger import (arrange_sample, forced_log_probs, greedy_orders,
-                                  greedy_step_probs, step_scores, summation_log_probs,
-                                  target_indices)
+from arrangerank.arranger import (forced_log_probs, greedy_orders, greedy_step_probs,
+                                  step_scores, summation_log_probs, target_indices)
 from arrangerank.autodiff import GraphError, Tape, Tensor, add, grad_check
 from arrangerank.clickmodels import ClickModelSpec, oracle_permutation, r_cm
 from arrangerank.data import DatasetSplit
@@ -139,6 +140,28 @@ def test_staged_evaluate_equals_the_single_instance_tables(kind):
     want = [sum(h[k] for h in hits if len(h) > k) / sum(len(h) > k for h in hits)
             for k in range(max(SIZES))]
     assert accuracy_at_position(ranked, pool).tolist() == want
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(KINDS), st.lists(st.tuples(st.integers(0, 12), st.integers(1, 12)),
+                                        min_size=1, max_size=30), st.integers(0, 2 ** 32 - 1))
+def test_ranking_and_evaluate_equal_the_per_instance_results_on_any_pool(kind, shapes, seed):
+    """Histories 0-12 and slates 1-12 in any mix; every third slate has an exact tie."""
+    rng = np.random.default_rng(seed)
+    pool = []
+    for k, (hist, n) in enumerate(shapes):
+        inst = make_instance(seed=int(rng.integers(2 ** 32)), n=n, hist_len=hist,
+                             ids=rng.permutation(100)[:n].tolist())
+        if k % 3 == 0:
+            inst.cands.features[-1] = inst.cands.features[0]
+        pool.append(inst)
+    params = spread_params(kind, tiny_dims(max_list_len=12), 16)
+    assert [pi.order for pi in rank_instances(kind, params, pool)] == [
+        rank_instance(kind, params, inst).order for inst in pool]
+    table = evaluate(params, kind, pool, ks=(2, 5))
+    alone = [evaluate(params, kind, [inst], ks=(2, 5)).means for inst in pool]
+    assert repr(table.means) == repr({c: sum(s[c] for s in alone) / len(pool)
+                                      for c in table.columns})
 
 
 def test_a_group_stacks_only_the_parts_a_stage_reads():
@@ -394,7 +417,6 @@ def test_decode_inside_a_tape_records_nothing():
         recorded = len(tape._steps)
         for rout in routs:
             greedy_orders(rout, params)
-        arrange_sample(routs[1], params, seed=0)
         step_scores(routs[1], params)
     assert len(tape._steps) == recorded
 
@@ -404,8 +426,7 @@ def test_single_request_decoders_reject_a_group_naming_it(size, n):
     params = spread_params("starank", tiny_dims(max_list_len=n), 11)
     group = [make_instance(seed=40 + k, n=n, hist_len=2) for k in range(size)]
     rout = read_group("starank", params, group)
-    for name, decode in (("arrange_sample", lambda r: arrange_sample(r, params, seed=0)[0]),
-                         ("greedy_step_probs", lambda r: greedy_step_probs(r, params)[0]),
+    for name, decode in (("greedy_step_probs", lambda r: greedy_step_probs(r, params)[0]),
                          ("step_scores", lambda r: step_scores(r, params))):
         with pytest.raises(ValueError, match=rf"^{name} decodes one instance; got a group of "
                                              rf"{size}$"):
@@ -443,25 +464,3 @@ def test_greedy_decode_equals_the_taped_per_step_loop_bitwise(kind):
                 assert pi.order == tuple(group[0].cands.ids[k] for k in ref_order)
                 assert probs.shape == ref_probs.shape
                 assert probs.tobytes() == ref_probs.tobytes()
-
-
-def test_sampled_decode_equals_the_taped_per_step_loop():
-    pool = mixed_pool(n_inst=12, seed=9)
-    params = spread_params("starank", tiny_dims(max_list_len=12), 13)
-    for inst in pool:
-        rout = read_group("starank", params, [inst])
-        for seed in range(4):
-            rng, log_prob = np.random.default_rng(seed), []
-
-            def choose(logits, mask):
-                p = ad.softmax_masked(logits, mask).values[0]
-                support = np.flatnonzero(mask[0])
-                weights = p[support]
-                chosen = support[[rng.choice(len(support), p=weights / weights.sum())]]
-                log_prob.append(float(ad.masked_log_prob(logits, mask, chosen).values[0]))
-                return chosen
-
-            ref = taped_decode(rout, params, choose)
-            pi, lp = arrange_sample(rout, params, seed)
-            assert pi.order == tuple(inst.cands.ids[k] for k in ref)
-            assert lp == sum(log_prob)

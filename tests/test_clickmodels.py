@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from arrangerank.clickmodels import (ClickModelSpec, EnumerationCapError, OrderingError,
                                      examination_prob, metric_fingerprint,
                                      ndcg_reduction_check, oracle_permutation,
-                                     oracle_position_groups, r_cm, r_ndcg, relevance_prob,
-                                     simulate_clicks)
+                                     oracle_position_groups, r_cm, r_ndcg, relevance_prob)
 from arrangerank.permutation import BijectionError, Permutation
 
 
@@ -213,33 +212,6 @@ def test_ndcg_reduction_degenerate_cases():
     assert ndcg_reduction_check(Permutation([0, 1]), {0: 0, 1: 0}) == (0.0, 0.0)
     ndcg, rcm = ndcg_reduction_check(Permutation([0]), {0: 3})
     assert ndcg == 1.0 and abs(rcm - 1.0) < 1e-12
-
-
-# ---------------------------------------------------------------- simulate
-
-
-def test_simulate_clicks_certain_and_impossible():
-    labels = {i: 4 for i in range(6)}
-    clicks = simulate_clicks(Permutation(range(6)), labels, _pbm(tau=0.0), seed=0)
-    assert clicks.all()
-    labels = {i: 0 for i in range(6)}
-    clicks = simulate_clicks(Permutation(range(6)), labels, _pbm(), seed=0)
-    assert not clicks.any()
-
-
-def test_simulate_clicks_deterministic_and_rate():
-    labels = {0: 2, 1: 3, 2: 1}
-    pi = Permutation([1, 0, 2])
-    a = simulate_clicks(pi, labels, _ubm(), seed=42)
-    b = simulate_clicks(pi, labels, _ubm(), seed=42)
-    assert np.array_equal(a, b)
-    # position-1 click rate ~= rho_1 * P(rel) over many trials
-    spec = _pbm(tau=1.0)
-    p1 = relevance_prob(spec, labels[1])
-    trials = 20_000
-    hits = sum(simulate_clicks(pi, labels, spec, seed=s)[0] for s in range(trials))
-    se = np.sqrt(p1 * (1 - p1) / trials)
-    assert abs(hits / trials - p1) < 3 * se + 1e-9
 
 
 # ------------------------------------------------------------------ oracle
@@ -515,7 +487,7 @@ def _browsing_case(draw):
     return values, _ubm(examination_table=table)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(_browsing_case())
 def test_prefix_shared_browsing_dp_equals_the_per_row_dp_bitwise(case):
     values, spec = case
@@ -559,7 +531,7 @@ def _quarter_browsing_case(draw):
     return labels, _ubm(examination_table=table, relevance_map=rmap)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(_quarter_browsing_case(), st.lists(st.integers(0, 2 ** 32), min_size=3, max_size=3))
 def test_browsing_table_oracles_match_the_exact_reference(case, seeds):
     # quarter-valued tables and maps keep every float score exact, so float ties are exact
@@ -603,7 +575,7 @@ _sorting_metric_st = st.one_of(
                                   relevance_map=dict(enumerate(sorted(c[2]))))))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.dictionaries(st.integers(0, 50), st.integers(0, 4), min_size=1, max_size=6),
        _sorting_metric_st, st.integers(0, 2 ** 32))
 def test_sorting_route_equals_enumeration_route_property(labels, metric, seed):
@@ -623,7 +595,7 @@ def _tied_pbm_case(draw):
     return labels, _pbm(examination_table=table, relevance_map=rmap)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(_tied_pbm_case(), st.integers(0, 2 ** 32))
 def test_tied_non_monotone_pbm_tables_match_the_exact_reference(case, seed):
     # tied, zero and non-monotone weights and tied relevance maps, n <= 7: the pick and every

@@ -18,7 +18,7 @@ from arrangerank.clickmodels import (ClickModelSpec, click_rows, examination_pro
 from arrangerank.evaluation import map_rows
 from arrangerank.permutation import Permutation
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=200)
 quarter_st = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
 
 
@@ -129,7 +129,7 @@ def test_grouped_rows_equal_their_batch_of_one_and_the_per_instance_references(c
             assert abs(score.value - value) <= 1e-12
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
     st.lists(st.integers(0, 4), min_size=n, max_size=n),
     st.lists(st.sampled_from([quarter_st, st.floats(0.0, 1.0)]).flatmap(

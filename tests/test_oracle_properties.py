@@ -23,7 +23,7 @@ from arrangerank.clickmodels import (ClickModelSpec, oracle_permutation, oracle_
 from arrangerank.permutation import Permutation
 
 TOL = 1e-12
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=150)
 
 labels_st = st.dictionaries(st.integers(0, 50), st.integers(0, 4), min_size=1, max_size=6)
 seed_st = st.integers(0, 2 ** 32)

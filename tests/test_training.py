@@ -559,7 +559,7 @@ def _param_stores(draw):
     return params
 
 
-_CHECKPOINT_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+_CHECKPOINT_PROPERTY = settings(max_examples=100,
                                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
