@@ -12,8 +12,8 @@ position indicator to produce the next context vector.
 
 Decoding is greedy: each step places the highest-scoring unplaced item. The
 decode loop runs step by step on plain arrays: it records nothing on a tape and
-writes its cell inputs, mask, order and step scores in place. A greedy order
-takes n - 1 steps: the last item is forced, so it fills the index left. Teacher
+writes its cell inputs, mask and order in place. A greedy order takes n - 1
+steps: the last item is forced, so it fills the index left. Teacher
 forcing fixes every decoder input in advance, so the differentiable
 log-probabilities run the n recurrent steps in one cell call and score every
 position in one pass; the summation foil decodes its greedy picks first, then
@@ -45,14 +45,14 @@ def _onehots(params: ParamStore, steps) -> np.ndarray:
 
 
 def _decode(rout: ReaderOutput, params: ParamStore,
-            steps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+            steps: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Fill positions 1..n, or the first ``steps``, greedily; returns the placement order as
-    candidate indices (..., steps) and every step's scores of all candidates (..., steps, n).
+    candidate indices (..., steps) and each step's scores of all candidates (..., n).
 
     Each step places the highest-scoring unarranged candidate (of bitwise-equal scores the
     first, the smallest id); its representation, with the next position's one-hot, advances
     the context. Plain arrays: nothing is taped, and the cell input rows [placed item,
-    position one-hot, h], the mask, the order and the scores are written in place.
+    position one-hot, h], the mask and the order are written in place.
     """
     reprs, h = rout.reprs.values, rout.user_vec.values
     lead, (n, e) = reprs.shape[:-2], reprs.shape[-2:]
@@ -65,12 +65,12 @@ def _decode(rout: ReaderOutput, params: ParamStore,
     c = np.zeros(h.shape)
     mask = np.ones(lead + (n,), dtype=bool)
     order = np.empty(lead + (n if steps is None else steps,), dtype=np.intp)
-    scores = np.empty(order.shape + (n,))
+    scores = []
     each = tuple(np.indices(lead, sparse=True))  # instance axes of a per-instance pick
     for i in range(order.shape[-1]):
         _, _, c, h = ad._cell_step(cell_w, cell_b, z, c)
-        scores[..., i, :] = ad._pointer_scores(w2h, ad._mv(w3, h) + b2, w)
-        chosen = np.where(mask, scores[..., i, :], -np.inf).argmax(axis=-1)
+        scores.append(ad._pointer_scores(w2h, ad._mv(w3, h) + b2, w))
+        chosen = np.where(mask, scores[-1], -np.inf).argmax(axis=-1)
         order[..., i] = chosen
         mask[each + (chosen,)] = False
         z[..., :e], z[..., -e:] = reprs[each + (chosen,)], h
@@ -106,7 +106,7 @@ def greedy_orders(rout: ReaderOutput, params: ParamStore) -> np.ndarray:
 def step_scores(rout: ReaderOutput, params: ParamStore) -> dict[int, float]:
     """Placement scores s^1_d of every candidate for position 1 (one decoder step)."""
     _one_request(rout, "step_scores")
-    return dict(zip(rout.ids, _decode(rout, params, steps=1)[1].reshape(-1).tolist()))
+    return dict(zip(rout.ids, _decode(rout, params, steps=1)[1][0].tolist()))
 
 
 def arrange_greedy(rout: ReaderOutput, params: ParamStore) -> Permutation:
@@ -121,8 +121,8 @@ def greedy_step_probs(rout: ReaderOutput, params: ParamStore) -> tuple[Permutati
     """
     _one_request(rout, "greedy_step_probs")
     order, scores = _decode(rout, params)
-    n = len(order)
-    _, e, s = ad._masked_exp(scores, np.argsort(order) >= np.arange(n)[:, None], "greedy decode")
+    kept = np.argsort(order) >= np.arange(len(order))[:, None]  # row i: placed at step i or later
+    _, e, s = ad._masked_exp(np.stack(scores), kept, "greedy decode")
     return _as_permutation(rout.ids, order), e / s[:, None]
 
 
