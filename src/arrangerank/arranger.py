@@ -11,13 +11,14 @@ representation h_d is fed into the decoder cell together with a one-hot
 position indicator to produce the next context vector.
 
 Decoding is greedy: each step places the highest-scoring unplaced item. The
-decode loop runs step by step on plain arrays: it records nothing on a tape and
-writes its cell inputs, mask and order in place. A greedy order takes n - 1
-steps: the last item is forced, so it fills the index left. Teacher
-forcing fixes every decoder input in advance, so the differentiable
-log-probabilities run the n recurrent steps in one cell call and score every
-position in one pass; the summation foil decodes its greedy picks first, then
-is scored that way (it reads all but the last). Both run a single reader
+greedy loop runs step by step on plain arrays, records nothing on a tape and
+returns only its order. It takes n - 1 steps: the last item is forced, so it
+fills the index left. Teacher forcing fixes every decoder input in advance, so
+one cell call runs the recurrent steps and one pass scores every position.
+That pass is the one source of scores: the differentiable log-probabilities,
+the summation foil (fed its greedy picks but the last), the first step's
+scores and, fed the greedy order, the distributions the greedy steps picked
+from, bit for bit. The loop and the log-probabilities run a single reader
 output, or a group of equal-shape instances along a leading batch axis. Orders
 are rows of candidate indices; candidates are stored by ascending item id, so
 greedy decoding gives bitwise-equal scores to the smallest item id, never to a
@@ -44,41 +45,6 @@ def _onehots(params: ParamStore, steps) -> np.ndarray:
     return np.eye(positions)[np.minimum(steps, positions - 1)]
 
 
-def _decode(rout: ReaderOutput, params: ParamStore,
-            steps: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Fill positions 1..n, or the first ``steps``, greedily; returns the placement order as
-    candidate indices (..., steps) and each step's scores of all candidates (..., n).
-
-    Each step places the highest-scoring unarranged candidate (of bitwise-equal scores the
-    first, the smallest id); its representation, with the next position's one-hot, advances
-    the context. Plain arrays: nothing is taped, and the cell input rows [placed item,
-    position one-hot, h], the mask and the order are written in place.
-    """
-    reprs, h = rout.reprs.values, rout.user_vec.values
-    lead, (n, e) = reprs.shape[:-2], reprs.shape[-2:]
-    if n == 0:
-        raise ValueError("cannot arrange an empty candidate set")
-    w2h, w = reprs @ params["ptr.W2"].values, ad._mv(params["ptr.P"].values, h)  # fixed parts
-    cell_w, cell_b, w3, b2 = (params[k].values for k in ("dec.W", "dec.b", "ptr.W3", "ptr.b2"))
-    z = np.zeros(lead + (cell_w.shape[1],))
-    z[..., :e], z[..., e], z[..., -e:] = params["dec.start"].values, 1.0, h  # position 1
-    c = np.zeros(h.shape)
-    mask = np.ones(lead + (n,), dtype=bool)
-    order = np.empty(lead + (n if steps is None else steps,), dtype=np.intp)
-    scores = []
-    each = tuple(np.indices(lead, sparse=True))  # instance axes of a per-instance pick
-    for i in range(order.shape[-1]):
-        _, _, c, h = ad._cell_step(cell_w, cell_b, z, c)
-        scores.append(ad._pointer_scores(w2h, ad._mv(w3, h) + b2, w))
-        chosen = np.where(mask, scores[-1], -np.inf).argmax(axis=-1)
-        order[..., i] = chosen
-        mask[each + (chosen,)] = False
-        z[..., :e], z[..., -e:] = reprs[each + (chosen,)], h
-        if i + 1 < z.shape[-1] - 2 * e:  # past the table the last one-hot column stays
-            z[..., e + i], z[..., e + i + 1] = 0.0, 1.0
-    return order, scores
-
-
 def _as_permutation(ids, order) -> Permutation:
     return Permutation([ids[k] for k in order])
 
@@ -97,16 +63,40 @@ def target_indices(ids, pi: Permutation) -> list[int]:
 
 
 def greedy_orders(rout: ReaderOutput, params: ParamStore) -> np.ndarray:
-    """Greedy order (..., n): each step places the best unplaced item; the last one is forced."""
-    n = rout.reprs.values.shape[-2]
-    order = _decode(rout, params, steps=n - 1)[0]
-    return np.concatenate([order, n * (n - 1) // 2 - order.sum(axis=-1, keepdims=True)], axis=-1)
+    """Greedy order (..., n) as candidate indices: each of n - 1 steps places the highest-scoring
+    unplaced candidate (of bitwise-equal scores the first, the smallest id), then the last one
+    is forced. Plain arrays: nothing is taped; the cell input rows [placed item, position
+    one-hot, h], the mask and the order are written in place."""
+    reprs, h = rout.reprs.values, rout.user_vec.values
+    lead, (n, e) = reprs.shape[:-2], reprs.shape[-2:]
+    if n == 0:
+        raise ValueError("cannot arrange an empty candidate set")
+    w2h, w = reprs @ params["ptr.W2"].values, ad._mv(params["ptr.P"].values, h)  # fixed parts
+    cell_w, cell_b, w3, b2 = (params[k].values for k in ("dec.W", "dec.b", "ptr.W3", "ptr.b2"))
+    z = np.zeros(lead + (cell_w.shape[1],))
+    z[..., :e], z[..., e], z[..., -e:] = params["dec.start"].values, 1.0, h  # position 1
+    c = np.zeros(h.shape)
+    mask = np.ones(lead + (n,), dtype=bool)
+    order = np.empty(lead + (n,), dtype=np.intp)
+    each = tuple(np.indices(lead, sparse=True))  # instance axes of a per-instance pick
+    for i in range(n - 1):
+        _, _, c, h = ad._cell_step(cell_w, cell_b, z, c)
+        scores = ad._pointer_scores(w2h, ad._mv(w3, h) + b2, w)
+        chosen = np.where(mask, scores, -np.inf).argmax(axis=-1)
+        order[..., i] = chosen
+        mask[each + (chosen,)] = False
+        z[..., :e], z[..., -e:] = reprs[each + (chosen,)], h
+        if i + 1 < z.shape[-1] - 2 * e:  # past the table the last one-hot column stays
+            z[..., e + i], z[..., e + i + 1] = 0.0, 1.0
+    order[..., -1] = mask.argmax(axis=-1)  # the one candidate left
+    return order
 
 
 def step_scores(rout: ReaderOutput, params: ParamStore) -> dict[int, float]:
     """Placement scores s^1_d of every candidate for position 1 (one decoder step)."""
     _one_request(rout, "step_scores")
-    return dict(zip(rout.ids, _decode(rout, params, steps=1)[1][0].tolist()))
+    first = _forced_logits(rout, params, np.empty(0, dtype=np.intp)).values[0]
+    return dict(zip(rout.ids, first.tolist()))
 
 
 def arrange_greedy(rout: ReaderOutput, params: ParamStore) -> Permutation:
@@ -117,25 +107,25 @@ def greedy_step_probs(rout: ReaderOutput, params: ParamStore) -> tuple[Permutati
     """Greedy decode plus the per-step pointing distribution (positions x items).
 
     Row i holds P(position i+1 takes item j | choices so far); entries of
-    already-arranged items are exactly 0.
+    already-arranged items are exactly 0. Teacher forcing along the greedy order
+    feeds every step what the decode fed it, so these are the rows it picked from.
     """
     _one_request(rout, "greedy_step_probs")
-    order, scores = _decode(rout, params)
+    order = greedy_orders(rout, params)
     kept = np.argsort(order) >= np.arange(len(order))[:, None]  # row i: placed at step i or later
-    _, e, s = ad._masked_exp(np.stack(scores), kept, "greedy decode")
-    return _as_permutation(rout.ids, order), e / s[:, None]
+    probs = ad.softmax_masked(_forced_logits(rout, params, order[:-1]), kept)
+    return _as_permutation(rout.ids, order), probs.values
 
 
 def _forced_logits(rout: ReaderOutput, params: ParamStore, inputs: np.ndarray) -> Tensor:
-    """Step-by-item logits (..., n, n) of the decoder fed the start vector, then ``inputs``:
-    one cell call runs the n recurrent steps and one pass scores them."""
+    """Step-by-item logits (..., T, n) of the decoder fed the start vector, then the T - 1
+    ``inputs``: one cell call runs the T recurrent steps and one pass scores them."""
     reprs = rout.reprs
-    n = reprs.values.shape[-2]
-    if n == 0:
+    if reprs.values.shape[-2] == 0:
         raise ValueError("cannot arrange an empty candidate set")
     placed = [params["dec.start"], ad.row(reprs, inputs)]
-    hs = ad.gated_cell(params["dec.W"], params["dec.b"],
-                       [placed, Tensor(_onehots(params, np.arange(n)))], rout.user_vec)
+    steps = Tensor(_onehots(params, np.arange(inputs.shape[-1] + 1)))
+    hs = ad.gated_cell(params["dec.W"], params["dec.b"], [placed, steps], rout.user_vec)
     w2h, w = ad.matmul(reprs, params["ptr.W2"]), ad.matvec(params["ptr.P"], rout.user_vec)
     ctx = ad.add(ad.matvec(params["ptr.W3"], hs), params["ptr.b2"])  # one product, all steps
     return ad.pointer_logits(w2h, ctx, w)

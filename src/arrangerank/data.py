@@ -210,6 +210,7 @@ def generate_synthetic(n_users: int, history_len: int = 10, n_candidates: int = 
     grades = np.concatenate([  # a browsed item is graded as a one-item slate
         slate_grades(taste, mixed[:, :h, None], context_strength, r_max)[..., 0],
         slate_grades(taste, slates, context_strength, r_max).reshape(n_users, -1)], axis=1)
+    del noise, g, alpha, mixed, protos, slates, picks  # freed before the per-item lists
     return [UserLog(u, profile[u], [LogItem(u * 1_000_000 + k, x, grade)
                                     for k, (x, grade) in enumerate(zip(xs, gs))])
             for u, (xs, gs) in enumerate(zip(feats, grades.tolist()))]
@@ -375,8 +376,11 @@ def read_key_values(path) -> dict[str, tuple[str, int]]:
     """Flat ``key = value`` file as {key: (raw value, line number)}; '#' starts a comment,
     a repeated key keeps its last value."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            bad = next((ch for ch in line if "\udc80" <= ch <= "\udcff"), None)  # escaped bytes
+            if bad:
+                raise ParseError(f"{path}:{lineno}: byte {ord(bad) - 0xDC00:#x} is not UTF-8")
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -11,7 +11,7 @@ from arrangerank.model import init_params, read_group, read_instance
 from arrangerank.permutation import BijectionError, Permutation
 from arrangerank.reader import CandidateSet, ReaderOutput
 
-from conftest import make_instance, spread_params, tiny_dims
+from conftest import make_instance, spread_params, taped_decode, tiny_dims
 
 
 def _rout(seed=0, n=4, kind="starank", params=None, gain=2.0, ids=None):
@@ -56,19 +56,29 @@ def test_step_scores_deterministic_and_remaining_only():
     assert set(s1) == set(rout.ids)
 
 
+def _taped_greedy(rout, params):
+    """The taped per-step reference: the full n-step greedy order and every step's logits."""
+    seen = []
+
+    def choose(logits, mask):
+        seen.append(logits.values)
+        return np.argmax(np.where(mask, logits.values, -np.inf), axis=-1)
+
+    return taped_decode(rout, params, choose), np.concatenate(seen, axis=-2)
+
+
 def test_step_scores_run_one_decoder_step_equal_to_the_first_greedy_step():
     from unittest import mock
 
     from arrangerank import autodiff as ad
-    from arrangerank.arranger import _decode, greedy_orders
 
     rout, params = _rout(seed=4, n=6)
+    order, seen = _taped_greedy(rout, params)  # every step's logits, the last one too
     with mock.patch.object(ad, "_cell_step", wraps=ad._cell_step) as cell:
-        order, seen = _decode(rout, params)  # every step's logits, the last one too
         assert np.array_equal(order, greedy_orders(rout, params))
-        assert cell.call_count == 6 + 5
+        assert cell.call_count == 5
         scores = step_scores(rout, params)
-        assert cell.call_count == 6 + 5 + 1
+        assert cell.call_count == 5 + 1
     assert list(scores) == list(rout.ids)
     assert np.array([scores[i] for i in rout.ids]).tobytes() == seen[0].tobytes()
 
@@ -78,16 +88,36 @@ def test_greedy_orders_place_the_forced_last_item_without_a_decoder_step(n):
     from unittest import mock
 
     from arrangerank import autodiff as ad
-    from arrangerank.arranger import _decode
 
     params = spread_params("starank", tiny_dims(max_list_len=7), 16)
     group = [make_instance(seed=60 + k, n=n, hist_len=2) for k in range(3)]
     for rout in (read_group("starank", params, group), read_group("starank", params, group[:1])):
-        full = _decode(rout, params)[0]  # every step decoded, the last one too
+        full = _taped_greedy(rout, params)[0]  # every step decoded, the last one too
         with mock.patch.object(ad, "_cell_step", wraps=ad._cell_step) as cell:
             order = greedy_orders(rout, params)
         assert cell.call_count == n - 1
         assert order.dtype == full.dtype and order.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("kind", ("starank", "starank_pi_mlp", "starank_ps_mlp"))
+def test_forced_logits_of_a_prefix_equal_the_first_rows_of_the_full_pass(kind):
+    # k < n - 1 inputs run k + 1 steps of the same recurrence, so step_scores' one-step read
+    # (k = 0) and every shorter prefix give the full pass's rows bit for bit
+    from arrangerank.arranger import _forced_logits
+
+    params = spread_params(kind, tiny_dims(max_list_len=3), 21)
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 5, 8):  # 5 and 8 run past the 3-row position table
+        group = [make_instance(seed=80 + k, n=n, hist_len=3) for k in range(4)]
+        for rout in (read_group(kind, params, group), read_group(kind, params, group[:1])):
+            lead = rout.reprs.values.shape[:-2]
+            targets = np.argsort(rng.random(lead + (n,)), axis=-1)
+            full = _forced_logits(rout, params, targets[..., :-1]).values
+            assert full.shape == lead + (n, n)
+            for k in range(n - 1):
+                part = _forced_logits(rout, params, targets[..., :k]).values
+                assert part.shape == lead + (k + 1, n)
+                assert part.tobytes() == full[..., :k + 1, :].tobytes()
 
 
 def test_greedy_tie_break_by_item_id():

@@ -417,7 +417,6 @@ def test_decode_inside_a_tape_records_nothing():
         recorded = len(tape._steps)
         for rout in routs:
             greedy_orders(rout, params)
-        step_scores(routs[1], params)
     assert len(tape._steps) == recorded
 
 

@@ -173,6 +173,16 @@ def test_malformed_config_lines_name_file_and_line(tmp_path, capsys):
     assert f"error: {click}:2: expected 'key = value'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [("train", "--config"),
+                                  ("oracle", "--metric", "pbm", "--click-config")])
+def test_a_config_byte_that_is_not_utf8_exits_naming_file_line_and_byte(tmp_path, capsys, argv):
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "o"
+    cfg.write_bytes("# r\u00e9glages\n".encode() + b"kind = pbm\ntau = 1\xff\n")  # UTF-8 comment
+    assert _run(*argv, str(cfg), "--split-dir", str(tmp_path / "s"), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: byte 0xff is not UTF-8\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line,shown", [
     ("examination_table = 1.0, 0.x5, 0.3",
      "examination_table: could not convert string to float: ' 0.x5'"),

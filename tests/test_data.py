@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from arrangerank.cli import main
 from arrangerank.data import (GRAM_CHUNK, Instance, LogItem, ParseError, UserLog, _unit_rows,
                               generate_synthetic, oracle_seed, read_dataset, read_instances,
-                              slate_grades, temporal_split, write_dataset, write_instances)
+                              read_key_values, slate_grades, temporal_split, write_dataset,
+                              write_instances)
 from arrangerank.permutation import Permutation
 from arrangerank.reader import CandidateSet, UserContext
 
@@ -153,6 +154,29 @@ def test_stacked_slate_grades_hold_one_gram_array_at_their_peak():
         for s in range(3):
             assert np.array_equal(grades[u, s],
                                   _slate_grades_reference(taste[u, 0], slates[u, s], 1.0))
+
+
+def test_generator_peak_stays_near_the_logs_it_returns():
+    """The draw and work arrays are dropped before the per-item log lists are built, so the
+    call's peak stays near what it returns."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        logs = generate_synthetic(1000, history_len=8, n_candidates=10, seed=27)
+        held, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(logs) == 1000
+    assert peak <= 1.25 * held, f"peak {peak} B against {held} B held after the call"
+
+
+def test_key_values_keep_utf8_comments_and_name_a_byte_that_is_not_utf8(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# r\u00e9glages\nepochs = 2  # \u00e9poques\nepochs = 3\n", encoding="utf-8")
+    assert read_key_values(cfg) == {"epochs": ("3", 3)}
+    cfg.write_bytes(b"epochs = 2\n# \xe9poques\n")  # Latin-1, not UTF-8
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(cfg))}:2: byte 0xe9 is not UTF-8$"):
+        read_key_values(cfg)
 
 
 @settings(max_examples=100)
