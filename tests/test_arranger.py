@@ -308,9 +308,54 @@ _GOLDEN_DECODES = {
 @pytest.mark.golden
 @pytest.mark.parametrize("case", sorted(_GOLDEN_DECODES))
 def test_decodes_match_their_golden_digests(case):
+    assert _digest(_decode_payloads()[case]) == _GOLDEN_DECODES[case]
+
+
+def _digest(parts) -> str:
+    """sha256 of byte strings and of arrays as little-endian float64 or int64."""
     digest = hashlib.sha256()
-    for part in _decode_payloads()[case]:
+    for part in parts:
         digest.update(part if isinstance(part, bytes) else
                       np.ascontiguousarray(part, dtype="<f8" if part.dtype.kind == "f"
                                            else "<i8").tobytes())
-    assert digest.hexdigest() == _GOLDEN_DECODES[case]
+    return digest.hexdigest()
+
+
+def _served_payloads():
+    """Bytes of the decode and the history encoder at the shapes ``rerank`` serves (embed 16,
+    feature dim 8, a 40-row position table): slates of 5, 20 and 40 items with histories of
+    0, 8 and 32 items, each served alone (two instances) and as a group of 4."""
+    params = spread_params("starank", tiny_dims(n_features=8, embed=16, max_list_len=40), 28)
+    payloads = {"served-lone-greedy": [], "served-lone-probs": [], "served-group-greedy": [],
+                "served-user-vecs": []}
+    for n in (5, 20, 40):
+        for hist in (0, 8, 32):
+            pool = [make_instance(seed=1000 * n + 10 * hist + k, n=n, n_features=8,
+                                  hist_len=hist, ids=range(3, 3 + 2 * n, 2)) for k in range(4)]
+            group = read_group("starank", params, pool)
+            payloads["served-group-greedy"].append(greedy_orders(group, params))
+            payloads["served-user-vecs"].append(group.user_vec.values)
+            for inst in pool[:2]:
+                rout = read_instance("starank", params, inst)
+                payloads["served-user-vecs"].append(rout.user_vec.values)
+                payloads["served-lone-greedy"].append(greedy_orders(rout, params))
+                pi, probs = greedy_step_probs(rout, params)
+                payloads["served-lone-probs"] += [repr(pi.order).encode(), probs]
+    return payloads
+
+
+# sha256 of the served-shape outputs, taken as above (numpy 2.4.6, OpenBLAS 0.3.31 Haswell
+# kernels) before the cell step was rewritten to work in place on buffers made once per
+# recurrence: every user vector, step distribution and pick must keep its bits.
+_GOLDEN_SERVED = {
+    "served-group-greedy": "0840f90a8dc56b0a932a6d47b393a4de051729a5e7c20e48c698d0b203b12b4c",
+    "served-lone-greedy": "4c843fb0b4666c5f118b2e7d3c7a27ab94f3a70ccbd02e31db48424299d0415a",
+    "served-lone-probs": "e84937e606e679a6fa9ceb56ad9e4a83922e0b1faf573be2ed4e04693d34e036",
+    "served-user-vecs": "39a13c053ba347086f1dc22637f5eea7df5c0504e535ba72bdcc7f891fb76452",
+}
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("case", sorted(_GOLDEN_SERVED))
+def test_served_shapes_match_their_golden_digests(case):
+    assert _digest(_served_payloads()[case]) == _GOLDEN_SERVED[case]
