@@ -65,8 +65,8 @@ def target_indices(ids, pi: Permutation) -> list[int]:
 def greedy_orders(rout: ReaderOutput, params: ParamStore) -> np.ndarray:
     """Greedy order (..., n) as candidate indices: each of n - 1 steps places the highest-scoring
     unplaced candidate (of bitwise-equal scores the first, the smallest id), then the last one
-    is forced. Plain arrays: nothing is taped; the cell input rows [placed item, position
-    one-hot, h], the mask and the order are written in place."""
+    is forced. Plain arrays, nothing taped: every buffer is made once and written in place,
+    the cell input rows [placed item, position one-hot, h] (the cell step writes h) among them."""
     reprs, h = rout.reprs.values, rout.user_vec.values
     lead, (n, e) = reprs.shape[:-2], reprs.shape[-2:]
     if n == 0:
@@ -75,20 +75,21 @@ def greedy_orders(rout: ReaderOutput, params: ParamStore) -> np.ndarray:
     cell_w, cell_b, w3, b2 = (params[k].values for k in ("dec.W", "dec.b", "ptr.W3", "ptr.b2"))
     z = np.zeros(lead + (cell_w.shape[1],))
     z[..., :e], z[..., e], z[..., -e:] = params["dec.start"].values, 1.0, h  # position 1
-    c = np.zeros(h.shape)
-    mask = np.ones(lead + (n,), dtype=bool)
-    order = np.empty(lead + (n,), dtype=np.intp)
+    c, h, work = np.zeros(h.shape), z[..., -e:], ad._cell_work(lead, e)
+    ctx, t, scores = np.empty(lead + b2.shape), np.empty(w2h.shape), np.empty(lead + (n,))
+    placed, order = np.zeros(lead + (n,), dtype=bool), np.empty(lead + (n,), dtype=np.intp)
     each = tuple(np.indices(lead, sparse=True))  # instance axes of a per-instance pick
     for i in range(n - 1):
-        _, _, c, h = ad._cell_step(cell_w, cell_b, z, c)
-        scores = ad._pointer_scores(w2h, ad._mv(w3, h) + b2, w)
-        chosen = np.where(mask, scores, -np.inf).argmax(axis=-1)
+        ad._cell_step(cell_w, cell_b, z, c, h, work)
+        np.add(ad._mv(w3, h, out=ctx), b2, out=ctx)
+        np.putmask(ad._pointer_scores(w2h, ctx, w, t, scores), placed, -np.inf)
+        chosen = scores.argmax(axis=-1)
         order[..., i] = chosen
-        mask[each + (chosen,)] = False
-        z[..., :e], z[..., -e:] = reprs[each + (chosen,)], h
+        placed[each + (chosen,)] = True
+        z[..., :e] = reprs[each + (chosen,)]
         if i + 1 < z.shape[-1] - 2 * e:  # past the table the last one-hot column stays
             z[..., e + i], z[..., e + i + 1] = 0.0, 1.0
-    order[..., -1] = mask.argmax(axis=-1)  # the one candidate left
+    order[..., -1] = placed.argmin(axis=-1)  # the one candidate left
     return order
 
 

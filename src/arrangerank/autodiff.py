@@ -140,9 +140,11 @@ def _shared(sa: tuple, sb: tuple) -> bool:
     return sb[len(sb) - len(sa):] == sa
 
 
-def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m[..., r, c] @ v[..., c] -> [..., r], one BLAS matrix-vector call per instance."""
-    return m @ v if v.ndim == 1 else (m @ v[..., None])[..., 0]
+def _mv(m: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """m[..., r, c] @ v[..., c] -> [..., r] (into ``out``), one BLAS matrix-vector call each."""
+    if v.ndim == 1:
+        return np.matmul(m, v, out=out)
+    return np.matmul(m, v[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -363,11 +365,12 @@ def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
     return out
 
 
-def _pointer_scores(mv: np.ndarray, cv: np.ndarray, wv: np.ndarray) -> np.ndarray:
+def _pointer_scores(mv: np.ndarray, cv: np.ndarray, wv: np.ndarray,
+                    t: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """One ``pointer_logits`` step on plain arrays: rows mv (..., n, a), context cv (..., a)."""
-    t = mv + cv[..., None, :]
+    t = np.add(mv, cv[..., None, :], out=t)
     np.tanh(t, out=t)  # in place: no second (..., n, a) temporary
-    return _mv(t, wv)
+    return _mv(t, wv, out=out)
 
 
 # Instances per block of pointer_logits' backward, which recomputes a (block, T, n, a) tanh
@@ -392,8 +395,9 @@ def pointer_logits(m: Tensor, ctx: Tensor, w: Tensor) -> Tensor:
             f"pointer_logits shapes do not agree: m {mv.shape}, ctx {cv.shape}, w {wv.shape}")
     lead = np.broadcast_shapes(mv.shape[:-2], cv.shape[:-2], wv.shape[:-1])
     scores = np.empty(lead + cv.shape[-2:-1] + mv.shape[-2:-1])
+    buf = np.empty(np.broadcast_shapes(mv.shape, cv.shape[:-2] + (1, mv.shape[-1])))
     for t in range(cv.shape[-2]):
-        scores[..., t, :] = _pointer_scores(mv, cv[..., t, :], wv)
+        _pointer_scores(mv, cv[..., t, :], wv, buf, scores[..., t, :])
     out = Tensor(scores)
     if _tracing(m, ctx, w):
 
@@ -426,15 +430,28 @@ def pointer_logits(m: Tensor, ctx: Tensor, w: Tensor) -> Tensor:
     return out
 
 
-def _cell_step(wv: np.ndarray, bv: np.ndarray, zv: np.ndarray, cv: np.ndarray) -> tuple:
-    """One ``gated_cell`` step on plain arrays from the joined input zv = [parts..., h]:
-    the sigmoid i, f, o gates, the candidate tanh(g), and the new c and h."""
-    hdim = cv.shape[-1]
-    pre = _mv(wv, zv) + bv
-    gates = 0.5 * (np.tanh(0.5 * pre[..., :3 * hdim]) + 1.0)  # sigmoid of i, f, o
-    gg = np.tanh(pre[..., 3 * hdim:])
-    cv = gates[..., hdim:2 * hdim] * cv + gates[..., :hdim] * gg
-    return gates, gg, cv, gates[..., 2 * hdim:] * np.tanh(cv)
+def _cell_work(lead: tuple, hdim: int) -> tuple:
+    """Buffers of ``_cell_step``, made once per recurrence: the (..., 4 hidden) gates, views of
+    their sigmoid part and i, f, o, g blocks, a temporary, and the scale 0.5 on i, f, o, 1 on g."""
+    gates = np.empty(lead + (4 * hdim,))
+    return (gates, gates[..., :3 * hdim], *np.split(gates, 4, axis=-1),
+            np.empty(lead + (hdim,)), np.repeat([0.5, 1.0], [3 * hdim, hdim]))
+
+
+def _cell_step(wv: np.ndarray, bv: np.ndarray, zv: np.ndarray, cv: np.ndarray,
+               hv: np.ndarray, work: tuple) -> None:
+    """One ``gated_cell`` step on plain arrays, in place, from the joined input zv = [parts..., h]:
+    the ``_cell_work`` gates take sigmoid(i, f, o) = 0.5 (tanh(0.5 x) + 1) and tanh(g), one tanh
+    for all four (scaling by 0.5 or 1.0 is exact), cv the new c and hv the new h."""
+    gates, sig, i, f, o, g, tmp, scale = work
+    _mv(wv, zv, out=gates)
+    gates += bv
+    gates *= scale
+    np.tanh(gates, out=gates)
+    np.multiply(np.add(sig, 1.0, out=sig), 0.5, out=sig)
+    cv *= f
+    cv += np.multiply(i, g, out=tmp)
+    np.multiply(o, np.tanh(cv, out=tmp), out=hv)
 
 
 def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor) -> Tensor:
@@ -454,9 +471,9 @@ def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor) -> Tensor:
     without the leading (batch) axes joins every instance and its gradient
     sums over them.
 
-    Every step computes the same joined input and matrix-vector product as
-    a lone step (``_cell_step``, which the untaped decode calls directly),
-    so T steps in one call equal T one-step calls bitwise.
+    Every step runs the one step kernel, ``_cell_step``, in place on buffers
+    made once per call (``_cell_work``); the untaped decode runs it on its
+    own, so T steps in one call equal T one-step calls bitwise.
     Backward runs through time inside the one closure and takes the w
     gradient from one product over all steps; the finite-difference tests
     cover the hand-derived backward.
@@ -491,15 +508,15 @@ def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor) -> Tensor:
     z = np.empty(lead + (T, zin + hdim))  # every step's input, joined; h goes in step by step
     for p, col, first, steps in pieces:  # a shared piece broadcasts into every instance
         z[..., first:first + steps, col:col + p.values.shape[-1]] = p.values
-    hs, cv = np.empty(lead + (T, hdim)), np.zeros(lead + (hdim,))
+    hs, cv, work = np.empty(lead + (T, hdim)), np.zeros(lead + (hdim,)), _cell_work(lead, hdim)
     if tracing:
         acts, cs = np.empty(lead + (T, 4 * hdim)), np.zeros(lead + (T + 1, hdim))
     for t in range(T):
-        z[..., t, zin:] = hv
-        gates, gg, cv, hv = _cell_step(wv, bv, z[..., t, :], cv)
-        hs[..., t, :] = hv
+        z[..., t, zin:] = hv  # the previous step's h, copied once
+        hv = hs[..., t, :]
+        _cell_step(wv, bv, z[..., t, :], cv, hv, work)
         if tracing:
-            acts[..., t, :3 * hdim], acts[..., t, 3 * hdim:], cs[..., t + 1, :] = gates, gg, cv
+            acts[..., t, :], cs[..., t + 1, :] = work[0], cv
     out = Tensor(hs)
     if tracing:
 

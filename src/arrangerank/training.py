@@ -11,6 +11,7 @@ rerun with the same config reproduces the checkpoint byte for byte.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -144,14 +145,21 @@ class _Adam:
         self.params.zero_grads()
 
 
-def _check_finite(params: ParamStore, losses: np.ndarray, epoch: int, query_id: str) -> None:
-    """Fail before the optimizer step if a group's loss or a gradient is not finite."""
+def _check_health(params: ParamStore, losses: np.ndarray, epoch: int, group: list) -> None:
+    """Fail before the optimizer step if a group's loss or a gradient is not finite, or if the
+    group's mean loss diverged past 10 (1 + mean log n!): a uniform pointer's loss is log n!,
+    and the 1 covers one-item slates."""
     bad = [] if np.isfinite(losses).all() else ["loss"]
     bad += [name for name, p in params.items()
             if p.grad is not None and not np.isfinite(p.grad).all()]
     if bad:
-        raise FloatingPointError(f"epoch {epoch}, group of query {query_id!r}: "
+        raise FloatingPointError(f"epoch {epoch}, group of query {group[0].query_id!r}: "
                                  f"non-finite {', '.join(bad)}")
+    bound = 10.0 * (1.0 + np.mean([math.lgamma(len(inst.cands) + 1) for inst in group]))
+    if losses.mean() > bound:
+        raise FloatingPointError(f"epoch {epoch}, group of query "
+                                 f"{group[int(losses.argmax())].query_id!r}: mean loss "
+                                 f"{losses.mean():.4g} exceeds 10 (1 + mean log n!) = {bound:.4g}")
 
 
 def train(model_kind: str, split: DatasetSplit, metric_for_oracle, cfg: TrainConfig
@@ -187,13 +195,13 @@ def train(model_kind: str, split: DatasetSplit, metric_for_oracle, cfg: TrainCon
         while done < len(order):
             batch = [instances[idx] for idx in order[done : done + cfg.batch_size]]
             for positions in shape_groups(batch):
+                group = [batch[j] for j in positions]
                 with Tape() as tape:
-                    rep = batch_loss(kind, params, [batch[j] for j in positions], cfg.r_max,
-                                     drop, cfg.loss_variant,
+                    rep = batch_loss(kind, params, group, cfg.r_max, drop, cfg.loss_variant,
                                      [targets[order[done + j]] for j in positions])
                 tape.backward(rep.tensor)
                 losses[[done + j for j in positions]] = rep.losses
-                _check_finite(params, rep.losses, epoch, batch[positions[0]].query_id)
+                _check_health(params, rep.losses, epoch, group)
             opt.step(lr, cfg.l2_weight)
             done += len(batch)
         log.append({

@@ -385,11 +385,78 @@ def test_gated_cell_steps_equal_single_steps_bitwise():
     x, start, h = rng.uniform(-2, 2, (3, 4, 5)), rng.uniform(-2, 2, 5), rng.uniform(-2, 2, (3, 4))
     hs = ad.gated_cell(Tensor(w), Tensor(b), [[Tensor(start), Tensor(x)]], Tensor(h)).values
     assert hs.shape == (3, 5, 4)
-    z, c = np.empty((3, 9)), np.zeros((3, 4))
+    z, c, work = np.empty((3, 9)), np.zeros((3, 4)), ad._cell_work((3,), 4)
     for t in range(5):
         z[:, :5], z[:, 5:] = start if t == 0 else x[:, t - 1], h
-        _, _, c, h = ad._cell_step(w, b, z, c)
+        h = np.empty((3, 4))
+        ad._cell_step(w, b, z, c, h, work)
         assert h.tobytes() == hs[:, t].tobytes()
+
+
+def _reference_mv(m, v):
+    return m @ v if v.ndim == 1 else (m @ v[..., None])[..., 0]
+
+
+def _reference_cell_step(wv, bv, zv, cv):
+    """The out-of-place cell step that the in-place kernel replaced: gates, candidate, c, h."""
+    hdim = cv.shape[-1]
+    pre = _reference_mv(wv, zv) + bv
+    gates = 0.5 * (np.tanh(0.5 * pre[..., :3 * hdim]) + 1.0)  # sigmoid of i, f, o
+    gg = np.tanh(pre[..., 3 * hdim:])
+    cv = gates[..., hdim:2 * hdim] * cv + gates[..., :hdim] * gg
+    return gates, gg, cv, gates[..., 2 * hdim:] * np.tanh(cv)
+
+
+def _signed_zeros(rng, x):
+    """x with about a tenth of its entries set to +0.0 or -0.0."""
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.05] = -0.0
+    return x
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.none(), st.integers(1, 64)),
+       st.one_of(st.sampled_from([6, 16]), st.integers(1, 32)),
+       st.integers(1, 8), st.sampled_from([0.5, 2.0, 40.0]), st.integers(0, 2 ** 32 - 1))
+def test_the_in_place_cell_step_equals_the_out_of_place_step_bitwise(batch, hdim, width, gain,
+                                                                     seed):
+    """Lone and batched steps, gates saturated at the larger gains, +-0.0 entries, and h
+    written into a strided step slot of a (..., T, hidden) array, as ``gated_cell`` does;
+    two steps in a row reuse one workspace."""
+    rng = np.random.default_rng(seed)
+    lead = () if batch is None else (batch,)
+    w = _signed_zeros(rng, gain * rng.normal(size=(4 * hdim, width + hdim)))
+    b = _signed_zeros(rng, gain * rng.normal(size=4 * hdim))
+    z = _signed_zeros(rng, rng.normal(size=lead + (width + hdim,)))
+    c = _signed_zeros(rng, rng.normal(size=lead + (hdim,)))
+    hs, work, ref_c = np.empty(lead + (3, hdim)), ad._cell_work(lead, hdim), c.copy()
+    for t in (1, 2):
+        gates, gg, ref_c, ref_h = _reference_cell_step(w, b, z, ref_c)
+        ad._cell_step(w, b, z, c, hs[..., t, :], work)
+        assert work[0][..., :3 * hdim].tobytes() == gates.tobytes()
+        assert work[0][..., 3 * hdim:].tobytes() == gg.tobytes()
+        assert c.tobytes() == ref_c.tobytes()
+        assert hs[..., t, :].tobytes() == ref_h.tobytes()
+        z[..., width:] = ref_h
+
+
+@settings(max_examples=100)
+@given(st.one_of(st.none(), st.integers(1, 16)), st.integers(1, 40),
+       st.sampled_from([6, 16]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_pointer_scores_with_and_without_buffers_equal_the_formula_bitwise(batch, n, a, shared_w,
+                                                                          seed):
+    """Scores written into a reused tanh buffer and a strided step slot equal fresh arrays."""
+    rng = np.random.default_rng(seed)
+    lead = () if batch is None else (batch,)
+    m = _signed_zeros(rng, 2.0 * rng.normal(size=lead + (n, a)))
+    w = rng.normal(size=(a,) if shared_w else lead + (a,))
+    t, scores = np.empty(lead + (n, a)), np.empty(lead + (3, n))
+    for step in range(3):
+        ctx = _signed_zeros(rng, rng.normal(size=lead + (a,)))
+        expect = _reference_mv(np.tanh(m + ctx[..., None, :]), w)
+        assert ad._pointer_scores(m, ctx, w).tobytes() == expect.tobytes()
+        ad._pointer_scores(m, ctx, w, t, scores[..., step, :])
+        assert scores[..., step, :].tobytes() == expect.tobytes()
 
 
 def test_gated_cell_batch_with_a_shared_part():

@@ -5,6 +5,7 @@ import re
 from dataclasses import asdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from arrangerank.cli import build_parser, main
@@ -328,6 +329,23 @@ def test_train_zero_epochs_exits_before_training(tmp_path, capsys):
     assert _run("train", "--split-dir", str(split), "--epochs", "0", "--out", str(run)) == 1
     assert "error: epochs must be >= 1, got 0" in capsys.readouterr().err
     assert not (run / "checkpoint.txt").exists()
+
+
+def test_a_training_run_that_fails_its_float_checks_exits_with_an_error_line(tmp_path, capsys):
+    """Sgd at lr 1e300 makes the loss and every gradient non-finite, and at lr 1e4 the mean
+    loss diverges; each exits 1 naming the epoch and a query, and writes no output directory."""
+    data, split = tmp_path / "d", tmp_path / "s"
+    _run("gen-data", "--users", "40", "--out", str(data))
+    _run("split", "--data", str(data / "dataset.txt"), "--out", str(split))
+    for lr, says in (("1e300", "non-finite loss, hist.U0"), ("1e4", "mean loss")):
+        run = tmp_path / f"run{lr}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _run("train", "--split-dir", str(split), "--optimizer", "sgd", "--lr-initial",
+                        lr, "--lr-final", lr, "--epochs", "3", "--out", str(run)) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: epoch 1, group of query '\d+:train': ", err, re.M), err
+        assert says in err and "Traceback" not in err
+        assert not run.exists()
 
 
 def test_train_config_file_keys_join_in_any_order(tmp_path):

@@ -335,6 +335,32 @@ def test_non_finite_gradient_stops_training_naming_epoch_and_query():
             train("starank", DatasetSplit(train=[inst]), "ndcg", _small_cfg(epochs=1))
 
 
+def test_a_diverging_sgd_run_stops_before_its_next_optimizer_step():
+    """Sgd at lr 1e4 takes the mean loss of 40 users' 10-item slates from 15.11, near a uniform
+    pointer's log 10! = 15.10, to 7.8e4 after one step: past 10 (1 + log 10!) = 161."""
+    split = temporal_split(generate_synthetic(40))
+    steps = []
+    cfg = TrainConfig(optimizer="sgd", lr_initial=1e4, lr_final=1e4, epochs=3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Sgd, "step", lambda self, *a, step=_Sgd.step: steps.append(step(self, *a)))
+        with pytest.raises(FloatingPointError, match=r"^epoch 1, group of query '\d+:train': "
+                           r"mean loss 7\.811e\+04 exceeds 10 \(1 \+ mean log n!\) = 161$"):
+            train("starank", split, "ndcg", cfg)
+    assert len(steps) == 1  # the diverged group's step is not taken
+
+
+def test_the_divergence_guard_names_the_largest_loss_and_allows_one_item_slates():
+    group = [make_instance(seed=k, n=n) for k, n in enumerate((1, 1, 2, 2))]
+    bound = 10.0 * (1.0 + math.log(2.0) / 2)  # the mean of log 1!, log 1!, log 2!, log 2!
+    training._check_health(ParamStore(), np.array([0.0, 0.0, 1.9 * bound, 1.9 * bound]), 0,
+                           group)
+    with pytest.raises(FloatingPointError, match=r"^epoch 4, group of query 'test:1': mean loss"):
+        training._check_health(ParamStore(), np.array([0.0, 4 * bound, 0.0, 0.1]), 4, group)
+    training._check_health(ParamStore(), np.array([10.0]), 0, group[:1])  # 10 (1 + log 1!)
+    with pytest.raises(FloatingPointError, match="mean loss 10.01 exceeds"):
+        training._check_health(ParamStore(), np.array([10.01]), 0, group[:1])
+
+
 def test_default_config_loss_halves_on_separable_data():
     # every hyperparameter at its default; only the dataset is chosen here
     split = separable_rank_split(400, n=6)
