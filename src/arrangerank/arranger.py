@@ -66,7 +66,7 @@ def greedy_orders(rout: ReaderOutput, params: ParamStore) -> np.ndarray:
     """Greedy order (..., n) as candidate indices: each of n - 1 steps places the highest-scoring
     unplaced candidate (of bitwise-equal scores the first, the smallest id), then the last one
     is forced. Plain arrays, nothing taped: every buffer is made once and written in place,
-    the cell input rows [placed item, position one-hot, h] (the cell step writes h) among them."""
+    the cell input rows [placed item, position one-hot, h] among them."""
     reprs, h = rout.reprs.values, rout.user_vec.values
     lead, (n, e) = reprs.shape[:-2], reprs.shape[-2:]
     if n == 0:
@@ -75,7 +75,7 @@ def greedy_orders(rout: ReaderOutput, params: ParamStore) -> np.ndarray:
     cell_w, cell_b, w3, b2 = (params[k].values for k in ("dec.W", "dec.b", "ptr.W3", "ptr.b2"))
     z = np.zeros(lead + (cell_w.shape[1],))
     z[..., :e], z[..., e], z[..., -e:] = params["dec.start"].values, 1.0, h  # position 1
-    c, h, work = np.zeros(h.shape), z[..., -e:], ad._cell_work(lead, e)
+    c, h, work = np.zeros(h.shape), z[..., -e:], ad._cell_work(lead, e)  # the cell writes h
     ctx, t, scores = np.empty(lead + b2.shape), np.empty(w2h.shape), np.empty(lead + (n,))
     placed, order = np.zeros(lead + (n,), dtype=bool), np.empty(lead + (n,), dtype=np.intp)
     each = tuple(np.indices(lead, sparse=True))  # instance axes of a per-instance pick

@@ -365,9 +365,9 @@ def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
     return out
 
 
-def _pointer_scores(mv: np.ndarray, cv: np.ndarray, wv: np.ndarray,
-                    t: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """One ``pointer_logits`` step on plain arrays: rows mv (..., n, a), context cv (..., a)."""
+def _pointer_scores(mv: np.ndarray, cv: np.ndarray, wv: np.ndarray, t=None, out=None) -> np.ndarray:
+    """One ``pointer_logits`` step on plain arrays: rows mv (..., n, a), context cv (..., a),
+    reused buffers ``t`` (..., n, a) for the tanh and ``out`` for the scores if given."""
     t = np.add(mv, cv[..., None, :], out=t)
     np.tanh(t, out=t)  # in place: no second (..., n, a) temporary
     return _mv(t, wv, out=out)
@@ -433,9 +433,11 @@ def pointer_logits(m: Tensor, ctx: Tensor, w: Tensor) -> Tensor:
 def _cell_work(lead: tuple, hdim: int) -> tuple:
     """Buffers of ``_cell_step``, made once per recurrence: the (..., 4 hidden) gates, views of
     their sigmoid part and i, f, o, g blocks, a temporary, and the scale 0.5 on i, f, o, 1 on g."""
-    gates = np.empty(lead + (4 * hdim,))
-    return (gates, gates[..., :3 * hdim], *np.split(gates, 4, axis=-1),
-            np.empty(lead + (hdim,)), np.repeat([0.5, 1.0], [3 * hdim, hdim]))
+    gates, scale = np.empty(lead + (4 * hdim,)), np.full(4 * hdim, 0.5)
+    scale[3 * hdim:] = 1.0
+    i, f, o, g = (gates[..., :hdim], gates[..., hdim:2 * hdim], gates[..., 2 * hdim:3 * hdim],
+                  gates[..., 3 * hdim:])
+    return gates, gates[..., :3 * hdim], i, f, o, g, np.empty(lead + (hdim,)), scale
 
 
 def _cell_step(wv: np.ndarray, bv: np.ndarray, zv: np.ndarray, cv: np.ndarray,

@@ -310,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, FloatingPointError) as e:  # a training run that diverged
+    except (ValueError, OSError, FloatingPointError) as e:  # train's loss checks
         print(f"error: {e}", file=sys.stderr)
         return 1
 
