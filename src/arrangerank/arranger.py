@@ -75,12 +75,12 @@ def greedy_orders(rout: ReaderOutput, params: ParamStore) -> np.ndarray:
     cell_w, cell_b, w3, b2 = (params[k].values for k in ("dec.W", "dec.b", "ptr.W3", "ptr.b2"))
     z = np.zeros(lead + (cell_w.shape[1],))
     z[..., :e], z[..., e], z[..., -e:] = params["dec.start"].values, 1.0, h  # position 1
-    c, h, work = np.zeros(h.shape), z[..., -e:], ad._cell_work(lead, e)  # the cell writes h
+    c, h, work = np.zeros(h.shape), z[..., -e:], ad._cell_work(lead, cell_b)  # the cell writes h
     ctx, t, scores = np.empty(lead + b2.shape), np.empty(w2h.shape), np.empty(lead + (n,))
     placed, order = np.zeros(lead + (n,), dtype=bool), np.empty(lead + (n,), dtype=np.intp)
     each = tuple(np.indices(lead, sparse=True))  # instance axes of a per-instance pick
     for i in range(n - 1):
-        ad._cell_step(cell_w, cell_b, z, c, h, work)
+        ad._cell_step(cell_w, z, c, h, work)
         np.add(ad._mv(w3, h, out=ctx), b2, out=ctx)
         np.putmask(ad._pointer_scores(w2h, ctx, w, t, scores), placed, -np.inf)
         chosen = scores.argmax(axis=-1)

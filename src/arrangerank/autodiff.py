@@ -366,8 +366,7 @@ def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
 
 
 def _pointer_scores(mv: np.ndarray, cv: np.ndarray, wv: np.ndarray, t=None, out=None) -> np.ndarray:
-    """One ``pointer_logits`` step on plain arrays: rows mv (..., n, a), context cv (..., a),
-    reused buffers ``t`` (..., n, a) for the tanh and ``out`` for the scores if given."""
+    """One ``pointer_logits`` step: rows mv (..., n, a), context cv (..., a); reusable t, out."""
     t = np.add(mv, cv[..., None, :], out=t)
     np.tanh(t, out=t)  # in place: no second (..., n, a) temporary
     return _mv(t, wv, out=out)
@@ -430,27 +429,28 @@ def pointer_logits(m: Tensor, ctx: Tensor, w: Tensor) -> Tensor:
     return out
 
 
-def _cell_work(lead: tuple, hdim: int) -> tuple:
-    """Buffers of ``_cell_step``, made once per recurrence: the (..., 4 hidden) gates, views of
-    their sigmoid part and i, f, o, g blocks, a temporary, and the scale 0.5 on i, f, o, 1 on g."""
-    gates, scale = np.empty(lead + (4 * hdim,)), np.full(4 * hdim, 0.5)
-    scale[3 * hdim:] = 1.0
-    i, f, o, g = (gates[..., :hdim], gates[..., hdim:2 * hdim], gates[..., 2 * hdim:3 * hdim],
-                  gates[..., 3 * hdim:])
-    return gates, gates[..., :3 * hdim], i, f, o, g, np.empty(lead + (hdim,)), scale
+def _cell_work(lead: tuple, bv: np.ndarray) -> tuple:
+    """Buffers of ``_cell_step``, made once per recurrence: the (..., 4 hidden) gates, their i, f,
+    o, g blocks, a temporary, and gate-wide copies of the bias bv, the scale (0.5 on i, f, o, 1 on
+    g) and the shift (1 on i, f, o, -0.0 on g), so each gate-wide operation runs contiguously."""
+    h, gates = bv.shape[-1] // 4, np.empty(lead + bv.shape)
+    scale, shift = np.full(gates.shape, 0.5), np.ones(gates.shape)
+    scale[..., 3 * h:], shift[..., 3 * h:] = 1.0, -0.0
+    return (gates, *(gates[..., k * h:(k + 1) * h] for k in range(4)), np.empty(lead + (h,)),
+            np.broadcast_to(bv, gates.shape).copy(), scale, shift)
 
 
-def _cell_step(wv: np.ndarray, bv: np.ndarray, zv: np.ndarray, cv: np.ndarray,
-               hv: np.ndarray, work: tuple) -> None:
-    """One ``gated_cell`` step on plain arrays, in place, from the joined input zv = [parts..., h]:
-    the ``_cell_work`` gates take sigmoid(i, f, o) = 0.5 (tanh(0.5 x) + 1) and tanh(g), one tanh
-    for all four (scaling by 0.5 or 1.0 is exact), cv the new c and hv the new h."""
-    gates, sig, i, f, o, g, tmp, scale = work
+def _cell_step(wv: np.ndarray, zv: np.ndarray, cv: np.ndarray, hv: np.ndarray, work) -> None:
+    """One ``gated_cell`` step in place on plain arrays, from the joined input zv = [parts..., h]
+    into the ``_cell_work`` gates, cv (the new c) and hv (the new h): one tanh for all four gates,
+    as sigmoid(x) = 0.5 (tanh(0.5 x) + 1) on i, f, o (x 0.5 or 1.0 and + -0.0 move no bit)."""
+    gates, i, f, o, g, tmp, bias, scale, shift = work
     _mv(wv, zv, out=gates)
-    gates += bv
+    gates += bias
     gates *= scale
     np.tanh(gates, out=gates)
-    np.multiply(np.add(sig, 1.0, out=sig), 0.5, out=sig)
+    gates += shift
+    gates *= scale
     cv *= f
     cv += np.multiply(i, g, out=tmp)
     np.multiply(o, np.tanh(cv, out=tmp), out=hv)
@@ -510,13 +510,13 @@ def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor) -> Tensor:
     z = np.empty(lead + (T, zin + hdim))  # every step's input, joined; h goes in step by step
     for p, col, first, steps in pieces:  # a shared piece broadcasts into every instance
         z[..., first:first + steps, col:col + p.values.shape[-1]] = p.values
-    hs, cv, work = np.empty(lead + (T, hdim)), np.zeros(lead + (hdim,)), _cell_work(lead, hdim)
+    hs, cv, work = np.empty(lead + (T, hdim)), np.zeros(lead + (hdim,)), _cell_work(lead, bv)
     if tracing:
         acts, cs = np.empty(lead + (T, 4 * hdim)), np.zeros(lead + (T + 1, hdim))
     for t in range(T):
         z[..., t, zin:] = hv  # the previous step's h, copied once
         hv = hs[..., t, :]
-        _cell_step(wv, bv, z[..., t, :], cv, hv, work)
+        _cell_step(wv, z[..., t, :], cv, hv, work)
         if tracing:
             acts[..., t, :], cs[..., t + 1, :] = work[0], cv
     out = Tensor(hs)

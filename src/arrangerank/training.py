@@ -147,19 +147,19 @@ class _Adam:
 
 def _check_health(params: ParamStore, losses: np.ndarray, epoch: int, group: list) -> None:
     """Fail before the optimizer step if a group's loss or a gradient is not finite, or if the
-    group's mean loss diverged past 10 (1 + mean log n!): a uniform pointer's loss is log n!,
-    and the 1 covers one-item slates."""
+    group's mean loss diverged past 10 (1 + log n!) for its shared slate size n: a uniform
+    pointer's loss is log n!, and the 1 covers one-item slates."""
     bad = [] if np.isfinite(losses).all() else ["loss"]
     bad += [name for name, p in params.items()
             if p.grad is not None and not np.isfinite(p.grad).all()]
     if bad:
         raise FloatingPointError(f"epoch {epoch}, group of query {group[0].query_id!r}: "
                                  f"non-finite {', '.join(bad)}")
-    bound = 10.0 * (1.0 + np.mean([math.lgamma(len(inst.cands) + 1) for inst in group]))
+    bound = 10.0 * (1.0 + math.lgamma(len(group[0].cands) + 1))
     if losses.mean() > bound:
         raise FloatingPointError(f"epoch {epoch}, group of query "
                                  f"{group[int(losses.argmax())].query_id!r}: mean loss "
-                                 f"{losses.mean():.4g} exceeds 10 (1 + mean log n!) = {bound:.4g}")
+                                 f"{losses.mean():.4g} exceeds 10 (1 + log n!) = {bound:.4g}")
 
 
 def train(model_kind: str, split: DatasetSplit, metric_for_oracle, cfg: TrainConfig

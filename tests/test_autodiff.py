@@ -385,11 +385,11 @@ def test_gated_cell_steps_equal_single_steps_bitwise():
     x, start, h = rng.uniform(-2, 2, (3, 4, 5)), rng.uniform(-2, 2, 5), rng.uniform(-2, 2, (3, 4))
     hs = ad.gated_cell(Tensor(w), Tensor(b), [[Tensor(start), Tensor(x)]], Tensor(h)).values
     assert hs.shape == (3, 5, 4)
-    z, c, work = np.empty((3, 9)), np.zeros((3, 4)), ad._cell_work((3,), 4)
+    z, c, work = np.empty((3, 9)), np.zeros((3, 4)), ad._cell_work((3,), b)
     for t in range(5):
         z[:, :5], z[:, 5:] = start if t == 0 else x[:, t - 1], h
         h = np.empty((3, 4))
-        ad._cell_step(w, b, z, c, h, work)
+        ad._cell_step(w, z, c, h, work)
         assert h.tobytes() == hs[:, t].tobytes()
 
 
@@ -429,10 +429,10 @@ def test_the_in_place_cell_step_equals_the_out_of_place_step_bitwise(batch, hdim
     b = _signed_zeros(rng, gain * rng.normal(size=4 * hdim))
     z = _signed_zeros(rng, rng.normal(size=lead + (width + hdim,)))
     c = _signed_zeros(rng, rng.normal(size=lead + (hdim,)))
-    hs, work, ref_c = np.empty(lead + (3, hdim)), ad._cell_work(lead, hdim), c.copy()
+    hs, work, ref_c = np.empty(lead + (3, hdim)), ad._cell_work(lead, b), c.copy()
     for t in (1, 2):
         gates, gg, ref_c, ref_h = _reference_cell_step(w, b, z, ref_c)
-        ad._cell_step(w, b, z, c, hs[..., t, :], work)
+        ad._cell_step(w, z, c, hs[..., t, :], work)
         assert work[0][..., :3 * hdim].tobytes() == gates.tobytes()
         assert work[0][..., 3 * hdim:].tobytes() == gg.tobytes()
         assert c.tobytes() == ref_c.tobytes()

@@ -344,21 +344,24 @@ def test_a_diverging_sgd_run_stops_before_its_next_optimizer_step():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Sgd, "step", lambda self, *a, step=_Sgd.step: steps.append(step(self, *a)))
         with pytest.raises(FloatingPointError, match=r"^epoch 1, group of query '\d+:train': "
-                           r"mean loss 7\.811e\+04 exceeds 10 \(1 \+ mean log n!\) = 161$"):
+                           r"mean loss 7\.811e\+04 exceeds 10 \(1 \+ log n!\) = 161$"):
             train("starank", split, "ndcg", cfg)
     assert len(steps) == 1  # the diverged group's step is not taken
 
 
 def test_the_divergence_guard_names_the_largest_loss_and_allows_one_item_slates():
-    group = [make_instance(seed=k, n=n) for k, n in enumerate((1, 1, 2, 2))]
-    bound = 10.0 * (1.0 + math.log(2.0) / 2)  # the mean of log 1!, log 1!, log 2!, log 2!
+    """A group shares one slate size n, as ``shape_groups`` makes them: its bound is
+    10 (1 + log n!), and one-item slates, with log 1! = 0, get 10."""
+    pairs = [make_instance(seed=k, n=2) for k in range(4)]
+    bound = 10.0 * (1.0 + math.log(2.0))
     training._check_health(ParamStore(), np.array([0.0, 0.0, 1.9 * bound, 1.9 * bound]), 0,
-                           group)
+                           pairs)
     with pytest.raises(FloatingPointError, match=r"^epoch 4, group of query 'test:1': mean loss"):
-        training._check_health(ParamStore(), np.array([0.0, 4 * bound, 0.0, 0.1]), 4, group)
-    training._check_health(ParamStore(), np.array([10.0]), 0, group[:1])  # 10 (1 + log 1!)
+        training._check_health(ParamStore(), np.array([0.0, 4 * bound, 0.0, 0.1]), 4, pairs)
+    single = [make_instance(seed=0, n=1)]
+    training._check_health(ParamStore(), np.array([10.0]), 0, single)
     with pytest.raises(FloatingPointError, match="mean loss 10.01 exceeds"):
-        training._check_health(ParamStore(), np.array([10.01]), 0, group[:1])
+        training._check_health(ParamStore(), np.array([10.01]), 0, single)
 
 
 def test_default_config_loss_halves_on_separable_data():
