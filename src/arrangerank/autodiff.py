@@ -433,11 +433,11 @@ def _cell_work(lead: tuple, bv: np.ndarray) -> tuple:
     """Buffers of ``_cell_step``, made once per recurrence: the (..., 4 hidden) gates, their i, f,
     o, g blocks, a temporary, and gate-wide copies of the bias bv, the scale (0.5 on i, f, o, 1 on
     g) and the shift (1 on i, f, o, -0.0 on g), so each gate-wide operation runs contiguously."""
-    h, gates = bv.shape[-1] // 4, np.empty(lead + bv.shape)
+    h, gates, bias = bv.shape[-1] // 4, np.empty(lead + bv.shape), np.empty(lead + bv.shape)
     scale, shift = np.full(gates.shape, 0.5), np.ones(gates.shape)
-    scale[..., 3 * h:], shift[..., 3 * h:] = 1.0, -0.0
-    return (gates, *(gates[..., k * h:(k + 1) * h] for k in range(4)), np.empty(lead + (h,)),
-            np.broadcast_to(bv, gates.shape).copy(), scale, shift)
+    bias[...], scale[..., 3 * h:], shift[..., 3 * h:] = bv, 1.0, -0.0
+    return (gates, gates[..., :h], gates[..., h:2 * h], gates[..., 2 * h:3 * h],
+            gates[..., 3 * h:], np.empty(lead + (h,)), bias, scale, shift)
 
 
 def _cell_step(wv: np.ndarray, zv: np.ndarray, cv: np.ndarray, hv: np.ndarray, work) -> None:
