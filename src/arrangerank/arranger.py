@@ -11,7 +11,7 @@ representation h_d is fed into the decoder cell together with a one-hot
 position indicator to produce the next context vector.
 
 Decoding is greedy: each step places the highest-scoring unplaced item. The
-greedy loop runs step by step on plain arrays, records nothing on a tape and
+greedy loop runs in place on arrays made once, records nothing on a tape and
 returns only its order. It takes n - 1 steps: the last item is forced, so it
 fills the index left. Teacher forcing fixes every decoder input in advance, so
 one cell call runs the recurrent steps and one pass scores every position.
@@ -65,8 +65,8 @@ def target_indices(ids, pi: Permutation) -> list[int]:
 def greedy_orders(rout: ReaderOutput, params: ParamStore) -> np.ndarray:
     """Greedy order (..., n) as candidate indices: each of n - 1 steps places the highest-scoring
     unplaced candidate (of bitwise-equal scores the first, the smallest id), then the last one
-    is forced. Plain arrays, nothing taped: every buffer is made once and written in place,
-    the cell input rows [placed item, position one-hot, h] among them."""
+    is forced. Plain arrays, nothing taped: every buffer, the cell workspace too, is made once and
+    written in place; the cell writes h into its input rows [placed item, position one-hot, h]."""
     reprs, h = rout.reprs.values, rout.user_vec.values
     lead, (n, e) = reprs.shape[:-2], reprs.shape[-2:]
     if n == 0:

@@ -442,8 +442,8 @@ def _cell_work(lead: tuple, bv: np.ndarray) -> tuple:
 
 def _cell_step(wv: np.ndarray, zv: np.ndarray, cv: np.ndarray, hv: np.ndarray, work) -> None:
     """One ``gated_cell`` step in place on plain arrays, from the joined input zv = [parts..., h]
-    into the ``_cell_work`` gates, cv (the new c) and hv (the new h): one tanh for all four gates,
-    as sigmoid(x) = 0.5 (tanh(0.5 x) + 1) on i, f, o (x 0.5 or 1.0 and + -0.0 move no bit)."""
+    into the ``_cell_work`` gates, cv (the new c) and hv (the new h): one tanh of all four gates,
+    as sigmoid(x) = 0.5 (tanh(0.5 x) + 1) on i, f, o; the scalings and the -0.0 shift are exact."""
     gates, i, f, o, g, tmp, bias, scale, shift = work
     _mv(wv, zv, out=gates)
     gates += bias
