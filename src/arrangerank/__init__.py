@@ -10,8 +10,7 @@ from .clickmodels import (ClickModelSpec, MetricScore, examination_prob, load_cl
                           relevance_prob)
 from .data import (DatasetSplit, Instance, UserLog, generate_synthetic, read_dataset,
                    temporal_split, write_dataset)
-from .evaluation import (accuracy_at_position, evaluate, export_attention,
-                         export_attention_weights, score_rankings)
+from .evaluation import accuracy_at_position, attention_files, evaluate, score_rankings
 from .loss import LossReport, listwise_loss
 from .model import (ModelDims, batch_loss, init_params, instance_loss, rank_instance,
                     rank_instances, read_instance)

@@ -19,7 +19,7 @@ from .clickmodels import ClickModelSpec, load_click_spec, metric_fingerprint
 from .data import (DatasetSplit, ParseError, generate_synthetic, parse_value, read_dataset,
                    read_instances, read_key_values, temporal_split, write_dataset,
                    write_instances)
-from .evaluation import evaluate, export_attention, export_attention_weights
+from .evaluation import attention_files, evaluate
 from .training import (TrainConfig, dims_for, ensure_oracles, load_model, save_model,
                        train, write_training_log)
 
@@ -67,7 +67,7 @@ def _metric_arg(name: str, tau: float, r_max: int, click_config: str | None = No
     if click_config:
         spec = load_click_spec(click_config)
         if spec.kind != name:
-            raise SystemExit(f"--metric {name} conflicts with {click_config} (kind {spec.kind})")
+            raise ValueError(f"--metric {name} conflicts with {click_config} (kind {spec.kind})")
         return spec
     return ClickModelSpec(kind=name, tau=tau, r_max=r_max)
 
@@ -197,18 +197,14 @@ def _cmd_inspect(args) -> int:
     for qid in args.query_ids:
         if qid not in instances:
             raise ValueError(f"no instance with query id {qid!r}")
+    files = attention_files(params, [instances[qid] for qid in args.query_ids], kind)
     out = _out_dir(args.out)
-    outputs = []
-    for qid in args.query_ids:
-        path = out / f"attention_{qid.replace(':', '_')}.csv"
-        export_attention(params, instances[qid], path, model_kind=kind)
-        outputs.append(path)
-    betas_path = out / "betas.csv"
-    export_attention_weights(params, [instances[q] for q in args.query_ids], betas_path,
-                             model_kind=kind)
-    outputs.append(betas_path)
-    _write_manifest(out, "inspect", {}, [Path(args.checkpoint), Path(args.instances)], outputs)
-    print(f"wrote {len(outputs)} attention matrices to {out}")
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="ascii")
+    _echo_config(out, {k: getattr(args, k) for k in ("checkpoint", "instances", "query_ids")})
+    _write_manifest(out, "inspect", {}, [Path(args.checkpoint), Path(args.instances)],
+                    [out / name for name in files])
+    print(f"wrote {len(files) - 1} attention matrices to {out}")
     return 0
 
 
@@ -225,6 +221,7 @@ def _cmd_bench(args) -> int:
         for n, t in zip(sizes, times):
             fh.write(f"{n},{t:.6g}\n")
         fh.write(f"# fitted exponent {exponent:.3f}\n")
+    _echo_config(out, {k: getattr(args, k) for k in ("sizes", "repeats", "width", "seed")})
     _write_manifest(out, "bench", {"seed": args.seed}, [], [csv_path])
     for n, t in zip(sizes, times):
         print(f"L={n:3d}  decode {t * 1e3:8.3f} ms per instance")

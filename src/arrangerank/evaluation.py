@@ -125,29 +125,20 @@ def accuracy_at_position(ranked: list[Permutation], instances: list[Instance]) -
     return hits / np.maximum(counts, 1)
 
 
-def export_attention_weights(params, instances: list[Instance], path,
-                             model_kind: str = "starank") -> None:
-    """Write the reader's per-candidate attention weights as CSV rows.
-
-    One row per (instance, item): ``instance_id,item_id,beta``.
-    """
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("instance_id,item_id,beta\n")
-        for inst in instances:
-            rout = read_instance(model_kind, params, inst)
-            for item_id, beta in rout.attn_weights.items():
-                fh.write(f"{inst.query_id},{item_id},{beta:.12g}\n")
-
-
-def export_attention(params, instance: Instance, path, model_kind: str = "starank") -> None:
-    """Write the greedy decode's per-step pointing distribution as CSV.
-
-    Rows are positions, columns are item ids (ascending); each row sums to 1
-    over the items still unarranged at that step and is exactly 0 elsewhere.
-    """
-    rout = read_instance(model_kind, params, instance)
-    _, probs = greedy_step_probs(rout, params)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("position," + ",".join(str(i) for i in rout.ids) + "\n")
-        for pos in range(probs.shape[0]):
-            fh.write(str(pos + 1) + "," + ",".join(f"{p:.12g}" for p in probs[pos]) + "\n")
+def attention_files(params, instances: list[Instance], model_kind: str) -> dict[str, str]:
+    """Every ``inspect`` file by name, each instance read once: ``attention_<query id>.csv``
+    (``:`` written as ``_``), the greedy decode's per-step pointing distribution (rows are
+    positions, columns item ids ascending; a row sums to 1 over the items still unarranged
+    and is exactly 0 elsewhere), and ``betas.csv``, one ``instance_id,item_id,beta`` row of
+    reader attention per (instance, item)."""
+    files, betas = {}, ["instance_id,item_id,beta\n"]
+    for inst in instances:
+        rout = read_instance(model_kind, params, inst)
+        _, probs = greedy_step_probs(rout, params)
+        rows = ["position," + ",".join(str(i) for i in rout.ids) + "\n"]
+        rows += [f"{pos}," + ",".join(f"{p:.12g}" for p in row) + "\n"
+                 for pos, row in enumerate(probs, 1)]
+        files[f"attention_{inst.query_id.replace(':', '_')}.csv"] = "".join(rows)
+        betas += [f"{inst.query_id},{i},{b:.12g}\n" for i, b in zip(rout.ids, rout.betas.values)]
+    files["betas.csv"] = "".join(betas)
+    return files

@@ -108,10 +108,6 @@ class ReaderOutput:
     reprs: Tensor             # (..., n, embed), rows follow ``ids``
     betas: Tensor             # (..., n) attention weights
 
-    @property
-    def attn_weights(self) -> dict[int, float]:
-        return {i: float(self.betas.values[k]) for k, i in enumerate(self.ids)}
-
 
 def encode_history(ctx: UserContext | Group, params: ParamStore,
                    drop: DropoutPlan | None = None) -> Tensor:

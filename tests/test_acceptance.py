@@ -140,7 +140,7 @@ def test_criterion_04_gradient_correctness_full_loss():
         def f(ps):
             return instance_loss("starank", ps, inst).tensor
 
-        worst = max(worst, grad_check(f, params, eps=1e-5))
+        worst = max(worst, grad_check(f, params))
     _report(4, "gradient correctness", worst < 1e-4,
             f"max rel err {worst:.2e} over 20 instances, n in {{3,4,5}}")
 

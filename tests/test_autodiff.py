@@ -220,7 +220,7 @@ def test_dropout_seeded_and_inverted_scaling():
 
 
 def _fd_check(build, params, tol=1e-6):
-    err = grad_check(build, params, eps=1e-5)
+    err = grad_check(build, params)
     assert err < tol, f"max rel err {err:.3e}"
 
 
@@ -507,9 +507,6 @@ def test_grad_check_contract_examples():
 
     constant = lambda p: Tensor(3.5)
     assert grad_check(constant, params) == 0.0
-
-    with pytest.raises(ValueError):
-        grad_check(linear, params, eps=1e-2)
 
 
 def test_grad_check_rejects_non_finite_forward():

@@ -44,7 +44,7 @@ def test_score_gradient_check():
     def f(ps):
         return ad.sum_all(score_all(CandidateSet([(0, x)]), Tensor(uvals), ps))
 
-    assert grad_check(f, params, eps=1e-5) < 1e-4
+    assert grad_check(f, params) < 1e-4
 
 
 def test_pointwise_loss_gradient_check():
@@ -57,7 +57,7 @@ def test_pointwise_loss_gradient_check():
     def f(ps):
         return grade_loss(inst.cands, Tensor(uvals), ps, targets).tensor
 
-    assert grad_check(f, params, eps=1e-5) < 1e-4
+    assert grad_check(f, params) < 1e-4
 
 
 def _pointwise_orders(params, instances):

@@ -220,7 +220,7 @@ def test_gradient_check_through_mixed_shape_batches(kind):
             total = add(total, batch_loss(kind, ps, group).tensor)
         return total
 
-    assert grad_check(f, params, eps=1e-5) < 1e-4
+    assert grad_check(f, params) < 1e-4
 
 
 def test_training_on_mixed_shapes_writes_identical_checkpoints(tmp_path):

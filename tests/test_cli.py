@@ -383,14 +383,14 @@ def test_train_echoes_how_many_oracles_came_from_the_split(tmp_path):
         assert f"oracles_from_split = {want}" in echo and "metric = ndcg" in echo
 
 
-def _tiny_model(tmp_path, instance_lines):
-    """A starank checkpoint over 2 features and an instance file; their paths."""
+def _tiny_model(tmp_path, instance_lines, kind="starank"):
+    """A checkpoint of ``kind`` over 2 features and an instance file; their paths."""
     from arrangerank.model import ModelDims, init_params
     from arrangerank.training import save_model
 
     dims = ModelDims(feature_dim=2, profile_dim=2, embed=4, attn_width=4, mlp_hidden=4)
-    ckpt = tmp_path / "ckpt.txt"
-    save_model(init_params("starank", dims, 0), ckpt, "starank", dims)
+    ckpt = tmp_path / f"{kind}.txt"
+    save_model(init_params(kind, dims, 0), ckpt, kind, dims)
     inst = tmp_path / "test.txt"
     inst.write_text("".join(line + "\n" for line in instance_lines))
     return ckpt, inst
@@ -502,19 +502,33 @@ def test_parametric_click_metrics_reach_oracle_and_train(tmp_path):
     assert f"metric = {metric_fingerprint(ClickModelSpec('pbm', tau=0.5, r_max=3))}" in echo
 
 
-def test_oracle_metric_conflicting_with_the_click_config_kind_exits(tmp_path):
-    click = tmp_path / "click.cfg"
-    click.write_text("kind = pbm\n")
-    with pytest.raises(SystemExit, match=f"--metric ubm conflicts with {click} \\(kind pbm\\)"):
-        _run("oracle", "--split-dir", str(tmp_path / "s"), "--metric", "ubm",
-             "--click-config", str(click), "--out", str(tmp_path / "o"))
-
-
 def test_inspect_unknown_query_id_exits(tmp_path, capsys):
     ckpt, inst = _tiny_model(tmp_path, ["q0|0.5,0.5||10:2:0.1,0.2;11:1:0.3,0.4|"])
     assert _run("inspect", "--checkpoint", str(ckpt), "--instances", str(inst),
                 "--query-ids", "q0", "q9", "--out", str(tmp_path / "out")) == 1
     assert "error: no instance with query id 'q9'" in capsys.readouterr().err
+
+
+def test_inspect_reads_each_query_once_and_echoes_its_arguments(tmp_path, monkeypatch, capsys):
+    from arrangerank import evaluation
+    from arrangerank.model import read_instance
+
+    ckpt, inst = _tiny_model(tmp_path, [
+        "q0|0.5,0.5|0:0:0.1,0.9|10:2:0.1,0.2;11:4:0.3,0.4;12:1:0.8,0.1|",
+        "q1|0.2,0.7||10:3:0.5,0.2;11:0:0.3,0.6|"])
+    reads = []
+    monkeypatch.setattr(evaluation, "read_instance",
+                        lambda kind, params, i: reads.append(i.query_id)
+                        or read_instance(kind, params, i))
+    out = tmp_path / "out"
+    assert _run("inspect", "--checkpoint", str(ckpt), "--instances", str(inst),
+                "--query-ids", "q0", "q1", "--out", str(out)) == 0
+    assert reads == ["q0", "q1"]
+    assert capsys.readouterr().out == f"wrote 2 attention matrices to {out}\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "attention_q0.csv", "attention_q1.csv", "betas.csv", "config.echo.txt", "manifest.json"]
+    assert (out / "config.echo.txt").read_text().splitlines() == [
+        f"checkpoint = {ckpt}", f"instances = {inst}", "query_ids = ['q0', 'q1']"]
 
 
 _REJECTED = {  # arguments that fail each command's checks, and the message they give
@@ -552,6 +566,12 @@ _REJECTED = {  # arguments that fail each command's checks, and the message they
     "split malformed": (["split", "--data", "{bad}"], "{bad}:1: "),
     "inspect unknown id": (["inspect", "--checkpoint", "{ckpt}", "--instances", "{inst}",
                             "--query-ids", "q0", "q9"], "no instance with query id 'q9'"),
+    "inspect pointwise": (["inspect", "--checkpoint", "{pointwise}", "--instances", "{inst}",
+                           "--query-ids", "q0"],
+                          "the pointwise baseline has no candidate-set encoder"),
+    "oracle --metric ubm --click-config pbm": (["oracle", "--split-dir", "{split}", "--metric",
+                                                "ubm", "--click-config", "{click}"],
+                                               "--metric ubm conflicts with {click} (kind pbm)"),
     "bench --sizes 5": (["bench", "--sizes", "5"],
                         "fitting an exponent needs two distinct sizes, got 5"),
     "bench --sizes 5,5": (["bench", "--sizes", "5,5"],
@@ -575,8 +595,12 @@ _REJECTED = {  # arguments that fail each command's checks, and the message they
 @pytest.mark.parametrize("case", sorted(_REJECTED))
 def test_a_rejected_command_makes_no_out_path(tmp_path, capsys, case):
     """Every command checks its arguments and inputs before it makes ``--out``; inspect
-    checks every query id before it writes the first attention file."""
+    checks every query id and computes every file before it writes the first one."""
     ckpt, inst = _tiny_model(tmp_path, ["q0|0.5,0.5||10:2:0.1,0.2;11:1:0.3,0.4|"])
+    pointwise, _ = _tiny_model(tmp_path, ["q0|0.5,0.5||10:2:0.1,0.2;11:1:0.3,0.4|"],
+                               "pointwise")
+    click = tmp_path / "click.cfg"
+    click.write_text("kind = pbm\n")
     split, bad, out = tmp_path / "s", tmp_path / "bad.txt", tmp_path / "out"
     split.mkdir()
     (split / "train.txt").write_text(inst.read_text())
@@ -584,7 +608,8 @@ def test_a_rejected_command_makes_no_out_path(tmp_path, capsys, case):
     replay = tmp_path / "replay.txt"  # a replayer of the instances' oracles is no model kind
     replay.write_text(ckpt.read_text().replace('"model_kind": "starank"',
                                                '"model_kind": "oracle_replay"'))
-    paths = {"split": split, "ckpt": ckpt, "inst": inst, "bad": bad, "replay": replay}
+    paths = {"split": split, "ckpt": ckpt, "inst": inst, "bad": bad, "replay": replay,
+             "pointwise": pointwise, "click": click}
     argv, message = _REJECTED[case]
     assert _run(*[arg.format(**paths) for arg in argv], "--out", str(out)) == 1
     assert f"error: {message.format(**paths)}" in capsys.readouterr().err
@@ -605,3 +630,5 @@ def test_bench_reports_exponent(tmp_path, capsys):
     text = (out / "bench.csv").read_text()
     assert text.startswith("candidates,seconds")
     assert "exponent" in capsys.readouterr().out
+    assert (out / "config.echo.txt").read_text().splitlines() == [
+        "repeats = 2", "seed = 0", "sizes = 4,8", "width = 64"]

@@ -4,7 +4,7 @@ import pytest
 from arrangerank import evaluation
 from arrangerank.clickmodels import ClickModelSpec, oracle_permutation, served_grades
 from arrangerank.evaluation import (EmptyEvaluationError, MetricTable, accuracy_at_position,
-                                    evaluate, export_attention, map_rows, score_rankings)
+                                    attention_files, evaluate, map_rows, score_rankings)
 from arrangerank.model import rank_instance
 from arrangerank.permutation import Permutation
 
@@ -184,12 +184,10 @@ def test_accuracy_uniform_random_near_one_over_n():
     assert abs(acc[0] - 0.1) < 0.025
 
 
-def test_export_attention(tmp_path):
+def test_export_attention():
     params = spread_params("starank", tiny_dims(max_list_len=6), 5)
     inst = make_instance(seed=95, n=4)
-    path = tmp_path / "attn.csv"
-    export_attention(params, inst, path)
-    lines = path.read_text().splitlines()
+    lines = attention_files(params, [inst], "starank")["attention_test_95.csv"].splitlines()
     assert lines[0] == "position," + ",".join(str(i) for i in inst.cands.ids)
     rows = np.array([[float(x) for x in line.split(",")[1:]] for line in lines[1:]])
     assert rows.shape == (4, 4)
@@ -201,24 +199,18 @@ def test_export_attention(tmp_path):
         assert np.all(rows[step][placed] == 0.0)
 
 
-def test_export_attention_single_candidate(tmp_path):
+def test_export_attention_single_candidate():
     params = spread_params("starank", tiny_dims(max_list_len=6), 6)
     inst = make_instance(seed=96, n=1)
-    path = tmp_path / "attn1.csv"
-    export_attention(params, inst, path)
-    lines = path.read_text().splitlines()
+    lines = attention_files(params, [inst], "starank")["attention_test_96.csv"].splitlines()
     assert len(lines) == 2
     assert float(lines[1].split(",")[1]) == 1.0
 
 
-def test_export_attention_weights_csv(tmp_path):
-    from arrangerank.evaluation import export_attention_weights
-
+def test_export_attention_weights_csv():
     params = spread_params("starank", tiny_dims(max_list_len=6), 7)
     insts = [make_instance(seed=97, n=3), make_instance(seed=98, n=4)]
-    path = tmp_path / "betas.csv"
-    export_attention_weights(params, insts, path)
-    lines = path.read_text().splitlines()
+    lines = attention_files(params, insts, "starank")["betas.csv"].splitlines()
     assert lines[0] == "instance_id,item_id,beta"
     assert len(lines) == 1 + 3 + 4
     for inst in insts:

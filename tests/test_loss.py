@@ -77,7 +77,7 @@ def test_gradient_check_full_listwise_loss():
         def f(ps):
             return instance_loss("starank", ps, inst).tensor
 
-        assert grad_check(f, params, eps=1e-5) < 1e-4
+        assert grad_check(f, params) < 1e-4
 
 
 def test_gradient_check_mlp_variants():
@@ -89,7 +89,7 @@ def test_gradient_check_mlp_variants():
         def f(ps):
             return instance_loss(kind, ps, inst).tensor
 
-        assert grad_check(f, params, eps=1e-5) < 1e-4
+        assert grad_check(f, params) < 1e-4
 
 
 def test_pointwise_summation_loss_base_cases():

@@ -88,7 +88,7 @@ def test_attention_storage_order_invariance_bitwise():
     for i in feats:
         assert np.array_equal(base.reprs.values[base.ids.index(i)],
                               shuf.reprs.values[shuf.ids.index(i)])
-        assert base.attn_weights[i] == shuf.attn_weights[i]
+        assert base.betas.values[base.ids.index(i)] == shuf.betas.values[shuf.ids.index(i)]
 
 
 def test_attention_beta_normalization_random():
