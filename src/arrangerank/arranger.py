@@ -79,17 +79,18 @@ def greedy_orders(rout: ReaderOutput, params: ParamStore) -> np.ndarray:
     ctx, t, scores = np.empty(lead + b2.shape), np.empty(w2h.shape), np.empty(lead + (n,))
     placed, order = np.zeros(lead + (n,), dtype=bool), np.empty(lead + (n,), dtype=np.intp)
     each = tuple(np.indices(lead, sparse=True))  # instance axes of a per-instance pick
+    first = (-1, *range(len(lead)))  # step-major: order's step i, the one-hot's column i
+    steps, item, onehot = order.transpose(first), z[..., :e], z[..., e:-e].transpose(first)
     for i in range(n - 1):
         ad._cell_step(cell_w, z, c, h, work)
         np.add(ad._mv(w3, h, out=ctx), b2, out=ctx)
         np.putmask(ad._pointer_scores(w2h, ctx, w, t, scores), placed, -np.inf)
-        chosen = scores.argmax(axis=-1)
-        order[..., i] = chosen
+        steps[i] = chosen = scores.argmax(axis=-1)
         placed[each + (chosen,)] = True
-        z[..., :e] = reprs[each + (chosen,)]
-        if i + 1 < z.shape[-1] - 2 * e:  # past the table the last one-hot column stays
-            z[..., e + i], z[..., e + i + 1] = 0.0, 1.0
-    order[..., -1] = placed.argmin(axis=-1)  # the one candidate left
+        item[...] = reprs[each + (chosen,)]
+        if i + 1 < len(onehot):  # past the table the last one-hot column stays
+            onehot[i], onehot[i + 1] = 0.0, 1.0
+    steps[-1] = placed.argmin(axis=-1)  # the one candidate left
     return order
 
 

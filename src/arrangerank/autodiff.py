@@ -141,9 +141,10 @@ def _shared(sa: tuple, sb: tuple) -> bool:
 
 
 def _mv(m: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """m[..., r, c] @ v[..., c] -> [..., r] (into ``out``), one BLAS matrix-vector call each."""
+    """m[..., r, c] @ v[..., c] -> [..., r] (into ``out``), one BLAS matrix-vector call each; a
+    lone (r, c) @ (c,) reaches matmul's gemv through ``ndarray.dot``, skipping gufunc dispatch."""
     if v.ndim == 1:
-        return np.matmul(m, v, out=out)
+        return m.dot(v, out) if m.ndim == 2 else np.matmul(m, v, out=out)
     return np.matmul(m, v[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
@@ -366,8 +367,9 @@ def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
 
 
 def _pointer_scores(mv: np.ndarray, cv: np.ndarray, wv: np.ndarray, t=None, out=None) -> np.ndarray:
-    """One ``pointer_logits`` step: rows mv (..., n, a), context cv (..., a); reusable t, out."""
-    t = np.add(mv, cv[..., None, :], out=t)
+    """One ``pointer_logits`` step: rows mv (..., n, a), context cv (..., a; a lone one
+    broadcasts as it is, with no [..., None, :] view); reusable t, out."""
+    t = np.add(mv, cv if cv.ndim == 1 else cv[..., None, :], out=t)
     np.tanh(t, out=t)  # in place: no second (..., n, a) temporary
     return _mv(t, wv, out=out)
 
@@ -513,10 +515,12 @@ def gated_cell(w: Tensor, b: Tensor, parts: Sequence, h: Tensor) -> Tensor:
     hs, cv, work = np.empty(lead + (T, hdim)), np.zeros(lead + (hdim,)), _cell_work(lead, bv)
     if tracing:
         acts, cs = np.empty(lead + (T, 4 * hdim)), np.zeros(lead + (T + 1, hdim))
+    axes = (-2, *range(len(lead)), -1)  # step-major views, made once: [t] is step t
+    zt, zh, ht = (a.transpose(axes) for a in (z, z[..., zin:], hs))
     for t in range(T):
-        z[..., t, zin:] = hv  # the previous step's h, copied once
-        hv = hs[..., t, :]
-        _cell_step(wv, z[..., t, :], cv, hv, work)
+        zh[t] = hv  # the previous step's h, copied once
+        hv = ht[t]
+        _cell_step(wv, zt[t], cv, hv, work)
         if tracing:
             acts[..., t, :], cs[..., t + 1, :] = work[0], cv
     out = Tensor(hs)

@@ -62,13 +62,13 @@ def _build_config(args) -> TrainConfig:
 
 
 def _metric_arg(name: str, tau: float, r_max: int, click_config: str | None = None):
-    if name == "ndcg":
-        return "ndcg"
-    if click_config:
+    if click_config:  # its kind must be the one --metric names, ndcg by default
         spec = load_click_spec(click_config)
         if spec.kind != name:
             raise ValueError(f"--metric {name} conflicts with {click_config} (kind {spec.kind})")
         return spec
+    if name == "ndcg":
+        return "ndcg"
     return ClickModelSpec(kind=name, tau=tau, r_max=r_max)
 
 

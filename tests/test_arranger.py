@@ -99,6 +99,20 @@ def test_greedy_orders_place_the_forced_last_item_without_a_decoder_step(n):
         assert order.dtype == full.dtype and order.tobytes() == full.tobytes()
 
 
+def test_greedy_orders_with_two_batch_axes_equal_the_group_orders():
+    """The loop writes picks and one-hots through step-major views; the batch axes keep their
+    order, past the position table too (7 items, 4 rows)."""
+    params = spread_params("starank", tiny_dims(max_list_len=4), 17)
+    rout = read_group("starank", params, [make_instance(seed=90 + k, n=7, hist_len=2)
+                                          for k in range(6)])
+    reprs, u = rout.reprs.values, rout.user_vec.values
+    two = ReaderOutput(ids=rout.ids, user_vec=Tensor(u.reshape(2, 3, -1)),
+                       reprs=Tensor(reprs.reshape((2, 3) + reprs.shape[1:])), betas=None)
+    orders = greedy_orders(two, params)
+    assert orders.shape == (2, 3, 7)
+    assert orders.reshape(6, 7).tobytes() == greedy_orders(rout, params).tobytes()
+
+
 @pytest.mark.parametrize("kind", ("starank", "starank_pi_mlp", "starank_ps_mlp"))
 def test_forced_logits_of_a_prefix_equal_the_first_rows_of_the_full_pass(kind):
     # k < n - 1 inputs run k + 1 steps of the same recurrence, so step_scores' one-step read

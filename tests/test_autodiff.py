@@ -9,25 +9,45 @@ from arrangerank.autodiff import (EmptySupportError, GraphError, ShapeError, Tap
 from arrangerank.model import ModelDims, param_shapes
 from arrangerank.params import ParamStore
 
-# The decoder cell's and the pointer's weight shapes at embedding widths 6, 16 and 64
+# The history and decoder cells' and the pointer's weight shapes at embedding widths 6, 16 and
+# 64, and a pointer step's (n, a) tanh rows at the slate sizes served
 _MV_SHAPES = sorted({shape for e, positions in ((6, 6), (16, 10), (64, 40))
                      for key, shape in param_shapes("starank", ModelDims(
                          feature_dim=8, profile_dim=8, embed=e, attn_width=e, mlp_hidden=e,
                          max_list_len=positions)).items()
-                     if key in ("dec.W", "ptr.W3", "ptr.P")})
+                     if key in ("hist.W", "dec.W", "ptr.W3", "ptr.P")}
+                    | {(n, a) for n in (1, 5, 10, 20, 40) for a in (6, 16, 64)})
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 64), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_a_stacked_mv_row_equals_the_lone_product_bitwise(batch, shared, seed):
+    """A weight shared by the batch, or one matrix per instance as in a pointer step, at every
+    shape: a stacked row is matmul's, the lone product ``ndarray.dot``'s."""
+    rng = np.random.default_rng(seed)
+    for shape in _MV_SHAPES:
+        m = rng.normal(size=shape if shared else (batch,) + shape)
+        v = rng.normal(size=(batch, shape[1]))
+        stacked = ad._mv(m, v)
+        assert stacked.shape == (batch, shape[0])
+        for b in range(batch):
+            assert stacked[b].tobytes() == ad._mv(m if shared else m[b], v[b]).tobytes()
 
 
 @settings(max_examples=200)
-@given(st.sampled_from(_MV_SHAPES), st.integers(1, 64), st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_a_stacked_mv_row_equals_the_lone_product_bitwise(shape, batch, shared, seed):
-    """A weight shared by the batch, or one matrix per instance as in a pointer step."""
+@given(st.sampled_from(_MV_SHAPES), st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
+def test_a_lone_mv_on_a_strided_vector_or_a_transposed_weight_equals_matmul_bitwise(
+        shape, stride, seed):
+    """A lone product takes ``ndarray.dot``: it must reach matmul's bits whatever the
+    operands' strides, a column of a wider array and a transposed (F-ordered) weight."""
     rng = np.random.default_rng(seed)
-    m = rng.normal(size=shape if shared else (batch,) + shape)
-    v = rng.normal(size=(batch, shape[1]))
-    stacked = ad._mv(m, v)
-    assert stacked.shape == (batch, shape[0])
-    for b in range(batch):
-        assert stacked[b].tobytes() == ad._mv(m if shared else m[b], v[b]).tobytes()
+    m, mt = rng.normal(size=shape), rng.normal(size=shape[::-1]).T
+    v = rng.normal(size=(shape[1], stride))[:, -1]
+    out = np.empty(shape[0])
+    for weight in (m, mt):
+        assert ad._mv(weight, v).tobytes() == np.matmul(weight, v).tobytes()
+        assert ad._mv(weight, v, out=out) is out
+        assert out.tobytes() == np.matmul(weight, v).tobytes()
 
 
 def test_matmul_identity():
@@ -391,6 +411,18 @@ def test_gated_cell_steps_equal_single_steps_bitwise():
         h = np.empty((3, 4))
         ad._cell_step(w, z, c, h, work)
         assert h.tobytes() == hs[:, t].tobytes()
+
+
+def test_a_cell_with_two_batch_axes_equals_its_lone_instances_bitwise():
+    """The step loop indexes step-major views of its buffers; the batch axes keep their order."""
+    rng = np.random.default_rng(64)
+    w, b = rng.uniform(-2, 2, (16, 9)), rng.uniform(-2, 2, 16)
+    x, h = rng.uniform(-2, 2, (2, 3, 4, 5)), rng.uniform(-2, 2, (2, 3, 4))
+    hs = ad.gated_cell(Tensor(w), Tensor(b), [Tensor(x)], Tensor(h)).values
+    assert hs.shape == (2, 3, 4, 4)
+    for i, j in np.ndindex(2, 3):
+        one = ad.gated_cell(Tensor(w), Tensor(b), [Tensor(x[i, j])], Tensor(h[i, j])).values
+        assert one.tobytes() == hs[i, j].tobytes()
 
 
 def _reference_mv(m, v):

@@ -572,6 +572,8 @@ _REJECTED = {  # arguments that fail each command's checks, and the message they
     "oracle --metric ubm --click-config pbm": (["oracle", "--split-dir", "{split}", "--metric",
                                                 "ubm", "--click-config", "{click}"],
                                                "--metric ubm conflicts with {click} (kind pbm)"),
+    "oracle --click-config pbm": (["oracle", "--split-dir", "{split}", "--click-config",
+                                   "{click}"], "--metric ndcg conflicts with {click} (kind pbm)"),
     "bench --sizes 5": (["bench", "--sizes", "5"],
                         "fitting an exponent needs two distinct sizes, got 5"),
     "bench --sizes 5,5": (["bench", "--sizes", "5,5"],
