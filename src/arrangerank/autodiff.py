@@ -141,8 +141,8 @@ def _shared(sa: tuple, sb: tuple) -> bool:
 
 
 def _mv(m: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """m[..., r, c] @ v[..., c] -> [..., r] (into ``out``), one BLAS matrix-vector call each; a
-    lone (r, c) @ (c,) reaches matmul's gemv through ``ndarray.dot``, skipping gufunc dispatch."""
+    """m[..., r, c] @ v[..., c] -> [..., r] (into ``out``), one BLAS matrix-vector call each; a lone
+    (r, c) @ (c,) takes matmul's gemv through ``ndarray.dot``, sooner (``out`` C-contiguous)."""
     if v.ndim == 1:
         return m.dot(v, out) if m.ndim == 2 else np.matmul(m, v, out=out)
     return np.matmul(m, v[..., None], out=None if out is None else out[..., None])[..., 0]
